@@ -23,6 +23,7 @@ from .errors import (
     PresentationSyntaxError,
     ValidationError,
     ZeroVectorError,
+    ZigzagError,
 )
 from .halfspace import (
     BoundarySet,

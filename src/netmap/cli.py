@@ -9,8 +9,10 @@ Subcommands operate on presentation files:
     netmap equations FILE (SLOPE | --affine "a,b;c,d;tx,ty") [--check N]
     netmap nonsep M,N (--check "(h1);(h2);(h3);(h4)" | --search | --refute)
 
-Exit codes: 0 success, 2 input or validation error, 3 geometric failure
-(non-transverse segments after retries), 4 unsupported affine symmetry.
+Exit codes: 0 success, 2 input or validation error (also a segment that
+still meets a degenerate mirror point after retries), 3 geometric failure
+(non-transverse segments after retries, or no usable zigzag segment or an
+inconsistent zigzag sum), 4 unsupported affine symmetry.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .errors import (
     NonTransverseError,
     PresentationSyntaxError,
     ValidationError,
+    ZigzagError,
 )
 from .presentation import NetMapPresentation, parse
 from .pullback import analyze_slope
@@ -317,7 +320,7 @@ def main(argv=None) -> int:
     except (PresentationSyntaxError, ValidationError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NonTransverseError as exc:
+    except (NonTransverseError, ZigzagError) as exc:
         print(f"geometric failure: {exc}", file=sys.stderr)
         return 3
     except MirrorsNotStabilizedError as exc:

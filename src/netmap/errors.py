@@ -42,6 +42,15 @@ class DegenerateIncidenceError(NetMapError):
     """The interior of a test segment hits a degenerate mirror point."""
 
 
+class ZigzagError(NetMapError):
+    """The slope map could not be evaluated for an essential slope.
+
+    Raised when no usable test segment exists for the slope, or when the
+    crossed midpoints give a vanishing alternating sum or one outside
+    the sublattice, which means the presentation data is inconsistent.
+    """
+
+
 class HypothesisFailedError(NetMapError):
     """A symmetry construction's hypotheses do not hold.
 

@@ -4,12 +4,20 @@ All geometry runs on integer-scaled coordinates: mirror polylines are
 premultiplied by the least common denominator of their vertices, and a
 per-query factor absorbs denominators of the query segment.
 
-Crossing candidates are enumerated per mirror edge by clipping the
-Minkowski parallelogram {segment point - edge point} against the
-translate lattice, column by column, so the work stays proportional to
-the number of nearby translates rather than to the area of a bounding
-box.  Every candidate is then confirmed by an exact integer
-segment-intersection predicate.
+For a query segment pq and a mirror edge ab that is not parallel to it,
+the crossing of pq with the translate ab + alpha*u2 + beta*v2 (u2, v2
+spanning 2*L1) sits at parameter tn/den along pq and un/den along the
+edge, where den is fixed and tn, un are affine in the integers
+(alpha, beta).  The translates that meet pq are exactly the integer
+points of the parallelogram 0 <= tn, un <= den.  They are enumerated
+line by line, with the bounds of each line from integer floor
+division.  The lines run along a Gauss-reduced lattice direction in
+which the parallelogram is long, so the lines of an edge number about
+the square root of the parallelogram's area, not its length.  A
+crossing's sort key is the exact integer tn * (L // den), with L the
+lcm of the edge denominators: one integer sort orders every crossing
+along pq.  Edges parallel to pq never cross it; they are only checked
+for overlap and vertex contact.
 """
 from __future__ import annotations
 
@@ -17,10 +25,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, gcd, lcm
+from operator import itemgetter
 
 from .errors import DegenerateIncidenceError, NonTransverseError
 from .lattice import Vec, cross, vadd, vneg, vscale, vsub
-from .presentation import NetMapPresentation, class_table, postcritical_lookup
+from .presentation import (
+    ClassTable,
+    NetMapPresentation,
+    class_table,
+    postcritical_lookup,
+)
 
 Point = tuple[Fraction, Fraction]
 
@@ -29,7 +43,7 @@ Point = tuple[Fraction, Fraction]
 class ScaledMirror:
     index: int
     degenerate: bool
-    midpoint: Vec           # times scale
+    midpoint: Vec           # unscaled
     chain: tuple[Vec, ...]  # full polyline, times scale
 
 
@@ -39,6 +53,8 @@ class MirrorSystem:
     mirrors: tuple[ScaledMirror, ...]
     u2: Vec                 # 2 * lambda1 basis, times scale
     v2: Vec
+    table: ClassTable
+    degenerate_keys: frozenset[Vec]  # class keys of +-h for degenerate mirrors
 
 
 @lru_cache(maxsize=None)
@@ -58,15 +74,24 @@ def mirror_system(pres: NetMapPresentation) -> MirrorSystem:
             ScaledMirror(
                 index=k,
                 degenerate=mirror.degenerate,
-                midpoint=vscale(scale, mirror.midpoint),
+                midpoint=mirror.midpoint,
                 chain=chain,
             )
         )
+    table = class_table(pres)
+    degenerate_keys = frozenset(
+        table.key(x)
+        for mirror, h in zip(pres.mirrors, pres.postcritical)
+        if mirror.degenerate
+        for x in (h, vneg(h))
+    )
     return MirrorSystem(
         scale=scale,
         mirrors=tuple(mirrors),
         u2=vscale(2 * scale, pres.lambda1.u),
         v2=vscale(2 * scale, pres.lambda1.v),
+        table=table,
+        degenerate_keys=degenerate_keys,
     )
 
 
@@ -135,105 +160,173 @@ def mirror_midpoint_at(pres: NetMapPresentation, point: Vec) -> Vec:
     raise ValueError(f"{point} is not an endpoint of its class mirror")
 
 
-def _line_hit(p: Vec, q: Vec, a: Vec, b: Vec) -> Fraction | None:
-    """Classify the intersection of closed segments pq and ab.
+def _line_hit(p: Vec, q: Vec, a: Vec, b: Vec) -> None:
+    """Check closed segments pq and ab on parallel lines for contact.
 
-    Returns None when disjoint or touching only at p or q, a Fraction
-    t in (0, 1) for a transverse crossing at p + t(q - p), and raises
-    NonTransverseError for collinear overlap or for contact with a
-    vertex of ab inside the open segment.
+    Returns None when they are disjoint or touch only at p or q, and
+    raises NonTransverseError for collinear overlap or for contact with
+    a vertex of ab inside the open segment.  Segments that are not
+    parallel are the business of interior_crossings' own kernel.
     """
     dpq = vsub(q, p)
-    dab = vsub(b, a)
-    den = cross(dpq, dab)
     w = vsub(a, p)
-    if den == 0:
-        if cross(w, dpq) != 0:
-            return None  # parallel, distinct lines
-        dd = dpq[0] * dpq[0] + dpq[1] * dpq[1]
-        ta = Fraction(w[0] * dpq[0] + w[1] * dpq[1], dd)
-        wb = vsub(b, p)
-        tb = Fraction(wb[0] * dpq[0] + wb[1] * dpq[1], dd)
-        lo, hi = (ta, tb) if ta <= tb else (tb, ta)
-        lo = lo if lo > 0 else Fraction(0)
-        hi = hi if hi < 1 else Fraction(1)
-        if lo < hi:
-            raise NonTransverseError("segment runs along a mirror edge")
-        if lo == hi and 0 < lo < 1:
-            raise NonTransverseError("segment touches a mirror vertex")
-        return None
-    tn = cross(w, dab)
-    un = cross(w, dpq)
-    if den < 0:
-        tn, un, den = -tn, -un, -den
-    if tn < 0 or tn > den or un < 0 or un > den:
-        return None
-    if tn == 0 or tn == den:
-        return None  # contact at v or w, which sit on their own mirrors
-    if un == 0 or un == den:
-        raise NonTransverseError("segment passes through a mirror endpoint or midpoint")
-    return Fraction(tn, den)
+    if cross(w, dpq) != 0:
+        return None  # parallel, distinct lines
+    dd = dpq[0] * dpq[0] + dpq[1] * dpq[1]
+    ta = Fraction(w[0] * dpq[0] + w[1] * dpq[1], dd)
+    wb = vsub(b, p)
+    tb = Fraction(wb[0] * dpq[0] + wb[1] * dpq[1], dd)
+    lo, hi = (ta, tb) if ta <= tb else (tb, ta)
+    lo = lo if lo > 0 else Fraction(0)
+    hi = hi if hi < 1 else Fraction(1)
+    if lo < hi:
+        raise NonTransverseError("segment runs along a mirror edge")
+    if lo == hi and 0 < lo < 1:
+        raise NonTransverseError("segment touches a mirror vertex")
+    return None
 
 
 def _scaled(point: Point | Vec, factor: int) -> Vec:
-    x, y = Fraction(point[0]) * factor, Fraction(point[1]) * factor
-    return (int(x), int(y))
+    return (int(point[0] * factor), int(point[1] * factor))
 
 
 def interior_crossings(
     pres: NetMapPresentation, v: Point | Vec, w: Point | Vec
-) -> list[tuple[Fraction, Vec]]:
+) -> list[tuple[int, Vec]]:
     """Transverse crossings of the open segment (v, w) with the mirrors.
 
-    Returns (t, midpoint) pairs sorted by the segment parameter, with
-    midpoints in unscaled coordinates.  Raises NonTransverseError for
-    non-transverse incidence and DegenerateIncidenceError when the open
-    segment meets a degenerate mirror point.
+    Returns (key, midpoint) pairs in order along the segment, with
+    midpoints in unscaled coordinates.  A key is an exact integer, the
+    crossing's segment parameter t in (0, 1) times a factor shared by
+    the whole list, so keys compare only within one call.  Raises
+    NonTransverseError for non-transverse incidence and
+    DegenerateIncidenceError when the open segment meets a degenerate
+    mirror point.
     """
     sys = mirror_system(pres)
-    extra = lcm(
-        Fraction(v[0]).denominator,
-        Fraction(v[1]).denominator,
-        Fraction(w[0]).denominator,
-        Fraction(w[1]).denominator,
-    )
+    extra = lcm(v[0].denominator, v[1].denominator, w[0].denominator, w[1].denominator)
     s = sys.scale * extra
     p = _scaled(v, s)
     q = _scaled(w, s)
     u2 = vscale(extra, sys.u2)
     v2 = vscale(extra, sys.v2)
 
-    _check_degenerate_incidence(pres, v, w)
+    _check_degenerate_incidence(sys, v, w)
 
-    hits: list[tuple[Fraction, Vec]] = []
+    d = vsub(q, p)
+    edges = []
     for mirror in sys.mirrors:
         if mirror.degenerate:
             continue
         chain = [vscale(extra, c) for c in mirror.chain]
-        midpoint = vscale(extra, mirror.midpoint)
         for a, b in zip(chain, chain[1:]):
+            edges.append((mirror.midpoint, a, b, cross(d, vsub(b, a))))
+    period = lcm(*(den for *_, den in edges if den))
+
+    (px, py), (dx, dy) = p, d
+    (u2x, u2y), (v2x, v2y) = u2, v2
+    step_u = vscale(2, pres.lambda1.u)  # the translate u2, unscaled
+    step_v = vscale(2, pres.lambda1.v)
+    hits: list[tuple[int, Vec]] = []
+    for mid, a, b, den in edges:
+        if den == 0:
+            # A parallel edge never crosses pq, but it may overlap pq or
+            # touch it at a vertex.
             quad = [vsub(p, a), vsub(p, b), vsub(q, b), vsub(q, a)]
             for alpha, beta in _parallelogram_candidates(u2, v2, quad):
                 t_vec = vadd(vscale(alpha, u2), vscale(beta, v2))
-                hit = _line_hit(p, q, vadd(a, t_vec), vadd(b, t_vec))
-                if hit is not None:
-                    mid = vadd(midpoint, t_vec)
-                    hits.append((hit, (mid[0] // s, mid[1] // s)))
-    hits.sort(key=lambda item: item[0])
+                _line_hit(p, q, vadd(a, t_vec), vadd(b, t_vec))
+            continue
+        # For the translate i*u2 + j*v2 of ab: tn = t0 + i*ta + j*tb is
+        # cross(a' - p, b - a) and un = u0 + i*ua + j*ub is
+        # cross(a' - p, q - p), with signs chosen so that den > 0.
+        sg = 1 if den > 0 else -1
+        den *= sg
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        ax, ay = a[0] - px, a[1] - py
+        t0 = sg * (ax * ey - ay * ex)
+        ta = sg * (u2x * ey - u2y * ex)
+        tb = sg * (v2x * ey - v2y * ex)
+        u0 = sg * (ax * dy - ay * dx)
+        ua = sg * (u2x * dy - u2y * dx)
+        ub = sg * (v2x * dy - v2y * dx)
+        # Gauss-reduce the images (ta, ua), (tb, ub) of the two lattice
+        # directions.  (tb, ub) ends up the shortest, so the lines of constant
+        # i, along which j runs, are few and long.  The new directions i and
+        # j are (si, sj) and (ri, rj) in (alpha, beta), a unimodular change.
+        si, sj, ri, rj = 1, 0, 0, 1
+        n1, n2 = ta * ta + ua * ua, tb * tb + ub * ub
+        if n1 < n2:
+            ta, ua, tb, ub, n1, n2 = tb, ub, ta, ua, n2, n1
+            si, sj, ri, rj = ri, rj, si, sj
+        while True:
+            m = (2 * (ta * tb + ua * ub) + n2) // (2 * n2)
+            if m == 0:
+                break
+            ta -= m * tb
+            ua -= m * ub
+            si -= m * ri
+            sj -= m * rj
+            n1 = ta * ta + ua * ua
+            if n1 >= n2:
+                break
+            ta, ua, tb, ub, n1, n2 = tb, ub, ta, ua, n2, n1
+            si, sj, ri, rj = ri, rj, si, sj
+        iux, iuy = si * step_u[0] + sj * step_v[0], si * step_u[1] + sj * step_v[1]
+        jux, juy = ri * step_u[0] + rj * step_v[0], ri * step_u[1] + rj * step_v[1]
+        # Range of i: i = (ub*(tn - t0) - tb*(un - u0)) / det over the
+        # corners tn, un in {0, den}.
+        det = ta * ub - tb * ua
+        n0 = tb * u0 - ub * t0
+        lo_n = n0 + den * (min(ub, 0) - max(tb, 0))
+        hi_n = n0 + den * (max(ub, 0) - min(tb, 0))
+        if det < 0:
+            lo_n, hi_n, det = -hi_n, -lo_n, -det
+        # Each strip 0 <= c + j*k <= den rewritten with k > 0; a strip with
+        # k == 0 holds on the whole range of i, so the other one stands in.
+        bt0, bta, btk = (t0, ta, tb) if tb > 0 else (den - t0, -ta, -tb)
+        bu0, bua, buk = (u0, ua, ub) if ub > 0 else (den - u0, -ua, -ub)
+        if tb == 0:
+            bt0, bta, btk = bu0, bua, buk
+        elif ub == 0:
+            bu0, bua, buk = bt0, bta, btk
+        mult = period // den
+        mx0, my0 = mid
+        for i in range(-(-lo_n // det), hi_n // det + 1):
+            ct = bt0 + i * bta
+            cu = bu0 + i * bua
+            lo, lo_u = -(ct // btk), -(cu // buk)
+            if lo_u > lo:
+                lo = lo_u
+            hi, hi_u = (den - ct) // btk, (den - cu) // buk
+            if hi_u < hi:
+                hi = hi_u
+            if lo > hi:
+                continue
+            tn = t0 + i * ta + lo * tb
+            un = u0 + i * ua + lo * ub
+            mx = mx0 + i * iux + lo * jux
+            my = my0 + i * iuy + lo * juy
+            for _ in range(hi - lo + 1):
+                if 0 < tn < den:  # tn in {0, den}: contact at v or w
+                    if not 0 < un < den:
+                        raise NonTransverseError(
+                            "segment passes through a mirror endpoint or midpoint"
+                        )
+                    hits.append((tn * mult, (mx, my)))
+                tn += tb
+                un += ub
+                mx += jux
+                my += juy
+    hits.sort(key=itemgetter(0))
     return hits
 
 
-def _check_degenerate_incidence(pres, v, w) -> None:
-    table = class_table(pres)
-    degenerate_keys = set()
-    for mirror, h in zip(pres.mirrors, pres.postcritical):
-        if mirror.degenerate:
-            degenerate_keys.add(table.key(h))
-            degenerate_keys.add(table.key(vneg(h)))
-    if not degenerate_keys:
+def _check_degenerate_incidence(sys: MirrorSystem, v, w) -> None:
+    if not sys.degenerate_keys:
         return
     for pt in _lattice_points_on_open_segment(v, w):
-        if table.key(pt) in degenerate_keys:
+        if sys.table.key(pt) in sys.degenerate_keys:
             raise DegenerateIncidenceError(
                 f"open segment passes through degenerate mirror point {pt}"
             )
@@ -276,16 +369,11 @@ def translation_preserves_mirrors(pres: NetMapPresentation, t: Vec) -> bool:
     of a representative mirror (in either traversal order), and each
     degenerate class must map to a degenerate class.
     """
-    table = class_table(pres)
-    degenerate_keys = set()
-    for mirror, h in zip(pres.mirrors, pres.postcritical):
-        if mirror.degenerate:
-            degenerate_keys.add(table.key(h))
-            degenerate_keys.add(table.key(vneg(h)))
-    for mirror, h in zip(pres.mirrors, pres.postcritical):
-        if mirror.degenerate and table.key(vadd(h, t)) not in degenerate_keys:
-            return False
     sys = mirror_system(pres)
+    table = sys.table
+    for mirror, h in zip(pres.mirrors, pres.postcritical):
+        if mirror.degenerate and table.key(vadd(h, t)) not in sys.degenerate_keys:
+            return False
     s = sys.scale
     ts = vscale(s, t)
     zero_key = table.key((0, 0))
@@ -319,14 +407,11 @@ def translation_preserves_mirrors(pres: NetMapPresentation, t: Vec) -> bool:
 
 def point_on_any_mirror(pres: NetMapPresentation, point: Point | Vec) -> bool:
     """Whether the point lies on some mirror translate (closed arcs)."""
-    table = class_table(pres)
+    sys = mirror_system(pres)
     px, py = Fraction(point[0]), Fraction(point[1])
     if px.denominator == 1 and py.denominator == 1:
-        key = table.key((int(px), int(py)))
-        for mirror, h in zip(pres.mirrors, pres.postcritical):
-            if mirror.degenerate and key in (table.key(h), table.key(vneg(h))):
-                return True
-    sys = mirror_system(pres)
+        if sys.table.key((int(px), int(py))) in sys.degenerate_keys:
+            return True
     extra = lcm(px.denominator, py.denominator)
     s = sys.scale * extra
     pt = (int(px * s), int(py * s))

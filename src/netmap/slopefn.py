@@ -18,6 +18,7 @@ from .errors import (
     DegenerateIncidenceError,
     NonEssentialError,
     NonTransverseError,
+    ZigzagError,
 )
 from .geometry import (
     interior_crossings,
@@ -25,7 +26,7 @@ from .geometry import (
     point_on_any_mirror,
     translation_preserves_mirrors,
 )
-from .lattice import Vec, cross, vadd, vscale, vsub
+from .lattice import Vec, _xgcd, cross, vadd, vscale, vsub
 from .presentation import NetMapPresentation, class_table, postcritical_lookup
 from .pullback import analyze_slope, coset_number
 from .slope import INESSENTIAL, Inessential, Slope
@@ -92,7 +93,7 @@ def find_segment(pres: NetMapPresentation, slope: Slope) -> tuple[Vec, Vec]:
     """The first valid zigzag segment for an essential slope."""
     for v, w in segment_candidates(pres, slope):
         return v, w
-    raise RuntimeError(f"no marked segment found for slope {slope}")
+    raise ZigzagError(f"no marked segment found for slope {slope}")
 
 
 def mirror_crossings(pres: NetMapPresentation, v: Vec, w: Vec) -> list[Vec]:
@@ -129,13 +130,13 @@ def zigzag_trace(pres: NetMapPresentation, slope: Slope) -> ZigzagTrace | None:
             continue
         delta = _alternating_sum(midpoints)
         if delta == (0, 0):
-            raise RuntimeError(
+            raise ZigzagError(
                 f"zigzag alternating sum vanished for slope {slope}; "
                 "presentation data is inconsistent"
             )
         coords = pres.correspondence.integer_coords(delta)
         if coords is None:
-            raise RuntimeError(
+            raise ZigzagError(
                 f"zigzag sum {delta} is not in the sublattice for slope {slope}; "
                 "presentation data is inconsistent"
             )
@@ -150,7 +151,7 @@ def zigzag_trace(pres: NetMapPresentation, slope: Slope) -> ZigzagTrace | None:
         )
     if failure is not None:
         raise failure
-    raise RuntimeError(f"no usable segment for slope {slope}")
+    raise ZigzagError(f"no usable segment for slope {slope}")
 
 
 @lru_cache(maxsize=None)
@@ -343,18 +344,4 @@ def pullback_slope_long_segment(
             return Slope.of_fractions(b, a)
     if failure is not None:
         raise failure
-    raise RuntimeError(f"no transverse long segment found for slope {slope}")
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    raise ZigzagError(f"no transverse long segment found for slope {slope}")

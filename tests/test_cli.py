@@ -5,6 +5,7 @@ from importlib import resources
 import pytest
 
 import netmap.cli as cli
+import netmap.slopefn as slopefn
 from netmap.errors import NonTransverseError
 
 
@@ -105,6 +106,13 @@ class TestSlope:
         monkeypatch.setattr(cli, "pullback_slope", boom)
         code, _, err = run(capsys, "slope", main_path, "1/4")
         assert code == 3 and "forced" in err
+
+    def test_zigzag_failure_maps_to_exit_3(self, capsys, main_path, monkeypatch):
+        # With no candidate segment the zigzag cannot evaluate 1/4.
+        monkeypatch.setattr(slopefn, "segment_candidates", lambda pres, slope: iter(()))
+        slopefn.pullback_slope.cache_clear()
+        code, _, err = run(capsys, "slope", main_path, "1/4")
+        assert code == 3 and "no usable segment for slope 1/4" in err
 
 
 class TestObstructions:
