@@ -41,20 +41,21 @@ Point = tuple[Fraction, Fraction]
 
 @dataclass(frozen=True)
 class ScaledMirror:
-    index: int
     degenerate: bool
     midpoint: Vec           # unscaled
     chain: tuple[Vec, ...]  # full polyline, times scale
+    ends: tuple[Vec, Vec]   # first and last polyline points, unscaled
 
 
 @dataclass(frozen=True)
 class MirrorSystem:
     scale: int
-    mirrors: tuple[ScaledMirror, ...]
+    mirrors: tuple[ScaledMirror, ...]  # in the order of pres.mirrors
     u2: Vec                 # 2 * lambda1 basis, times scale
     v2: Vec
     table: ClassTable
     degenerate_keys: frozenset[Vec]  # class keys of +-h for degenerate mirrors
+    mirror_of: dict[Vec, int]        # postcritical class key -> mirror index
 
 
 @lru_cache(maxsize=None)
@@ -66,16 +67,14 @@ def mirror_system(pres: NetMapPresentation) -> MirrorSystem:
             denoms.append(p[1].denominator)
     scale = lcm(*denoms)
     mirrors = []
-    for k, mirror in enumerate(pres.mirrors):
-        chain = tuple(
-            (int(p[0] * scale), int(p[1] * scale)) for p in mirror.full_polyline()
-        )
+    for mirror in pres.mirrors:
+        poly = mirror.full_polyline()
         mirrors.append(
             ScaledMirror(
-                index=k,
                 degenerate=mirror.degenerate,
                 midpoint=mirror.midpoint,
-                chain=chain,
+                chain=tuple((int(p[0] * scale), int(p[1] * scale)) for p in poly),
+                ends=tuple((int(p[0]), int(p[1])) for p in (poly[0], poly[-1])),
             )
         )
     table = class_table(pres)
@@ -92,6 +91,7 @@ def mirror_system(pres: NetMapPresentation) -> MirrorSystem:
         v2=vscale(2 * scale, pres.lambda1.v),
         table=table,
         degenerate_keys=degenerate_keys,
+        mirror_of={k: e[1] for k, e in postcritical_lookup(pres).items() if e[0] == "P2"},
     )
 
 
@@ -143,19 +143,17 @@ def mirror_midpoint_at(pres: NetMapPresentation, point: Vec) -> Vec:
     ``point`` must lie in a postcritical coset; for a degenerate mirror
     the point is its own midpoint.
     """
-    table = class_table(pres)
-    entry = postcritical_lookup(pres).get(table.key(point))
-    if entry is None or entry[0] != "P2":
+    sys = mirror_system(pres)
+    index = sys.mirror_of.get(sys.table.key(point))
+    if index is None:
         raise ValueError(f"{point} is not in a postcritical coset")
-    mirror = pres.mirrors[entry[1]]
+    mirror = sys.mirrors[index]
     if mirror.degenerate:
         return point
-    poly = mirror.full_polyline()
-    zero_key = table.key((0, 0))
-    for end in (poly[0], poly[-1]):
-        e = (int(end[0]), int(end[1]))
-        t = vsub(point, e)
-        if table.key(t) == zero_key:
+    zero_key = sys.table.key((0, 0))
+    for end in mirror.ends:
+        t = vsub(point, end)
+        if sys.table.key(t) == zero_key:
             return vadd(mirror.midpoint, t)
     raise ValueError(f"{point} is not an endpoint of its class mirror")
 

@@ -10,12 +10,19 @@ nonseparating subset of the quotient by twice the sublattice.
 Groups here have at most two invariant factors, which is all the
 quotient lattices can produce; searches are exhaustive over inversion
 classes with a configurable budget.
+
+``is_nonseparating`` walks cosets as element sets (``cyclic_pairs``,
+``coset_numbers``), independently of ``search_nonseparating``, which
+reads coset numbers off characters.  A cyclic subgroup with cyclic
+quotient Z/k and a quotient generator are one onto character
+phi(x, y) = (s*x + t*y) mod k with cyclic kernel, where k | lcm(m, n),
+k/gcd(k, m) | s and k/gcd(k, n) | t; the coset number of h is
+min(phi(h), k - phi(h)), as in ``pullback.coset_number``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from .errors import BudgetExceededError
 from .lattice import quotient_presentation
@@ -117,27 +124,27 @@ def _image_order(group: FinAbGroup, a: El, subgroup: frozenset[El], bound: int) 
     raise AssertionError("image order must divide the quotient order")
 
 
-def cyclic_pairs(group: FinAbGroup) -> list[CyclicPair]:
+def cyclic_pairs(group: FinAbGroup, elements: list[El] | None = None) -> list[CyclicPair]:
     """Every cyclic subgroup with cyclic quotient, with every generator.
 
     Subgroups are deduplicated by element set; for each, all elements
-    whose image generates the quotient are listed.
+    whose image generates the quotient are listed.  ``elements``, when
+    given, lists a subgroup to work inside instead of the whole group.
     """
+    els = group.elements() if elements is None else elements
     seen: dict[frozenset[El], El] = {}
-    for g in group.elements():
+    for g in els:
         span = _span(group, g)
         if span not in seen:
             seen[span] = g
     pairs = []
     for span, g in sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-        quotient_order = group.order // len(span)
-        generators = [
-            a
-            for a in group.elements()
+        quotient_order = len(els) // len(span)
+        pairs.extend(
+            CyclicPair(span, g, a, quotient_order)
+            for a in els
             if _image_order(group, a, span, quotient_order) == quotient_order
-        ]
-        for a in generators:
-            pairs.append(CyclicPair(span, g, a, quotient_order))
+        )
     return pairs
 
 
@@ -188,20 +195,29 @@ def inversion_classes(group: FinAbGroup) -> list[El]:
     return reps
 
 
-def _coset_value_maps(group: FinAbGroup) -> list[dict[El, int]]:
-    """Per cyclic pair, the map element -> coset number."""
-    maps = []
-    for pair in cyclic_pairs(group):
-        n = pair.quotient_order
-        values: dict[El, int] = {}
-        coset = set(pair.subgroup)
-        for j in range(n):
-            c = min(j, n - j)
-            for el in coset:
-                values[el] = c
-            coset = {group.add(el, pair.generator) for el in coset}
-        maps.append(values)
-    return maps
+def _value_maps(group: FinAbGroup, classes: list[El]) -> list[tuple[int, ...]]:
+    """The distinct coset-number tuples on the classes, one per character."""
+    m, n = group.m, group.n
+    common = gcd(m, n)
+    exponent = m * n // common
+    maps: dict[tuple[int, ...], None] = {}
+    for k in range(1, exponent + 1):
+        if exponent % k:
+            continue
+        half = k // 2
+        for s in range(0, k, k // gcd(k, m)):
+            for t in range(0, k, k // gcd(k, n)):
+                # Onto Z/k, with a kernel that holds no Z/d + Z/d (d > 1),
+                # so a cyclic one.
+                if gcd(s, t, k) != 1 or any(
+                    s * (m // d) % k == 0 and t * (n // d) % k == 0
+                    for d in range(2, common + 1) if common % d == 0
+                ):
+                    continue
+                # |(v + half) mod k - half| is min(v, k - v).
+                values = [abs((s * x + t * y + half) % k - half) for x, y in classes]
+                maps[tuple(values)] = None
+    return list(maps)
 
 
 def search_nonseparating(
@@ -210,7 +226,12 @@ def search_nonseparating(
     """All nonseparating subsets, by exhaustive search over classes.
 
     The budget bounds the number of 4-subsets of inversion classes
-    examined; exceeding it raises BudgetExceededError.
+    examined; exceeding it raises BudgetExceededError.  Under one value
+    map, with a <= b <= c the values of three classes, a fourth value d
+    keeps c2 == c3 exactly when (d >= b or a == b) and (d <= b or
+    b == c).  These are bitmasks over class indices: the fourth classes
+    of a triple are the bits left after intersecting them over every
+    map, and subsets come out in ``itertools.combinations`` order.
     """
     classes = inversion_classes(group)
     total = comb(len(classes), 4)
@@ -218,17 +239,44 @@ def search_nonseparating(
         raise BudgetExceededError(
             f"{total} candidate subsets exceed the budget of {budget}"
         )
-    value_maps = _coset_value_maps(group)
+    # Maps with many distinct values pin d down most often; trying them
+    # first empties the masks soonest.
+    maps = sorted(_value_maps(group, classes), key=lambda v: len(set(v)), reverse=True)
+    tables = []  # per map: values, and the classes with value >= v and <= v
+    for values in maps:
+        ge = [0] * (max(values) + 1)
+        for i, v in enumerate(values):
+            ge[v] |= 1 << i
+        le = ge[:]
+        for v in range(1, len(ge)):
+            le[v] |= le[v - 1]
+            ge[-1 - v] |= ge[-v]
+        tables.append((values, ge, le))
+    size = len(classes)
     found = []
-    for combo in combinations(classes, 4):
-        ok = True
-        for values in value_maps:
-            cs = sorted(values[h] for h in combo)
-            if cs[1] != cs[2]:
-                ok = False
-                break
-        if ok:
-            found.append(SymmetricFour(combo))
+    for i in range(size):
+        for j in range(i + 1, size):
+            for k in range(j + 1, size - 1):
+                mask = (1 << size) - (2 << k)  # the indices above k
+                for values, ge, le in tables:
+                    a, b, c = values[i], values[j], values[k]
+                    if a > b:
+                        a, b = b, a
+                    if b > c:
+                        b, c = c, b
+                    if a > b:
+                        a, b = b, a
+                    if a != b:
+                        mask &= ge[b]
+                    if b != c:
+                        mask &= le[b]
+                    if not mask:
+                        break
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    four = (classes[i], classes[j], classes[k], classes[low.bit_length() - 1])
+                    found.append(SymmetricFour(four))
     return found
 
 
@@ -312,32 +360,11 @@ def is_nonseparating_in_subgroup(
     The subgroup is given by its element set; cyclic subgroups with
     cyclic quotient are enumerated within it.
     """
-    els = sorted(ambient_subgroup)
     if any(h not in ambient_subgroup for h in subset.reps):
         raise ValueError("subset does not lie in the subgroup")
     _check_symmetric_four(group, subset)
-    order = len(els)
-    spans: dict[frozenset[El], El] = {}
-    for g in els:
-        span = _span(group, g)
-        if span not in spans:
-            spans[span] = g
-    for span in spans:
-        quotient_order = order // len(span)
-        for a in els:
-            if _image_order(group, a, span, quotient_order) != quotient_order:
-                continue
-            values = []
-            for h in subset.reps:
-                x = h
-                c = None
-                for j in range(quotient_order):
-                    if x in span:
-                        c = min(j, quotient_order - j)
-                        break
-                    x = group.add(x, group.neg(a))
-                values.append(c)
-            values.sort()
-            if values[1] != values[2]:
-                return False
+    for pair in cyclic_pairs(group, sorted(ambient_subgroup)):
+        cs = coset_numbers(group, subset, pair)
+        if cs[1] != cs[2]:
+            return False
     return True

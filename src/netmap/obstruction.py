@@ -214,48 +214,39 @@ def _greedy_cover(candidates: list[HalfSpace], budget: int):
     interval, then repeatedly picks the candidate reaching furthest to
     the right from the current frontier.  Returns the selection or None.
     """
-    outs = [h for h in candidates if h.kind is Kind.OUTSIDE_CIRCLE]
+    outs = [i for i, h in enumerate(candidates) if h.kind is Kind.OUTSIDE_CIRCLE]
     if not outs or budget < 1:
         return None
-    base = min(outs, key=lambda h: (h.radius.square(), candidates.index(h)))
-    base_bs = boundary_interval(base)
+    base = min(outs, key=lambda i: (candidates[i].radius.square(), i))
+    base_bs = boundary_interval(candidates[base])
     selected = [base]
-    bounds = [(h, boundary_interval(h)) for h in candidates]
+    bounds = [boundary_interval(h) for h in candidates]
     cur = base_bs.lo
     while len(selected) < budget:
         best = None
         best_reach = None
-        for h, bs in bounds:
-            if h in selected:
+        for i, bs in enumerate(bounds):
+            if i in selected:
                 continue
             r = _reach(bs, cur)
             if r is None:
                 continue
             tangent, hi = r
+            # Unbounded first, then the furthest hi (None == None for two
+            # unbounded keys), then strict over tangent.
             key = (hi is None, hi, not tangent)
-            if best is None or _reach_key_gt(key, best_reach):
-                best, best_reach = h, key
+            if best is None or key > best_reach:
+                best, best_reach = i, key
         if best is None:
             return None
         selected.append(best)
         unbounded, hi, _strict = best_reach
         if unbounded or hi > base_bs.hi:
-            return selected
+            return [candidates[i] for i in selected]
         if hi == cur:
             return None
         cur = hi
     return None
-
-
-def _reach_key_gt(a, b) -> bool:
-    """Compare greedy reach keys (unbounded, hi, strict)."""
-    if a[0] != b[0]:
-        return a[0]
-    if a[0]:
-        return a[2] and not b[2]
-    if not a[1] == b[1]:
-        return a[1] > b[1]
-    return a[2] and not b[2]
 
 
 def _prune(pres, slopes: list[Slope]) -> list[Slope]:

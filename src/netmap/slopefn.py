@@ -26,7 +26,7 @@ from .geometry import (
     point_on_any_mirror,
     translation_preserves_mirrors,
 )
-from .lattice import Vec, _xgcd, cross, vadd, vscale, vsub
+from .lattice import Vec, _xgcd, cross, vadd, vscale
 from .presentation import NetMapPresentation, class_table, postcritical_lookup
 from .pullback import analyze_slope, coset_number
 from .slope import INESSENTIAL, Inessential, Slope
@@ -110,11 +110,15 @@ def mirror_crossings(pres: NetMapPresentation, v: Vec, w: Vec) -> list[Vec]:
 
 
 def _alternating_sum(midpoints: list[Vec]) -> Vec:
-    total = (0, 0)
-    for i in range(len(midpoints) - 1):
-        step = vsub(midpoints[i + 1], midpoints[i])
-        total = vadd(total, step) if i % 2 == 0 else vsub(total, step)
-    return total
+    """Sum of (-1)^i * (m[i+1] - m[i]) over n + 1 >= 2 midpoints, which is
+    -m[0] + 2*(m[1] - m[2] + m[3] - ...) - (-1)^n * m[n]."""
+    n = len(midpoints) - 1
+    (fx, fy), (lx, ly) = midpoints[0], midpoints[n]
+    odd, even = midpoints[1:n:2], midpoints[2:n:2]
+    sign = 1 if n % 2 else -1
+    ix = sum(x for x, _ in odd) - sum(x for x, _ in even)
+    iy = sum(y for _, y in odd) - sum(y for _, y in even)
+    return (2 * ix - fx + sign * lx, 2 * iy - fy + sign * ly)
 
 
 def zigzag_trace(pres: NetMapPresentation, slope: Slope) -> ZigzagTrace | None:

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from netmap import bundled_presentation
 from netmap.errors import DegenerateIncidenceError, NonEssentialError, NonTransverseError
-from netmap.geometry import interior_crossings
+from netmap.geometry import interior_crossings, mirror_midpoint_at
+from netmap.presentation import class_table, postcritical_lookup
 from netmap.slope import Slope
 from netmap.slopefn import segment_candidates
 
@@ -191,3 +192,41 @@ def test_reference_sees_failures():
     assert _agree("main", (2, -2), (2, 0)) is NonTransverseError
     assert _agree("main", (0, -3), (4, -1)) is NonTransverseError
     assert _agree("main", (-4, 2), (4, -2)) is DegenerateIncidenceError
+
+
+def reference_midpoint(pres, point):
+    """The mirror midpoint at a marked point, from the Fraction polyline."""
+    table = class_table(pres)
+    entry = postcritical_lookup(pres).get(table.key(point))
+    if entry is None or entry[0] != "P2":
+        return f"{point} is not in a postcritical coset"
+    mirror = pres.mirrors[entry[1]]
+    if mirror.degenerate:
+        return point
+    poly = mirror.full_polyline()
+    for end in (poly[0], poly[-1]):
+        t = _sub(point, (int(end[0]), int(end[1])))
+        if table.key(t) == table.key((0, 0)):
+            return (mirror.midpoint[0] + t[0], mirror.midpoint[1] + t[1])
+    return f"{point} is not an endpoint of its class mirror"
+
+
+@given(presentation_names, integer_points)
+@example("main", (0, 0))
+def test_mirror_midpoint_matches_reference(name, point):
+    pres = PRESENTATIONS[name]
+    try:
+        got = mirror_midpoint_at(pres, point)
+    except ValueError as exc:
+        got = str(exc)
+    assert got == reference_midpoint(pres, point)
+
+
+def test_mirror_midpoint_at_every_marked_translate():
+    for pres in PRESENTATIONS.values():
+        u, v = pres.lambda1.u, pres.lambda1.v
+        for h in pres.postcritical:
+            for a in range(-2, 3):
+                for b in range(-2, 3):
+                    pt = (h[0] + 2 * (a * u[0] + b * v[0]), h[1] + 2 * (a * u[1] + b * v[1]))
+                    assert mirror_midpoint_at(pres, pt) == reference_midpoint(pres, pt)

@@ -1,7 +1,15 @@
+import random
+import subprocess
+import sys
+from functools import lru_cache
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netmap import nonsep
 from netmap.errors import BudgetExceededError
 from netmap.nonsep import (
     FinAbGroup,
@@ -156,6 +164,82 @@ class TestSearch:
             search_nonseparating(FinAbGroup(6, 6), budget=10)
 
 
+def _groups(max_order):
+    return [(m, n) for m in range(1, max_order + 1) for n in range(1, max_order // m + 1)]
+
+
+def _reference_maps(group):
+    """Coset numbers of every element, one map per cyclic pair, by set walks.
+
+    Generators in a + B or -a + B give the map of a, so each subgroup
+    walks only one generator per such pair of cosets.
+    """
+    by_subgroup = {}
+    for pair in cyclic_pairs(group):
+        by_subgroup.setdefault(pair.subgroup, []).append(pair)
+    maps = []
+    for span, pairs in by_subgroup.items():
+        covered = set()
+        for pair in pairs:
+            if pair.generator in covered:
+                continue
+            k = pair.quotient_order
+            values, coset = {}, set(span)
+            for j in range(k):
+                values.update(dict.fromkeys(coset, min(j, k - j)))
+                coset = {group.add(el, pair.generator) for el in coset}
+            covered |= {el for el, c in values.items() if c == min(1, k - 1)}
+            maps.append(values)
+    return maps
+
+
+class TestSearchAgainstSetWalks:
+    def test_search_equals_brute_force(self, monkeypatch):
+        # Every Z/m + Z/n of order <= 24, m | n or not.  The memo only
+        # spares is_nonseparating from walking the same pairs per subset.
+        monkeypatch.setattr(nonsep, "cyclic_pairs", lru_cache(maxsize=None)(cyclic_pairs))
+        for m, n in _groups(24):
+            group = FinAbGroup(m, n)
+            subsets = [SymmetricFour(c) for c in combinations(inversion_classes(group), 4)]
+            expected = [s for s in subsets if is_nonseparating(group, s)]
+            assert search_nonseparating(group) == expected, (m, n)
+
+    def test_found_subsets_and_sampled_others(self):
+        rng = random.Random(20121004)
+        for m in range(1, 13):
+            for n in range(1, 13):
+                group = FinAbGroup(m, n)
+                maps = _reference_maps(group)
+
+                def nonseparating(reps):
+                    return all(
+                        (cs := sorted(v[h] for h in reps))[1] == cs[2] for v in maps
+                    )
+
+                found = search_nonseparating(group, budget=10**7)
+                assert all(nonseparating(f.reps) for f in found), (m, n)
+                classes = inversion_classes(group)
+                if len(classes) < 4:
+                    continue
+                reps_found = {f.reps for f in found}
+                for _ in range(20):
+                    idx = sorted(rng.sample(range(len(classes)), 4))
+                    reps = tuple(classes[i] for i in idx)
+                    if reps not in reps_found:
+                        assert not nonseparating(reps), (m, n, reps)
+
+    def test_census_script_matches_pinned_table(self):
+        root = Path(__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, str(root / "scripts" / "nonsep_census.py"), "--max-order", "24"],
+            capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        pinned = (root / "bench" / "expected" / "census.txt").read_text().splitlines()
+        rows = [r for r in pinned if not r.startswith("Z/") or int(r.split()[3]) <= 24]
+        assert len(out) > 20
+        assert out == rows
+
+
 class TestTranslateLemma:
     @pytest.mark.parametrize("group", [FinAbGroup(4, 2), FinAbGroup(4, 4), FinAbGroup(2, 8)])
     def test_involution_translates_preserve_nonseparating(self, group):
@@ -201,6 +285,22 @@ class TestSubgroupLemma:
             if all(h in sub for h in subset.reps):
                 if is_nonseparating_in_subgroup(group, sub, subset):
                     assert is_nonseparating(group, subset)
+
+    def test_whole_group_agrees_with_is_nonseparating(self):
+        rng = random.Random(7)
+        for m, n in ((4, 2), (2, 6), (4, 4), (3, 6), (6, 6)):
+            group = FinAbGroup(m, n)
+            whole = frozenset(group.elements())
+            classes = inversion_classes(group)
+            for _ in range(15):
+                reps = tuple(
+                    h if rng.random() < 0.5 else group.neg(h)
+                    for h in rng.sample(classes, 4)
+                )
+                subset = SymmetricFour(reps)
+                assert is_nonseparating_in_subgroup(group, whole, subset) == (
+                    is_nonseparating(group, subset)
+                )
 
 
 class TestNonexistence:

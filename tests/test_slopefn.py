@@ -20,6 +20,7 @@ from netmap.slopefn import (
     pullback_slope,
     pullback_slope_long_segment,
     pullback_slope_via_residues,
+    _alternating_sum,
     slope_orbit,
     zigzag_trace,
 )
@@ -156,6 +157,23 @@ class TestPullbackSlope:
         assert trace.delta == (4, 3)
         assert trace.midpoints == ((0, 0), (6, 2), (14, 3), (20, 5))
         assert trace.result == Slope(1, 2)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+            min_size=2,
+            max_size=40,
+        )
+    )
+    def test_alternating_sum_matches_step_loop(self, midpoints):
+        total = (0, 0)
+        for i in range(len(midpoints) - 1):
+            sign = 1 if i % 2 == 0 else -1
+            total = (
+                total[0] + sign * (midpoints[i + 1][0] - midpoints[i][0]),
+                total[1] + sign * (midpoints[i + 1][1] - midpoints[i][1]),
+            )
+        assert _alternating_sum(midpoints) == total
 
     def test_correspondence_sign_flip_invariance(self, main_pres):
         from netmap.lattice import Basis2
