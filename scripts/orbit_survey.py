@@ -12,13 +12,12 @@ cycles.
 import argparse
 import sys
 from collections import Counter
-from math import gcd
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from netmap import bundled_presentation, parse  # noqa: E402
-from netmap.slope import Slope  # noqa: E402
+from netmap.slope import INESSENTIAL, enumerate_slopes  # noqa: E402
 from netmap.slopefn import slope_orbit  # noqa: E402
 
 
@@ -34,11 +33,7 @@ def main() -> int:
         if args.presentation
         else bundled_presentation("main")
     )
-    slopes = [Slope(1, 0)]
-    for q in range(1, args.height + 1):
-        for p in range(-args.height, args.height + 1):
-            if gcd(p, q) == 1:
-                slopes.append(Slope(p, q))
+    slopes = enumerate_slopes(args.height)
 
     cycles = Counter()
     transient = Counter()
@@ -47,7 +42,7 @@ def main() -> int:
     for s in slopes:
         trajectory, cycle = slope_orbit(pres, s, max_iter=args.max_iter)
         if cycle is None:
-            if trajectory[-1] is not None and str(trajectory[-1]) == "o":
+            if trajectory[-1] is INESSENTIAL:
                 inessential += 1
             else:
                 unresolved += 1

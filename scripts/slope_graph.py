@@ -12,15 +12,13 @@ bundled example.
 """
 import argparse
 import sys
-from math import gcd
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from netmap import bundled_presentation, parse  # noqa: E402
 from netmap.render import slope_graph_csv  # noqa: E402
-from netmap.slope import INESSENTIAL, Slope  # noqa: E402
-from netmap.slopefn import pullback_slope  # noqa: E402
+from netmap.slopefn import slope_graph_rows  # noqa: E402
 
 
 def main() -> int:
@@ -36,23 +34,7 @@ def main() -> int:
         if args.presentation
         else bundled_presentation("main")
     )
-    slopes = [
-        Slope(p, q)
-        for q in range(1, args.qmax + 1)
-        for p in range(-args.qmax, args.qmax + 1)
-        if gcd(p, q) == 1
-    ]
-    slopes.sort(key=lambda s: (s.value(), s.q))
-    rows = []
-    for s in slopes:
-        image = pullback_slope(pres, s)
-        if image is INESSENTIAL:
-            rows.append((str(s), s.value(), "o", None))
-        else:
-            rows.append(
-                (str(s), s.value(), str(image),
-                 None if image.is_infinity else image.value())
-            )
+    rows = slope_graph_rows(pres, args.qmax)
     Path(args.out).write_text(slope_graph_csv(rows), encoding="utf-8")
     print(f"wrote {len(rows)} rows to {args.out}")
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
 from . import nonsep as ns
@@ -36,8 +34,8 @@ from .errors import (
 )
 from .presentation import NetMapPresentation, parse
 from .pullback import analyze_slope
-from .slope import INESSENTIAL, Slope
-from .slopefn import pullback_slope
+from .slope import Slope
+from .slopefn import pullback_slope, slope_graph_rows
 
 # Representative slopes for the eight residue classes of the bundled
 # degree-10 example, in the row order of its pullback table.
@@ -87,23 +85,7 @@ def cmd_analyze(args) -> int:
 def cmd_slope(args) -> int:
     pres = _load(args.file)
     if args.graph is not None:
-        qmax = args.graph
-        rows = []
-        pairs = []
-        for q in range(1, qmax + 1):
-            for p in range(-qmax, qmax + 1):
-                if gcd(p, q) == 1:
-                    pairs.append(Slope(p, q))
-        pairs.sort(key=lambda s: (Fraction(s.p, s.q), s.q))
-        for s in pairs:
-            image = pullback_slope(pres, s)
-            if image is INESSENTIAL:
-                rows.append((str(s), s.value(), "o", None))
-            else:
-                rows.append(
-                    (str(s), s.value(), str(image),
-                     None if image.is_infinity else image.value())
-                )
+        rows = slope_graph_rows(pres, args.graph)
         text = render.slope_graph_csv(rows)
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
@@ -111,6 +93,9 @@ def cmd_slope(args) -> int:
         else:
             sys.stdout.write(text)
         return 0
+    if args.value is None:
+        print("slope needs a SLOPE or --graph", file=sys.stderr)
+        return 2
     image = pullback_slope(pres, Slope.parse(args.value))
     print(image)
     return 0
@@ -126,40 +111,31 @@ def _render_halfspace(h) -> str:
 
 def cmd_obstructions(args) -> int:
     pres = _load(args.file)
-    spaces = None
     if args.slopes:
         slopes = [Slope.parse(tok) for tok in args.slopes.split(",")]
         cert, obstruction = ob.certificate_for_slopes(pres, slopes)
-        if obstruction is not None:
-            s, mult = obstruction
-            print(f"OBSTRUCTED slope={s} delta={mult}")
-            return 0
-        if cert is None:
+        if obstruction is None and cert is None:
             print("INCONCLUSIVE (given half-spaces do not cover)")
             return 0
-        if not ob.check_certificate(pres, cert):
+        if obstruction is None and not ob.check_certificate(pres, cert):
             print("INCONCLUSIVE (certificate failed re-verification)")
             return 0
-        spaces = cert.halfspaces
-        print(f"UNOBSTRUCTED ({len(spaces)} half-spaces)")
-        for h in spaces:
-            print("  " + _render_halfspace(h))
-        for d in cert.dispositions:
-            print(f"  leftover {d.point}: {d.reason}")
     else:
         report = ob.obstruction_report(pres, height=args.height, budget=args.budget)
-        if report.status is ob.Status.OBSTRUCTED:
-            s, mult = report.obstruction
-            print(f"OBSTRUCTED slope={s} delta={mult}")
-        elif report.status is ob.Status.UNOBSTRUCTED:
-            spaces = report.certificate.halfspaces
-            print(f"UNOBSTRUCTED ({len(spaces)} half-spaces)")
-            for h in spaces:
-                print("  " + _render_halfspace(h))
-            for d in report.certificate.dispositions:
-                print(f"  leftover {d.point}: {d.reason}")
-        else:
+        if report.status is ob.Status.INCONCLUSIVE:
             print(f"INCONCLUSIVE ({report.diagnostics})")
+            return 0
+        cert, obstruction = report.certificate, report.obstruction
+    if obstruction is not None:
+        s, mult = obstruction
+        print(f"OBSTRUCTED slope={s} delta={mult}")
+        return 0
+    spaces = cert.halfspaces
+    print(f"UNOBSTRUCTED ({len(spaces)} half-spaces)")
+    for h in spaces:
+        print("  " + _render_halfspace(h))
+    for d in cert.dispositions:
+        print(f"  leftover {d.point}: {d.reason}")
     if args.svg and spaces:
         Path(args.svg).write_text(render.halfspaces_svg(list(spaces)), encoding="utf-8")
         print(f"wrote {args.svg}")
@@ -197,6 +173,9 @@ def cmd_equations(args) -> int:
                     print(f"  slope {v.slope}: {v.lhs} != {v.rhs}")
                 return 2
         return 0
+    if args.value is None:
+        print("equations needs a SLOPE or --affine", file=sys.stderr)
+        return 2
     eq = sy.twist_equation(pres, Slope.parse(args.value))
     print(eq.render())
     return 0

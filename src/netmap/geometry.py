@@ -21,20 +21,14 @@ for overlap and vertex contact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil, floor, gcd, lcm
 from operator import itemgetter
 
 from .errors import DegenerateIncidenceError, NonTransverseError
-from .lattice import Vec, cross, vadd, vneg, vscale, vsub
-from .presentation import (
-    ClassTable,
-    NetMapPresentation,
-    class_table,
-    postcritical_lookup,
-)
+from .lattice import Mat2, Vec, cross, mat_vec, vadd, vneg, vscale, vsub
+from .presentation import ClassTable, NetMapPresentation
 
 Point = tuple[Fraction, Fraction]
 
@@ -47,19 +41,29 @@ class ScaledMirror:
     ends: tuple[Vec, Vec]   # first and last polyline points, unscaled
 
 
-@dataclass(frozen=True)
-class MirrorSystem:
+@dataclass(frozen=True, eq=False)
+class PresentationContext:
+    """Data derived from one presentation, and its per-slope memos.
+
+    Built once per presentation instance by ``pres.context``; the memos
+    live and die with that instance.
+    """
+
     scale: int
     mirrors: tuple[ScaledMirror, ...]  # in the order of pres.mirrors
     u2: Vec                 # 2 * lambda1 basis, times scale
     v2: Vec
     table: ClassTable
+    # Class key -> ("P2", k, sign) for +-h_k, ("P1", i) for the other
+    # L1/2L1 classes.
+    lookup: dict[Vec, tuple]
     degenerate_keys: frozenset[Vec]  # class keys of +-h for degenerate mirrors
     mirror_of: dict[Vec, int]        # postcritical class key -> mirror index
+    summaries: dict = field(default_factory=dict)  # slope -> PullbackSummary
+    images: dict = field(default_factory=dict)     # slope -> pullback_slope value
 
 
-@lru_cache(maxsize=None)
-def mirror_system(pres: NetMapPresentation) -> MirrorSystem:
+def build_context(pres: NetMapPresentation) -> PresentationContext:
     denoms = [1]
     for mirror in pres.mirrors:
         for p in mirror.full_polyline():
@@ -77,21 +81,29 @@ def mirror_system(pres: NetMapPresentation) -> MirrorSystem:
                 ends=tuple((int(p[0]), int(p[1])) for p in (poly[0], poly[-1])),
             )
         )
-    table = class_table(pres)
+    table = ClassTable(basis=pres.lambda1, modulus=2 * pres.lambda1.index)
+    lookup: dict[Vec, tuple] = {}
+    for k, h in enumerate(pres.postcritical):
+        lookup[table.key(h)] = ("P2", k, +1)
+        lookup.setdefault(table.key(vneg(h)), ("P2", k, -1))
+    u, v = pres.lambda1.u, pres.lambda1.v
+    for i, rep in enumerate(((0, 0), u, v, vadd(u, v))):
+        lookup.setdefault(table.key(rep), ("P1", i))
     degenerate_keys = frozenset(
         table.key(x)
         for mirror, h in zip(pres.mirrors, pres.postcritical)
         if mirror.degenerate
         for x in (h, vneg(h))
     )
-    return MirrorSystem(
+    return PresentationContext(
         scale=scale,
         mirrors=tuple(mirrors),
-        u2=vscale(2 * scale, pres.lambda1.u),
-        v2=vscale(2 * scale, pres.lambda1.v),
+        u2=vscale(2 * scale, u),
+        v2=vscale(2 * scale, v),
         table=table,
+        lookup=lookup,
         degenerate_keys=degenerate_keys,
-        mirror_of={k: e[1] for k, e in postcritical_lookup(pres).items() if e[0] == "P2"},
+        mirror_of={k: e[1] for k, e in lookup.items() if e[0] == "P2"},
     )
 
 
@@ -143,17 +155,17 @@ def mirror_midpoint_at(pres: NetMapPresentation, point: Vec) -> Vec:
     ``point`` must lie in a postcritical coset; for a degenerate mirror
     the point is its own midpoint.
     """
-    sys = mirror_system(pres)
-    index = sys.mirror_of.get(sys.table.key(point))
+    ctx = pres.context
+    index = ctx.mirror_of.get(ctx.table.key(point))
     if index is None:
         raise ValueError(f"{point} is not in a postcritical coset")
-    mirror = sys.mirrors[index]
+    mirror = ctx.mirrors[index]
     if mirror.degenerate:
         return point
-    zero_key = sys.table.key((0, 0))
+    zero_key = ctx.table.key((0, 0))
     for end in mirror.ends:
         t = vsub(point, end)
-        if sys.table.key(t) == zero_key:
+        if ctx.table.key(t) == zero_key:
             return vadd(mirror.midpoint, t)
     raise ValueError(f"{point} is not an endpoint of its class mirror")
 
@@ -201,19 +213,19 @@ def interior_crossings(
     DegenerateIncidenceError when the open segment meets a degenerate
     mirror point.
     """
-    sys = mirror_system(pres)
+    ctx = pres.context
     extra = lcm(v[0].denominator, v[1].denominator, w[0].denominator, w[1].denominator)
-    s = sys.scale * extra
+    s = ctx.scale * extra
     p = _scaled(v, s)
     q = _scaled(w, s)
-    u2 = vscale(extra, sys.u2)
-    v2 = vscale(extra, sys.v2)
+    u2 = vscale(extra, ctx.u2)
+    v2 = vscale(extra, ctx.v2)
 
-    _check_degenerate_incidence(sys, v, w)
+    _check_degenerate_incidence(ctx, v, w)
 
     d = vsub(q, p)
     edges = []
-    for mirror in sys.mirrors:
+    for mirror in ctx.mirrors:
         if mirror.degenerate:
             continue
         chain = [vscale(extra, c) for c in mirror.chain]
@@ -320,11 +332,11 @@ def interior_crossings(
     return hits
 
 
-def _check_degenerate_incidence(sys: MirrorSystem, v, w) -> None:
-    if not sys.degenerate_keys:
+def _check_degenerate_incidence(ctx: PresentationContext, v, w) -> None:
+    if not ctx.degenerate_keys:
         return
     for pt in _lattice_points_on_open_segment(v, w):
-        if sys.table.key(pt) in sys.degenerate_keys:
+        if ctx.table.key(pt) in ctx.degenerate_keys:
             raise DegenerateIncidenceError(
                 f"open segment passes through degenerate mirror point {pt}"
             )
@@ -360,62 +372,56 @@ def _lattice_points_on_open_segment(v, w):
             yield (x, int(y))
 
 
-def translation_preserves_mirrors(pres: NetMapPresentation, t: Vec) -> bool:
-    """Whether translating by t maps the mirror system onto itself.
+def affine_preserves_mirrors(pres: NetMapPresentation, linear: Mat2, translation: Vec) -> bool:
+    """Whether x -> linear x + translation maps the mirror system onto itself.
 
     Each representative mirror must land on a twice-sublattice translate
     of a representative mirror (in either traversal order), and each
-    degenerate class must map to a degenerate class.
+    degenerate class must map to a degenerate class.  The linear part
+    must stabilize the sublattice, as that of every affine symmetry does.
     """
-    sys = mirror_system(pres)
-    table = sys.table
+    ctx = pres.context
+    table = ctx.table
     for mirror, h in zip(pres.mirrors, pres.postcritical):
-        if mirror.degenerate and table.key(vadd(h, t)) not in sys.degenerate_keys:
+        image = vadd(mat_vec(linear, h), translation)
+        if mirror.degenerate and table.key(image) not in ctx.degenerate_keys:
             return False
-    s = sys.scale
-    ts = vscale(s, t)
+    s = ctx.scale
+    ts = vscale(s, translation)
     zero_key = table.key((0, 0))
 
-    def is_double_translate(vec: Vec) -> bool:
-        if vec[0] % s or vec[1] % s:
+    def matches(image: tuple[Vec, ...], other: tuple[Vec, ...]) -> bool:
+        shift = vsub(image[0], other[0])
+        if shift[0] % s or shift[1] % s:
             return False
-        return table.key((vec[0] // s, vec[1] // s)) == zero_key
+        return table.key((shift[0] // s, shift[1] // s)) == zero_key and all(
+            vsub(c, o) == shift for c, o in zip(image, other)
+        )
 
-    for mirror in sys.mirrors:
-        if mirror.degenerate:
-            continue
-        image = tuple(vadd(c, ts) for c in mirror.chain)
-        ok = False
-        for other in sys.mirrors:
-            if other.degenerate or len(other.chain) != len(image):
-                continue
-            for candidate in (image, tuple(reversed(image))):
-                shift = vsub(candidate[0], other.chain[0])
-                if is_double_translate(shift) and all(
-                    vsub(c, o) == shift for c, o in zip(candidate, other.chain)
-                ):
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
+    chains = [mirror.chain for mirror in ctx.mirrors if not mirror.degenerate]
+    for chain in chains:
+        image = tuple(vadd(mat_vec(linear, c), ts) for c in chain)
+        if not any(
+            len(other) == len(image) and (matches(image, other) or matches(image[::-1], other))
+            for other in chains
+        ):
             return False
     return True
 
 
 def point_on_any_mirror(pres: NetMapPresentation, point: Point | Vec) -> bool:
     """Whether the point lies on some mirror translate (closed arcs)."""
-    sys = mirror_system(pres)
+    ctx = pres.context
     px, py = Fraction(point[0]), Fraction(point[1])
     if px.denominator == 1 and py.denominator == 1:
-        if sys.table.key((int(px), int(py))) in sys.degenerate_keys:
+        if ctx.table.key((int(px), int(py))) in ctx.degenerate_keys:
             return True
     extra = lcm(px.denominator, py.denominator)
-    s = sys.scale * extra
+    s = ctx.scale * extra
     pt = (int(px * s), int(py * s))
-    u2 = vscale(extra, sys.u2)
-    v2 = vscale(extra, sys.v2)
-    for mirror in sys.mirrors:
+    u2 = vscale(extra, ctx.u2)
+    v2 = vscale(extra, ctx.v2)
+    for mirror in ctx.mirrors:
         if mirror.degenerate:
             continue
         chain = [vscale(extra, c) for c in mirror.chain]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .halfspace import (
     INFINITY_POINT,
@@ -27,25 +26,8 @@ from .halfspace import (
 from .presentation import NetMapPresentation
 from .pullback import analyze_slope
 from .quadext import QuadExt
-from .slope import Slope
+from .slope import Slope, enumerate_slopes
 from .slopefn import pullback_slope
-
-
-def enumerate_slopes(height: int) -> list[Slope]:
-    """All reduced slopes with |p|, |q| <= height, plus infinity.
-
-    Deterministic order: infinity first, then by (max(|p|, |q|), value).
-    """
-    if height < 1:
-        raise ValueError("height must be a positive integer")
-    slopes = [Slope(1, 0)]
-    rest = []
-    for q in range(1, height + 1):
-        for p in range(-height, height + 1):
-            if gcd(p, q) == 1:
-                rest.append(Slope(p, q))
-    rest.sort(key=lambda s: (s.height(), Fraction(s.p, s.q)))
-    return slopes + rest
 
 
 def find_fixed_slopes(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from math import ceil, floor
 
 from .errors import PresentationSyntaxError, ValidationError
@@ -72,6 +72,18 @@ class NetMapPresentation:
     mirrors: tuple[MirrorArc, MirrorArc, MirrorArc, MirrorArc]
     correspondence: Basis2
 
+    @cached_property
+    def context(self):
+        """The :class:`geometry.PresentationContext` of this presentation.
+
+        Built on first use and kept in the instance ``__dict__``, so it
+        lives and dies with the presentation; equality, hash and repr
+        see only the fields.
+        """
+        from .geometry import build_context
+
+        return build_context(self)
+
 
 def degree(pres: NetMapPresentation) -> int:
     """Topological degree: the index of L1 in Z^2."""
@@ -82,47 +94,15 @@ def degree(pres: NetMapPresentation) -> int:
 class ClassTable:
     """Coset bookkeeping mod 2*L1, keyed by adjugate coordinates.
 
-    ``key(w)`` is constant exactly on cosets of 2*L1.  The lookup maps
-    keys of the postcritical classes (both signs) to (kind, index) and
-    keys of the four L1/2L1 classes to ("P1", index).
+    ``key(w)`` is constant exactly on cosets of 2*L1.
     """
 
-    pres: NetMapPresentation
+    basis: Basis2
     modulus: int
 
     def key(self, w: Vec) -> Vec:
-        n1, n2 = self.pres.lambda1.adjugate_coords(w)
+        n1, n2 = self.basis.adjugate_coords(w)
         return (n1 % self.modulus, n2 % self.modulus)
-
-    def same_class(self, a: Vec, b: Vec) -> bool:
-        return self.key(a) == self.key(b)
-
-
-@lru_cache(maxsize=None)
-def class_table(pres: NetMapPresentation) -> ClassTable:
-    return ClassTable(pres=pres, modulus=2 * pres.lambda1.index)
-
-
-@lru_cache(maxsize=None)
-def postcritical_lookup(pres: NetMapPresentation) -> dict:
-    """Map class keys to tags.
-
-    Keys of +-h_k map to ("P2", k, sign); keys of the four L1/2L1
-    classes that are not postcritical map to ("P1", i).
-    """
-    table = class_table(pres)
-    lookup: dict = {}
-    for k, h in enumerate(pres.postcritical):
-        lookup[table.key(h)] = ("P2", k, +1)
-        key_neg = table.key(vneg(h))
-        if key_neg not in lookup:
-            lookup[key_neg] = ("P2", k, -1)
-    u, v = pres.lambda1.u, pres.lambda1.v
-    for i, rep in enumerate(((0, 0), u, v, vadd(u, v))):
-        key = table.key(rep)
-        if key not in lookup:
-            lookup[key] = ("P1", i)
-    return lookup
 
 
 def in_sublattice(pres: NetMapPresentation, w: Vec) -> bool:
@@ -133,7 +113,7 @@ def is_euclidean(pres: NetMapPresentation) -> bool:
     """True when the postcritical classes are exactly the L1/2L1 classes."""
     if not all(in_sublattice(pres, h) for h in pres.postcritical):
         return False
-    table = class_table(pres)
+    table = pres.context.table
     keys = {table.key(h) for h in pres.postcritical}
     return len(keys) == 4
 
@@ -145,7 +125,7 @@ def preimage_coset_table(pres: NetMapPresentation) -> list[tuple[Vec, str]]:
     (branch classes of the domain cover that are not postcritical) and
     ``P2-P1`` (postcritical classes off L1, listed as h then -h).
     """
-    table = class_table(pres)
+    table = pres.context.table
     rows: list[tuple[Vec, str]] = []
     hit_p1_keys = set()
     for h in pres.postcritical:
@@ -308,7 +288,7 @@ def validate(pres: NetMapPresentation) -> None:
     if pres.lambda1.index < 2:
         raise ValidationError("degree", f"|det lambda1| = {pres.lambda1.index} < 2")
 
-    table = class_table(pres)
+    table = pres.context.table
     pair_keys = []
     for h in pres.postcritical:
         pair_keys.append(frozenset({table.key(h), table.key(vneg(h))}))

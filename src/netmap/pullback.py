@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .lattice import order_in_quotient
 from .presentation import NetMapPresentation, degree
@@ -40,9 +39,11 @@ def coset_number(eta, slope: Slope, d_prime: int) -> int:
     return min(c, m - c)
 
 
-@lru_cache(maxsize=None)
 def analyze_slope(pres: NetMapPresentation, slope: Slope) -> PullbackSummary:
     """Degrees, coset numbers and component counts for one slope."""
+    memo = pres.context.summaries
+    if slope in memo:
+        return memo[slope]
     direction = (slope.q, slope.p)
     d = order_in_quotient(direction, pres.lambda1)
     d_prime = degree(pres) // d
@@ -50,7 +51,7 @@ def analyze_slope(pres: NetMapPresentation, slope: Slope) -> PullbackSummary:
     essential = cs[2] - cs[1]
     peripheral = (cs[1] - cs[0]) + (cs[3] - cs[2])
     null = cs[0] - cs[3] + d_prime
-    return PullbackSummary(
+    memo[slope] = summary = PullbackSummary(
         slope=slope,
         d=d,
         d_prime=d_prime,
@@ -60,6 +61,7 @@ def analyze_slope(pres: NetMapPresentation, slope: Slope) -> PullbackSummary:
         null_homotopic=null,
         multiplier=Fraction(essential, d),
     )
+    return summary
 
 
 def multiplier(pres: NetMapPresentation, slope: Slope) -> Fraction:

@@ -92,6 +92,23 @@ class Slope:
 INFINITY = Slope(1, 0)
 
 
+def enumerate_slopes(height: int) -> list[Slope]:
+    """All reduced slopes with |p|, |q| <= height, plus infinity.
+
+    Deterministic order: infinity first, then by (max(|p|, |q|), value).
+    """
+    if height < 1:
+        raise ValueError("height must be a positive integer")
+    rest = [
+        Slope(p, q)
+        for q in range(1, height + 1)
+        for p in range(-height, height + 1)
+        if gcd(p, q) == 1
+    ]
+    rest.sort(key=lambda s: (s.height(), s.value()))
+    return [INFINITY, *rest]
+
+
 class Inessential:
     """Singleton for the inessential/peripheral value of the slope map."""
 

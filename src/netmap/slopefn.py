@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     DegenerateIncidenceError,
@@ -21,15 +20,15 @@ from .errors import (
     ZigzagError,
 )
 from .geometry import (
+    affine_preserves_mirrors,
     interior_crossings,
     mirror_midpoint_at,
     point_on_any_mirror,
-    translation_preserves_mirrors,
 )
-from .lattice import Vec, _xgcd, cross, vadd, vscale
-from .presentation import NetMapPresentation, class_table, postcritical_lookup
+from .lattice import IDENTITY, Vec, _xgcd, cross, vadd, vscale
+from .presentation import NetMapPresentation
 from .pullback import analyze_slope, coset_number
-from .slope import INESSENTIAL, Inessential, Slope
+from .slope import INESSENTIAL, Inessential, Slope, enumerate_slopes
 
 SlopeOrInessential = Slope | Inessential
 
@@ -52,8 +51,7 @@ def _walk_to_marked(pres: NetMapPresentation, start: Vec, step: Vec, max_t: int)
     Returns the endpoint if it lies in a postcritical coset before any
     other marked coset blocks the way; otherwise None.
     """
-    table = class_table(pres)
-    lookup = postcritical_lookup(pres)
+    table, lookup = pres.context.table, pres.context.lookup
     pt = start
     for _ in range(max_t):
         pt = vadd(pt, step)
@@ -158,11 +156,28 @@ def zigzag_trace(pres: NetMapPresentation, slope: Slope) -> ZigzagTrace | None:
     raise ZigzagError(f"no usable segment for slope {slope}")
 
 
-@lru_cache(maxsize=None)
 def pullback_slope(pres: NetMapPresentation, slope: Slope) -> SlopeOrInessential:
     """Slope of an essential pullback component, or INESSENTIAL."""
+    memo = pres.context.images
+    if slope in memo:
+        return memo[slope]
     trace = zigzag_trace(pres, slope)
-    return INESSENTIAL if trace is None else trace.result
+    memo[slope] = image = INESSENTIAL if trace is None else trace.result
+    return image
+
+
+def slope_graph_rows(pres: NetMapPresentation, qmax: int) -> list[tuple]:
+    """The graph of the slope map over the finite slopes of height <= qmax.
+
+    Rows (slope, value, image, image value) in order of value; the image
+    value is None for infinity and the inessential symbol.
+    """
+    rows = []
+    for s in sorted(enumerate_slopes(qmax)[1:], key=Slope.value):
+        image = pullback_slope(pres, s)
+        image_value = None if image is INESSENTIAL or image.is_infinity else image.value()
+        rows.append((str(s), s.value(), str(image), image_value))
+    return rows
 
 
 def slope_orbit(
@@ -297,8 +312,8 @@ def pullback_slope_long_segment(
     assert g == 1
     complement = (-y, x)  # det((q, p), complement-direction) = 1
     step = summary.d
-    if not translation_preserves_mirrors(
-        pres, (step * direction[0], step * direction[1])
+    if not affine_preserves_mirrors(
+        pres, IDENTITY, (step * direction[0], step * direction[1])
     ):
         step = 2 * summary.d
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HypothesisFailedError, MirrorsNotStabilizedError
-from .geometry import mirror_system
+from .geometry import affine_preserves_mirrors
 from .lattice import (
     Mat2,
     Vec,
@@ -19,13 +19,15 @@ from .lattice import (
     mat_det,
     mat_mul,
     mat_vec,
+    order_in_quotient,
     vadd,
     vneg,
+    vscale,
     vsub,
 )
-from .presentation import NetMapPresentation, class_table
+from .presentation import NetMapPresentation
 from .pullback import analyze_slope
-from .slope import INESSENTIAL, Slope, apply_matrix
+from .slope import INESSENTIAL, Slope, apply_matrix, enumerate_slopes
 from .slopefn import pullback_slope
 
 
@@ -169,8 +171,6 @@ def reflection_equation(
         raise HypothesisFailedError(
             "NotBasisLambda2", f"directions of {s1} and {s2} do not span Z^2"
         )
-    from .lattice import order_in_quotient, vscale
-
     d = order_in_quotient(lam, pres.lambda1)
     d_prime = order_in_quotient(mu, pres.lambda1)
     dl = vscale(d, lam)
@@ -182,7 +182,7 @@ def reflection_equation(
         )
     # The reflection x*lam + y*mu -> (2d - x)*lam + y*mu reduces to
     # -x*lam + y*mu mod 2*lambda1 because 2d*lam lies in 2*lambda1.
-    table = class_table(pres)
+    table = pres.context.table
     marked = set()
     for h in pres.postcritical:
         marked.add(table.key(h))
@@ -217,7 +217,7 @@ def aff_membership(pres: NetMapPresentation, linear: Mat2, translation: Vec) -> 
         return False
     if not pres.lambda1.contains(translation):
         return False
-    table = class_table(pres)
+    table = pres.context.table
     classes = [frozenset({table.key(h), table.key(vneg(h))}) for h in pres.postcritical]
     matched = set()
     for h in pres.postcritical:
@@ -258,51 +258,6 @@ def sublattice_matrix(pres: NetMapPresentation, linear: Mat2) -> Mat2:
     return ((iu[0], iv[0]), (iu[1], iv[1]))
 
 
-def _mirror_polylines_scaled(pres: NetMapPresentation):
-    sys = mirror_system(pres)
-    return sys, [m.chain for m in sys.mirrors]
-
-
-def stabilizes_mirrors(
-    pres: NetMapPresentation, linear: Mat2, translation: Vec
-) -> bool:
-    """Whether the affine map sends each representative mirror to a
-    2*sublattice translate of a representative mirror (either
-    traversal order)."""
-    sys, chains = _mirror_polylines_scaled(pres)
-    s = sys.scale
-    t_scaled = (s * translation[0], s * translation[1])
-    table = class_table(pres)
-
-    def is_double_translate(vec: Vec) -> bool:
-        if vec[0] % s or vec[1] % s:
-            return False
-        return table.key((vec[0] // s, vec[1] // s)) == table.key((0, 0))
-
-    for mirror, chain in zip(pres.mirrors, chains):
-        image = tuple(
-            vadd(mat_vec(linear, pt), t_scaled) for pt in chain
-        )
-        ok = False
-        for other, other_chain in zip(pres.mirrors, chains):
-            if len(other_chain) != len(image):
-                continue
-            for candidate in (image, tuple(reversed(image))):
-                shift = vsub(candidate[0], other_chain[0])
-                if not is_double_translate(shift):
-                    continue
-                if all(
-                    vsub(c, o) == shift for c, o in zip(candidate, other_chain)
-                ):
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
-            return False
-    return True
-
-
 def induced_map_domain(
     pres: NetMapPresentation, linear: Mat2, translation: Vec
 ) -> Mobius:
@@ -314,7 +269,7 @@ def induced_map_domain(
     """
     if not aff_membership(pres, linear, translation):
         raise ValueError("map is not an affine symmetry of the presentation")
-    if not stabilizes_mirrors(pres, linear, translation):
+    if not affine_preserves_mirrors(pres, linear, translation):
         raise MirrorsNotStabilizedError(
             "affine symmetry moves the mirror system; its domain action "
             "needs the full covering identification"
@@ -351,14 +306,12 @@ def consistency_suite(
     inessential value absorbing.  Violations indicate an inconsistent
     correspondence basis or mirror data.
     """
-    from .obstruction import enumerate_slopes
-
     violations = []
     checked = 0
     for linear, translation in affines:
         if not aff_membership(pres, linear, translation):
             raise ValueError(f"({linear}, {translation}) is not an affine symmetry")
-        if not stabilizes_mirrors(pres, linear, translation):
+        if not affine_preserves_mirrors(pres, linear, translation):
             raise MirrorsNotStabilizedError(
                 "consistency suite needs mirror-stabilizing symmetries"
             )

@@ -7,6 +7,7 @@ import pytest
 import netmap.cli as cli
 import netmap.slopefn as slopefn
 from netmap.errors import NonTransverseError
+from netmap.presentation import NetMapPresentation
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +100,16 @@ class TestSlope:
         second = run(capsys, "slope", main_path, "--graph", "4")[1]
         assert first == second
 
+    def test_missing_slope_exits_2(self, capsys, main_path):
+        code, out, err = run(capsys, "slope", main_path)
+        assert (code, out) == (2, "")
+        assert err == "slope needs a SLOPE or --graph\n"
+
+    def test_graph_below_one_exits_2(self, capsys, main_path):
+        code, out, err = run(capsys, "slope", main_path, "--graph", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: height must be a positive integer\n"
+
     def test_nontransverse_maps_to_exit_3(self, capsys, main_path, monkeypatch):
         def boom(pres, slope):
             raise NonTransverseError("forced")
@@ -110,7 +121,6 @@ class TestSlope:
     def test_zigzag_failure_maps_to_exit_3(self, capsys, main_path, monkeypatch):
         # With no candidate segment the zigzag cannot evaluate 1/4.
         monkeypatch.setattr(slopefn, "segment_candidates", lambda pres, slope: iter(()))
-        slopefn.pullback_slope.cache_clear()
         code, _, err = run(capsys, "slope", main_path, "1/4")
         assert code == 3 and "no usable segment for slope 1/4" in err
 
@@ -179,6 +189,31 @@ class TestEquations:
     def test_non_member_exits_2(self, capsys, main_path):
         code, _, _ = run(capsys, "equations", main_path, "--affine", "1,0;0,1;1,0")
         assert code == 2
+
+    def test_missing_slope_exits_2(self, capsys, main_path):
+        code, out, err = run(capsys, "equations", main_path)
+        assert (code, out) == (2, "")
+        assert err == "equations needs a SLOPE or --affine\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("slope", "--graph", "8"),
+        ("obstructions", "--height", "10"),
+        ("equations", "--affine", "1,0;5,1;0,0", "--check", "10"),
+    ],
+)
+def test_commands_never_hash_the_presentation(capsys, main_path, monkeypatch, argv):
+    command, *options = argv
+    expected = run(capsys, command, main_path, *options)
+    assert expected[0] == 0 and expected[1]
+
+    def refuse(self):
+        raise AssertionError("a presentation was hashed")
+
+    monkeypatch.setattr(NetMapPresentation, "__hash__", refuse)
+    assert run(capsys, command, main_path, *options) == expected
 
 
 class TestNonsep:

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from netmap import bundled_presentation
 from netmap.errors import DegenerateIncidenceError, NonEssentialError, NonTransverseError
 from netmap.geometry import interior_crossings, mirror_midpoint_at
-from netmap.presentation import class_table, postcritical_lookup
 from netmap.slope import Slope
 from netmap.slopefn import segment_candidates
 
@@ -196,8 +195,8 @@ def test_reference_sees_failures():
 
 def reference_midpoint(pres, point):
     """The mirror midpoint at a marked point, from the Fraction polyline."""
-    table = class_table(pres)
-    entry = postcritical_lookup(pres).get(table.key(point))
+    table = pres.context.table
+    entry = pres.context.lookup.get(table.key(point))
     if entry is None or entry[0] != "P2":
         return f"{point} is not in a postcritical coset"
     mirror = pres.mirrors[entry[1]]

@@ -1,8 +1,9 @@
 import pytest
 
 from netmap.errors import PresentationSyntaxError, ValidationError
+from netmap.slope import Slope
+from netmap.slopefn import pullback_slope
 from netmap.presentation import (
-    class_table,
     degree,
     is_euclidean,
     parse,
@@ -119,9 +120,19 @@ class TestValidationErrors:
             parse("name = x\nlambda1 = (2,-1) (0,5)\n")  # missing fields
 
 
+def test_separate_parses_share_no_memo():
+    first, second = parse(MAIN_TEXT), parse(MAIN_TEXT)
+    assert pullback_slope(first, Slope(1, 4)) == Slope(1, 2)
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second)
+    assert first.context is not second.context
+    assert Slope(1, 4) in first.context.images
+    assert not second.context.images and not second.context.summaries
+
+
 class TestPreimageCosetTable:
     def test_main_example_classes(self, main_pres):
-        table = class_table(main_pres)
+        table = main_pres.context.table
         rows = preimage_coset_table(main_pres)
         assert len(rows) == 8
         by_tag = {}
@@ -161,7 +172,7 @@ class TestPreimageCosetTable:
     def test_main_inverse_pair_structure(self, main_pres):
         # The six marked-preimage classes form two self-inverse classes
         # plus two inverse pairs.
-        table = class_table(main_pres)
+        table = main_pres.context.table
         rows = [r for r, tag in preimage_coset_table(main_pres) if tag != "P1-P2"]
         self_inverse = [r for r in rows if table.key(r) == table.key((-r[0], -r[1]))]
         assert len(self_inverse) == 2

@@ -1,12 +1,15 @@
 import dataclasses
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from netmap import bundled_presentation
 from netmap.errors import HypothesisFailedError, MirrorsNotStabilizedError
-from netmap.lattice import Basis2, mat_inverse_unimodular, mat_mul
+from netmap.geometry import affine_preserves_mirrors
+from netmap.lattice import IDENTITY, Basis2, mat_det, mat_inverse_unimodular, mat_mul
 from netmap.slope import Slope, apply_matrix
 from netmap.symmetry import (
     IDENTITY_MOBIUS,
@@ -168,6 +171,86 @@ class TestInducedMaps:
         assert aff_membership(double_pres, ((1, 0), (0, 1)), (2, 0))
         with pytest.raises(MirrorsNotStabilizedError):
             induced_map_domain(double_pres, ((1, 0), (0, 1)), (2, 0))
+
+
+def _reference_preserves(pres, t):
+    """Translation by t on the Fraction polylines: every mirror, a
+    degenerate one as its midpoint, lands on a 2*L1 translate of a mirror
+    of the same length, in either traversal order."""
+    double = Basis2((2 * pres.lambda1.u[0], 2 * pres.lambda1.u[1]),
+                    (2 * pres.lambda1.v[0], 2 * pres.lambda1.v[1]))
+    polys = [m.full_polyline() for m in pres.mirrors]
+
+    def lands_on(image, other):
+        shift = (image[0][0] - other[0][0], image[0][1] - other[0][1])
+        return (
+            shift[0].denominator == shift[1].denominator == 1
+            and double.contains((int(shift[0]), int(shift[1])))
+            and all((a[0] - b[0], a[1] - b[1]) == shift for a, b in zip(image, other))
+        )
+
+    for poly in polys:
+        image = tuple((x + t[0], y + t[1]) for x, y in poly)
+        if not any(
+            len(other) == len(image) and (lands_on(image, other) or lands_on(image[::-1], other))
+            for other in polys
+        ):
+            return False
+    return True
+
+
+UNIMODULAR = [
+    ((a, b), (c, d))
+    for a, b, c, d in product(range(-2, 3), repeat=4)
+    if mat_det(((a, b), (c, d))) in (1, -1)
+]
+CORNERS = [(x, y) for x in (-4, 0, 4) for y in (-4, 0, 4)]
+SIDES = [(x, y) for x in (-2, 2) for y in (-4, 0, 4)]
+# The answers of the former symmetry.stabilizes_mirrors over the affine
+# symmetries with a linear part in UNIMODULAR and a translation in
+# [-4, 4]^2: (number of symmetries, those that preserve the mirrors,
+# None meaning all of them).
+PINNED = {
+    "main": (20, None),
+    "double": (540, {
+        ((-1, 0), (-2, 1)): SIDES,
+        ((-1, 0), (0, -1)): CORNERS,
+        ((-1, 1), (-2, 1)): CORNERS,
+        ((-1, 1), (0, 1)): SIDES,
+        ((1, -1), (0, -1)): SIDES,
+        ((1, -1), (2, -1)): CORNERS,
+        ((1, 0), (0, 1)): CORNERS,
+        ((1, 0), (2, -1)): SIDES,
+    }),
+    "euclidean": (1620, None),
+}
+
+
+class TestAffinePreservesMirrors:
+    @pytest.mark.parametrize("name, count", [("main", 35), ("double", 49), ("euclidean", 325)])
+    def test_translations_match_polyline_reference(self, name, count):
+        pres = bundled_presentation(name)
+        box = [(x, y) for x in range(-12, 13) for y in range(-12, 13)]
+        preserving = [t for t in box if affine_preserves_mirrors(pres, IDENTITY, t)]
+        assert preserving == [t for t in box if _reference_preserves(pres, t)]
+        assert len(preserving) == count
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_affine_symmetries_match_pinned_answers(self, name):
+        pres = bundled_presentation(name)
+        symmetries = [
+            (m, (x, y))
+            for m in UNIMODULAR
+            for x in range(-4, 5)
+            for y in range(-4, 5)
+            if aff_membership(pres, m, (x, y))
+        ]
+        count, pinned = PINNED[name]
+        expected = set(symmetries) if pinned is None else {
+            (m, t) for m, ts in pinned.items() for t in ts
+        }
+        assert len(symmetries) == count
+        assert {c for c in symmetries if affine_preserves_mirrors(pres, *c)} == expected
 
 
 class TestTwistEquationShadows:
