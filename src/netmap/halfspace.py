@@ -61,7 +61,8 @@ class HalfSpace:
         """(C - R, C + R) for circle kinds, None for vertical kinds."""
         if self.radius is None:
             return None
-        return (QuadExt(self.center) - self.radius, QuadExt(self.center) + self.radius)
+        center = QuadExt(self.center)
+        return center - self.radius, center + self.radius
 
 
 def halfspace_from_data(slope: Slope, image: Slope, delta: Fraction) -> HalfSpace:

@@ -10,7 +10,7 @@ never by enumeration.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .halfspace import (
@@ -133,8 +133,11 @@ def check_certificate(pres: NetMapPresentation, cert: Certificate) -> bool:
     """Re-verify a certificate from scratch.
 
     Rebuilds every half-space from its source slope, recomputes the
-    cover verdict, and re-checks the leftover dispositions.
+    cover verdict, and re-checks the leftover dispositions, all on an
+    equal presentation with a fresh context, so the check shares no
+    memoised images or summaries with the code that built ``cert``.
     """
+    pres = replace(pres)
     rebuilt = []
     for h in cert.halfspaces:
         fresh = exclusion_halfspace(pres, h.slope)

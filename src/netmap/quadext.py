@@ -2,8 +2,14 @@
 
 Values are kept canonical: k is squarefree and nonnegative, square
 factors of the radicand are absorbed into b, and b == 0 forces k == 0.
-Comparisons are decided exactly by a sign algorithm (no floating
-point), including comparisons across different radicands.
+
+Comparisons are exact and use no floating point.  Each value carries a
+lazily computed integer box (lo, hi) with lo <= value * 2^64 <= hi,
+built from floor and ceiling division and ``isqrt``.  Two values whose
+boxes are disjoint are ordered by their boxes alone; only overlapping
+boxes (equal values, or values within about 2^-64 of each other) fall
+through to the exact sign algorithm, which also decides comparisons
+across different radicands.
 """
 from __future__ import annotations
 
@@ -11,6 +17,7 @@ from fractions import Fraction
 from math import isqrt
 
 _Rat = (int, Fraction)
+_ZERO = Fraction(0)
 
 
 def squarefree_split(k: int) -> tuple[int, int]:
@@ -77,7 +84,7 @@ def _sign_triple(s: Fraction, b: Fraction, j: int, d: Fraction, k: int) -> int:
 class QuadExt:
     """Exact value a + b*sqrt(k) with totally ordered comparisons."""
 
-    __slots__ = ("a", "b", "k")
+    __slots__ = ("a", "b", "k", "_box")
 
     def __init__(self, a, b=0, k: int = 0):
         a, b = Fraction(a), Fraction(b)
@@ -89,6 +96,34 @@ class QuadExt:
         if b == 0:
             f = 0
         self.a, self.b, self.k = a, b, f
+        self._box = None
+
+    @classmethod
+    def _canon(cls, a: Fraction, b: Fraction, k: int) -> "QuadExt":
+        """a + b*sqrt(k) from Fractions a, b and a squarefree k, as is.
+
+        For results that keep an operand's radicand, so the coercion
+        and ``squarefree_split`` of the public constructor are skipped.
+        """
+        x = object.__new__(cls)
+        x.a, x.b, x.k, x._box = a, b, k if b else 0, None
+        return x
+
+    def _bounds(self) -> tuple[int, int]:
+        """Integers (lo, hi) with lo <= value * 2^64 <= hi, cached."""
+        box = self._box
+        if box is None:
+            n, d = self.a.numerator << 64, self.a.denominator
+            lo, hi = n // d, -(-n // d)
+            if self.b:
+                # s <= sqrt(k) * 2^64 < s + 1; a negative b swaps the ends.
+                s = isqrt(self.k << 128)
+                bn, bd = self.b.numerator, self.b.denominator
+                r_lo, r_hi = (s, s + 1) if bn > 0 else (s + 1, s)
+                lo += bn * r_lo // bd
+                hi -= -bn * r_hi // bd
+            box = self._box = (lo, hi)
+        return box
 
     @property
     def is_rational(self) -> bool:
@@ -112,14 +147,20 @@ class QuadExt:
         return _sign_pair(self.a, self.b, self.k)
 
     def square(self) -> "QuadExt":
-        return QuadExt(self.a * self.a + self.b * self.b * self.k,
-                       2 * self.a * self.b, self.k)
+        return QuadExt._canon(self.a * self.a + self.b * self.b * self.k,
+                              2 * self.a * self.b, self.k)
 
     def _cmp(self, other) -> int:
         if isinstance(other, _Rat):
-            other = QuadExt(other)
+            other = QuadExt._canon(Fraction(other), _ZERO, 0)
         if not isinstance(other, QuadExt):
             return NotImplemented
+        lo, hi = self._bounds()
+        other_lo, other_hi = other._bounds()
+        if hi < other_lo:
+            return -1
+        if lo > other_hi:
+            return 1
         return _sign_triple(self.a - other.a, self.b, self.k, -other.b, other.k)
 
     def __eq__(self, other) -> bool:
@@ -148,32 +189,32 @@ class QuadExt:
         return hash((self.a, self.b, self.k))
 
     def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.a, -self.b, self.k)
+        return QuadExt._canon(-self.a, -self.b, self.k)
 
     def __add__(self, other) -> "QuadExt":
         if isinstance(other, _Rat):
-            return QuadExt(self.a + other, self.b, self.k)
+            return QuadExt._canon(self.a + other, self.b, self.k)
         if isinstance(other, QuadExt):
             if other.b == 0:
-                return QuadExt(self.a + other.a, self.b, self.k)
+                return QuadExt._canon(self.a + other.a, self.b, self.k)
             if self.b == 0:
-                return QuadExt(self.a + other.a, other.b, other.k)
+                return QuadExt._canon(self.a + other.a, other.b, other.k)
             if self.k != other.k:
                 raise ValueError("sum leaves the quadratic extension")
-            return QuadExt(self.a + other.a, self.b + other.b, self.k)
+            return QuadExt._canon(self.a + other.a, self.b + other.b, self.k)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, QuadExt) else QuadExt(-Fraction(other)))
+        return self + (-other if isinstance(other, QuadExt) else -Fraction(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other) -> "QuadExt":
         if isinstance(other, _Rat):
-            return QuadExt(self.a * other, self.b * other, self.k)
+            return QuadExt._canon(self.a * other, self.b * other, self.k)
         return NotImplemented
 
     __rmul__ = __mul__

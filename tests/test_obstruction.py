@@ -2,6 +2,10 @@ import dataclasses
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
+from netmap import bundled_presentation
+from netmap.cli import _render_halfspace
 from netmap.obstruction import (
     Status,
     certificate_for_slopes,
@@ -11,6 +15,7 @@ from netmap.obstruction import (
     obstruction_report,
 )
 from netmap.pullback import analyze_slope
+from netmap.quadext import QuadExt, _sign_triple
 from netmap.slope import Slope
 from netmap.slopefn import pullback_slope
 
@@ -126,3 +131,48 @@ class TestObstructionReport:
     def test_constant_map_is_inconclusive(self, double_pres):
         report = obstruction_report(double_pres, height=8, budget=8)
         assert report.status is Status.INCONCLUSIVE
+
+    def test_reverification_shares_no_memo_with_search(self):
+        # A wrong image planted in the search's memo yields a half-space
+        # that covers with the correct ones; only a check on a fresh
+        # context, which recomputes -1/2 -> 0, can refuse it.
+        pres = bundled_presentation("main")
+        planted, wrong = Slope.parse("-1/2"), Slope(1, 0)
+        pres.context.images[planted] = wrong
+        report = obstruction_report(pres, height=20, budget=8)
+        assert not (
+            report.status is Status.UNOBSTRUCTED
+            and any(
+                h.slope == planted and h.image_slope == wrong
+                for h in report.certificate.halfspaces
+            )
+        )
+
+
+def rendered(report) -> list[str]:
+    """The certificate lines ``netmap obstructions`` prints."""
+    if report.certificate is None:
+        return []
+    cert = report.certificate
+    return [_render_halfspace(h) for h in cert.halfspaces] + [
+        f"leftover {d.point}: {d.reason}" for d in cert.dispositions
+    ]
+
+
+def cmp_unfiltered(x: QuadExt, y) -> int:
+    """``QuadExt._cmp`` decided by the sign algorithm alone."""
+    if not isinstance(y, QuadExt):
+        y = QuadExt(y)
+    return _sign_triple(x.a - y.a, x.b, x.k, -y.b, y.k)
+
+
+@pytest.mark.parametrize("name", ["main", "double", "euclidean"])
+def test_cover_unchanged_without_box_filter(name, monkeypatch):
+    pres = bundled_presentation(name)
+    cases = [(h, b) for h in (8, 20, 40) for b in (1, 3, 6, 12)]
+    shipped = [obstruction_report(pres, height=h, budget=b) for h, b in cases]
+    monkeypatch.setattr(QuadExt, "_cmp", cmp_unfiltered)
+    unfiltered = [obstruction_report(pres, height=h, budget=b) for h, b in cases]
+    monkeypatch.undo()
+    assert shipped == unfiltered
+    assert [rendered(r) for r in shipped] == [rendered(r) for r in unfiltered]
