@@ -205,17 +205,12 @@ def cmd_nonsep(args) -> int:
     group = _parse_group(args.group)
     if args.check:
         subset = ns.SymmetricFour(_parse_subset(args.check))
-        if ns.is_nonseparating(group, subset):
+        pair = ns.separating_pair(group, subset)
+        if pair is None:
             print("NONSEPARATING")
         else:
-            for pair in ns.cyclic_pairs(group):
-                cs = ns.coset_numbers(group, subset, pair)
-                if cs[1] != cs[2]:
-                    print(
-                        f"SEPARATING B=<{pair.subgroup_generator}> "
-                        f"a={pair.generator} c={cs}"
-                    )
-                    break
+            cs = ns.coset_numbers(group, subset, pair)
+            print(f"SEPARATING B=<{pair.subgroup_generator}> a={pair.generator} c={cs}")
         return 0
     if args.search:
         found = ns.search_nonseparating(group, budget=args.budget)

@@ -18,6 +18,14 @@ crossing's sort key is the exact integer tn * (L // den), with L the
 lcm of the edge denominators: one integer sort orders every crossing
 along pq.  Edges parallel to pq never cross it; they are only checked
 for overlap and vertex contact.
+
+Every other question about 2*L1 translates goes through one
+enumerator, ``_parallelogram_candidates``: which translates of a
+segment may meet another segment (a point being a segment of length
+zero).  It serves the parallel edges of ``interior_crossings``,
+``point_on_any_mirror`` and ``check_mirror_disjointness``, the
+validation that the translated mirrors are pairwise disjoint, with
+``presentation.segments_touch`` as the one exact contact test.
 """
 from __future__ import annotations
 
@@ -26,9 +34,9 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from operator import itemgetter
 
-from .errors import DegenerateIncidenceError, NonTransverseError
+from .errors import DegenerateIncidenceError, NonTransverseError, ValidationError
 from .lattice import Mat2, Vec, cross, mat_vec, vadd, vneg, vscale, vsub
-from .presentation import ClassTable, NetMapPresentation
+from .presentation import ClassTable, NetMapPresentation, segments_touch
 
 Point = tuple[Fraction, Fraction]
 
@@ -107,25 +115,28 @@ def build_context(pres: NetMapPresentation) -> PresentationContext:
     )
 
 
-def _parallelogram_candidates(u2: Vec, v2: Vec, quad: list[Vec]):
-    """Integer (alpha, beta) with alpha*u2 + beta*v2 in the closed quad.
+def _parallelogram_candidates(u2: Vec, v2: Vec, ab: tuple[Vec, Vec], cd: tuple[Vec, Vec]):
+    """Integer (alpha, beta) whose translate of segment cd may meet ab.
 
-    ``quad`` lists the vertices of a (possibly degenerate) convex
-    quadrilateral in boundary order.  A slight superset may be yielded;
-    callers re-verify every candidate exactly.
+    The translate alpha*u2 + beta*v2 of cd meets ab exactly when it lies
+    in the Minkowski difference ab - cd, the parallelogram a-c, b-c,
+    b-d, a-d.  A point is a segment of length zero, (p, p).  Candidates
+    come in lexicographic order of (alpha, beta); a slight superset may
+    be yielded, so callers re-verify every candidate exactly.
     """
+    (a, b), (c, e) = ab, cd
+    quad = (vsub(a, c), vsub(b, c), vsub(b, e), vsub(a, e))
     det = cross(u2, v2)
     sgn = 1 if det > 0 else -1
     d = abs(det)
-    avals = [sgn * cross(c, v2) for c in quad]
-    bvals = [sgn * cross(u2, c) for c in quad]
+    avals = [sgn * cross(w, v2) for w in quad]
+    bvals = [sgn * cross(u2, w) for w in quad]
     amin, amax = min(avals), max(avals)
-    n = len(quad)
     for alpha in range(-((-amin) // d), amax // d + 1):
         x = alpha * d
         lo_n = lo_d = hi_n = hi_d = None
-        for i in range(n):
-            j = i + 1 if i + 1 < n else 0
+        for i in range(4):
+            j = (i + 1) % 4
             ai, aj = avals[i], avals[j]
             if ai == x:
                 num, den = bvals[i], 1
@@ -242,8 +253,7 @@ def interior_crossings(
         if den == 0:
             # A parallel edge never crosses pq, but it may overlap pq or
             # touch it at a vertex.
-            quad = [vsub(p, a), vsub(p, b), vsub(q, b), vsub(q, a)]
-            for alpha, beta in _parallelogram_candidates(u2, v2, quad):
+            for alpha, beta in _parallelogram_candidates(u2, v2, (p, q), (a, b)):
                 t_vec = vadd(vscale(alpha, u2), vscale(beta, v2))
                 _line_hit(p, q, vadd(a, t_vec), vadd(b, t_vec))
             continue
@@ -426,13 +436,44 @@ def point_on_any_mirror(pres: NetMapPresentation, point: Point | Vec) -> bool:
             continue
         chain = [vscale(extra, c) for c in mirror.chain]
         for a, b in zip(chain, chain[1:]):
-            quad = [vsub(pt, a), vsub(pt, b)]
-            for alpha, beta in _parallelogram_candidates(u2, v2, quad):
+            for alpha, beta in _parallelogram_candidates(u2, v2, (pt, pt), (a, b)):
                 t_vec = vadd(vscale(alpha, u2), vscale(beta, v2))
-                aa, bb = vadd(a, t_vec), vadd(b, t_vec)
-                if cross(vsub(bb, aa), vsub(pt, aa)) == 0 and (
-                    min(aa[0], bb[0]) <= pt[0] <= max(aa[0], bb[0])
-                    and min(aa[1], bb[1]) <= pt[1] <= max(aa[1], bb[1])
-                ):
+                if segments_touch(pt, pt, vadd(a, t_vec), vadd(b, t_vec)):
                     return True
     return False
+
+
+def check_mirror_disjointness(pres: NetMapPresentation) -> None:
+    """Full mirrors, translated over 2*L1, must be pairwise disjoint.
+
+    A degenerate mirror is its midpoint, a segment of length zero, whose
+    translates are the lattice points of its class.  For the first
+    offending pair of mirrors the least touching (alpha, beta) is
+    reported.
+    """
+    ctx = pres.context
+    u2, v2 = ctx.u2, ctx.v2
+    segments = [
+        list(zip(m.chain, m.chain[1:])) or [(m.chain[0], m.chain[0])] for m in ctx.mirrors
+    ]
+    for i in range(4):
+        for j in range(i, 4):
+            least = None
+            for a, b in segments[i]:
+                for c, d in segments[j]:
+                    for cand in _parallelogram_candidates(u2, v2, (a, b), (c, d)):
+                        if least is not None and cand >= least:
+                            break
+                        if i == j and cand == (0, 0):
+                            continue
+                        t_vec = vadd(vscale(cand[0], u2), vscale(cand[1], v2))
+                        if segments_touch(a, b, vadd(c, t_vec), vadd(d, t_vec)):
+                            least = cand
+                            break
+            if least is not None:
+                alpha, beta = least
+                t = vadd(vscale(2 * alpha, pres.lambda1.u), vscale(2 * beta, pres.lambda1.v))
+                raise ValidationError(
+                    "mirror-disjoint",
+                    f"mirror {i + 1} meets the 2*lambda1 translate {t} of mirror {j + 1}",
+                )

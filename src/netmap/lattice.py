@@ -101,10 +101,6 @@ class Basis2:
             return None
         return (n1 // d, n2 // d)
 
-    def combine(self, coords: Vec) -> Vec:
-        a, b = coords
-        return vadd(vscale(a, self.u), vscale(b, self.v))
-
 
 def _divisors(n: int) -> list[int]:
     n = abs(n)

@@ -12,12 +12,12 @@ quotient lattices can produce; searches are exhaustive over inversion
 classes with a configurable budget.
 
 ``is_nonseparating`` walks cosets as element sets (``cyclic_pairs``,
-``coset_numbers``), independently of ``search_nonseparating``, which
-reads coset numbers off characters.  A cyclic subgroup with cyclic
-quotient Z/k and a quotient generator are one onto character
-phi(x, y) = (s*x + t*y) mod k with cyclic kernel, where k | lcm(m, n),
-k/gcd(k, m) | s and k/gcd(k, n) | t; the coset number of h is
-min(phi(h), k - phi(h)), as in ``pullback.coset_number``.
+``coset_numbers``, ``separating_pair``), independently of
+``search_nonseparating``, which reads coset numbers off characters.
+A cyclic subgroup with cyclic quotient Z/k and a quotient generator are
+one onto character phi(x, y) = (s*x + t*y) mod k with cyclic kernel,
+where k | lcm(m, n), k/gcd(k, m) | s and k/gcd(k, n) | t; the coset
+number of h is min(phi(h), k - phi(h)), as in ``pullback.coset_number``.
 """
 from __future__ import annotations
 
@@ -87,6 +87,9 @@ class SymmetricFour:
 
 
 def _check_symmetric_four(group: FinAbGroup, subset: SymmetricFour) -> None:
+    for h in subset.reps:
+        if not (0 <= h[0] < group.m and 0 <= h[1] < group.n):
+            raise ValueError(f"{h} is not an element of Z/{group.m} + Z/{group.n}")
     classes = [frozenset({h, group.neg(h)}) for h in subset.reps]
     for i in range(4):
         for j in range(i + 1, 4):
@@ -172,14 +175,25 @@ def coset_numbers(
     return tuple(sorted(values))
 
 
-def is_nonseparating(group: FinAbGroup, subset: SymmetricFour) -> bool:
-    """Whether c2 == c3 for every cyclic pair."""
+def separating_pair(
+    group: FinAbGroup, subset: SymmetricFour, elements: list[El] | None = None
+) -> CyclicPair | None:
+    """The first cyclic pair whose sorted coset numbers have c2 != c3.
+
+    Returns None when there is none.  ``elements`` is passed on to
+    ``cyclic_pairs``.
+    """
     _check_symmetric_four(group, subset)
-    for pair in cyclic_pairs(group):
+    for pair in cyclic_pairs(group, elements):
         cs = coset_numbers(group, subset, pair)
         if cs[1] != cs[2]:
-            return False
-    return True
+            return pair
+    return None
+
+
+def is_nonseparating(group: FinAbGroup, subset: SymmetricFour) -> bool:
+    """Whether c2 == c3 for every cyclic pair."""
+    return separating_pair(group, subset) is None
 
 
 def inversion_classes(group: FinAbGroup) -> list[El]:
@@ -362,9 +376,4 @@ def is_nonseparating_in_subgroup(
     """
     if any(h not in ambient_subgroup for h in subset.reps):
         raise ValueError("subset does not lie in the subgroup")
-    _check_symmetric_four(group, subset)
-    for pair in cyclic_pairs(group, sorted(ambient_subgroup)):
-        cs = coset_numbers(group, subset, pair)
-        if cs[1] != cs[2]:
-            return False
-    return True
+    return separating_pair(group, subset, sorted(ambient_subgroup)) is None

@@ -25,7 +25,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor
 
 from .errors import PresentationSyntaxError, ValidationError
 from .lattice import Basis2, Vec, vadd, vneg
@@ -348,7 +347,9 @@ def validate(pres: NetMapPresentation) -> None:
         if _polyline_self_intersects(poly):
             raise ValidationError("mirror-simple", f"mirror {k} is not a simple arc")
 
-    _check_mirror_disjointness(pres)
+    from .geometry import check_mirror_disjointness
+
+    check_mirror_disjointness(pres)
 
 
 def _orient(a: Point, b: Point, c: Point) -> int:
@@ -365,7 +366,11 @@ def _on_segment(a: Point, b: Point, c: Point) -> bool:
 
 
 def segments_touch(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    """Whether closed segments p1p2 and q1q2 share any point."""
+    """Whether closed segments p1p2 and q1q2 share any point.
+
+    Exact on Fraction and on int coordinates alike; a point is the
+    segment (p, p).
+    """
     o1, o2 = _orient(p1, p2, q1), _orient(p1, p2, q2)
     o3, o4 = _orient(q1, q2, p1), _orient(q1, q2, p2)
     if o1 != o2 and o3 != o4:
@@ -398,83 +403,3 @@ def _polyline_self_intersects(poly: tuple[Point, ...]) -> bool:
             if segments_touch(a, b, c, d):
                 return True
     return False
-
-
-def _bbox(points) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return min(xs), min(ys), max(xs), max(ys)
-
-
-def _check_mirror_disjointness(pres: NetMapPresentation) -> None:
-    """Full mirrors, translated over 2*L1, must be pairwise disjoint.
-
-    Degenerate mirrors stand for their whole class of lattice points;
-    those points must avoid every other mirror too.
-    """
-    u2 = (2 * pres.lambda1.u[0], 2 * pres.lambda1.u[1])
-    v2 = (2 * pres.lambda1.v[0], 2 * pres.lambda1.v[1])
-    polys = [(k, mirror.full_polyline()) for k, mirror in enumerate(pres.mirrors, start=1)]
-    det = u2[0] * v2[1] - u2[1] * v2[0]
-    for i in range(len(polys)):
-        ki, pi = polys[i]
-        box_i = _bbox(pi)
-        for j in range(i, len(polys)):
-            kj, pj = polys[j]
-            box_j = _bbox(pj)
-            # Translates T of mirror j with overlapping bounding boxes.
-            lo_x = box_i[0] - box_j[2]
-            hi_x = box_i[2] - box_j[0]
-            lo_y = box_i[1] - box_j[3]
-            hi_y = box_i[3] - box_j[1]
-            for alpha, beta in _lattice_points_in_box(u2, v2, det, lo_x, hi_x, lo_y, hi_y):
-                if i == j and alpha == 0 and beta == 0:
-                    continue
-                t = (alpha * u2[0] + beta * v2[0], alpha * u2[1] + beta * v2[1])
-                shifted = [(p[0] + t[0], p[1] + t[1]) for p in pj]
-                if _polylines_touch(pi, shifted):
-                    raise ValidationError(
-                        "mirror-disjoint",
-                        f"mirror {ki} meets the 2*lambda1 translate {t} of mirror {kj}",
-                    )
-
-
-def _lattice_points_in_box(u2, v2, det, lo_x, hi_x, lo_y, hi_y):
-    """(alpha, beta) with alpha*u2 + beta*v2 in [lo_x,hi_x] x [lo_y,hi_y]."""
-    corners = []
-    for x in (lo_x, hi_x):
-        for y in (lo_y, hi_y):
-            # Coordinates of (x, y) in the basis (u2, v2), times det.
-            a = x * v2[1] - y * v2[0]
-            b = u2[0] * y - u2[1] * x
-            corners.append((Fraction(a, det), Fraction(b, det)))
-    amin = min(c[0] for c in corners)
-    amax = max(c[0] for c in corners)
-    bmin = min(c[1] for c in corners)
-    bmax = max(c[1] for c in corners)
-    for alpha in range(ceil(amin), floor(amax) + 1):
-        for beta in range(ceil(bmin), floor(bmax) + 1):
-            x = alpha * u2[0] + beta * v2[0]
-            y = alpha * u2[1] + beta * v2[1]
-            if lo_x <= x <= hi_x and lo_y <= y <= hi_y:
-                yield alpha, beta
-
-
-def _polylines_touch(p: list | tuple, q: list | tuple) -> bool:
-    if len(p) == 1 and len(q) == 1:
-        return p[0] == q[0]
-    if len(p) == 1:
-        return _point_on_polyline(p[0], q)
-    if len(q) == 1:
-        return _point_on_polyline(q[0], p)
-    for a, b in zip(p, p[1:]):
-        for c, d in zip(q, q[1:]):
-            if segments_touch(a, b, c, d):
-                return True
-    return False
-
-
-def _point_on_polyline(pt: Point, poly) -> bool:
-    return any(
-        _orient(a, b, pt) == 0 and _on_segment(a, b, pt) for a, b in zip(poly, poly[1:])
-    )

@@ -227,7 +227,20 @@ class TestNonsep:
         code, out, _ = run(
             capsys, "nonsep", "4,2", "--check", "(0,0);(2,0);(0,1);(2,1)"
         )
-        assert code == 0 and out.startswith("SEPARATING")
+        assert code == 0 and out == "SEPARATING B=<(0, 1)> a=(1, 0) c=(0, 0, 2, 2)\n"
+
+    @pytest.mark.parametrize(
+        "subset, element",
+        [
+            ("(7,0);(2,0);(0,0);(1,1)", "(7, 0)"),
+            ("(1,0);(4,0);(2,1);(3,1)", "(4, 0)"),
+            ("(5,0);(0,0);(2,1);(3,1)", "(5, 0)"),
+        ],
+    )
+    def test_check_element_outside_group_exits_2(self, capsys, subset, element):
+        code, out, err = run(capsys, "nonsep", "4,2", "--check", subset)
+        assert code == 2 and out == ""
+        assert err == f"error: {element} is not an element of Z/4 + Z/2\n"
 
     def test_search_lists_published_subset(self, capsys):
         code, out, _ = run(capsys, "nonsep", "4,2", "--search")

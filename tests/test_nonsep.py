@@ -1,4 +1,5 @@
 import random
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -22,6 +23,7 @@ from netmap.nonsep import (
     is_nonseparating,
     is_nonseparating_in_subgroup,
     search_nonseparating,
+    separating_pair,
     translate_by_involution,
     verify_nonexistence,
 )
@@ -139,6 +141,23 @@ class TestIsNonseparating:
     def test_overlapping_pairs_rejected(self):
         with pytest.raises(ValueError):
             is_nonseparating(G42, SymmetricFour(((1, 0), (3, 0), (0, 0), (2, 0))))
+
+    @pytest.mark.parametrize("element", [(7, 0), (4, 0), (5, 0), (0, 2), (-1, 0)])
+    def test_element_outside_group_rejected(self, element):
+        subset = SymmetricFour((element, (0, 0), (2, 1), (3, 1)))
+        message = re.escape(f"{element} is not an element of Z/4 + Z/2")
+        for check in (is_nonseparating, separating_pair):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                check(G42, subset)
+
+    def test_separating_pair(self):
+        assert separating_pair(G42, H42) is None
+        subset = SymmetricFour(((0, 0), (2, 0), (0, 1), (2, 1)))
+        pair = separating_pair(G42, subset)
+        assert (pair.subgroup_generator, pair.generator) == ((0, 1), (1, 0))
+        assert coset_numbers(G42, subset, pair) == (0, 0, 2, 2)
+        numbers = [(p, coset_numbers(G42, subset, p)) for p in cyclic_pairs(G42)]
+        assert pair == next(p for p, cs in numbers if cs[1] != cs[2])
 
 
 class TestSearch:

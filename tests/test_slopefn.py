@@ -250,3 +250,15 @@ class TestPointOnMirror:
     def test_generic_point_off_mirrors(self, main_pres):
         assert not point_on_any_mirror(main_pres, (1, 1))
         assert not point_on_any_mirror(main_pres, (Fraction(1, 2), Fraction(0)))
+
+    def test_fractional_points_on_and_beside_mirrors(self, main_pres, double_pres):
+        # (2, -1/2) lies on main's mirror 3, from (2,-1) to (2,0); (1/2, 3)
+        # lies on double's mirror 2, from (0,2) to (1,4).
+        eps = Fraction(1, 100)
+        for pres, (x, y) in (
+            (main_pres, (Fraction(2), Fraction(-1, 2))),
+            (double_pres, (Fraction(1, 2), Fraction(3))),
+        ):
+            assert point_on_any_mirror(pres, (x, y))
+            assert not point_on_any_mirror(pres, (x + eps, y))
+            assert not point_on_any_mirror(pres, (x - eps, y))
