@@ -156,6 +156,8 @@ def _parse_affine(text: str):
 def cmd_equations(args) -> int:
     pres = _load(args.file)
     if args.affine:
+        if args.check is not None and args.check < 1:
+            raise ValueError("height must be a positive integer")
         linear, translation = _parse_affine(args.affine)
         if not sy.aff_membership(pres, linear, translation):
             print("not an affine symmetry of the presentation", file=sys.stderr)
@@ -195,8 +197,12 @@ def _parse_subset(text: str) -> tuple:
         raise PresentationSyntaxError("subset check needs four elements")
     out = []
     for part in parts:
-        body = part.strip("()")
-        x, y = (int(t) for t in body.split(","))
+        try:
+            x, y = (int(t) for t in part.strip("()").split(","))
+        except ValueError:
+            raise PresentationSyntaxError(
+                f"bad subset element {part!r}; expected (x,y) with integers x and y"
+            ) from None
         out.append((x, y))
     return tuple(out)
 

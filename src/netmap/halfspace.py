@@ -8,11 +8,18 @@ over the real axis.  Its boundary trace on the extended reals excludes
 obstruction slopes, so a finite family whose boundary sets cover the
 extended reals certifies that no obstruction exists.
 
-Endpoints C +- R live in quadratic extensions; all interval arithmetic
-here is exact.  The boundary sets are used as OPEN sets: interval
-endpoints, and the point at infinity of a vertical half-space, are not
-excluded silently but reported as leftover points for individual
-checking.
+The extended reals form a circle, and each kind of half-space traces
+one open arc on it, run in increasing order from start to end:
+
+    inside-circle       (C - R, C + R)
+    outside-circle      (C + R, C - R), through infinity
+    left-of-vertical    (infinity, x0)
+    right-of-vertical   (x0, infinity)
+
+Ends C +- R live in quadratic extensions; all arithmetic here is
+exact.  The arcs are OPEN: an end that no arc contains, the point at
+infinity of a vertical half-space included, is not excluded silently
+but reported as a leftover point for individual checking.
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ from fractions import Fraction
 
 from .presentation import NetMapPresentation
 from .pullback import analyze_slope
-from .quadext import QuadExt, rational_between
+from .quadext import QuadExt
 from .slope import INESSENTIAL, Slope
 from .slopefn import pullback_slope
 
@@ -105,52 +112,55 @@ def exclusion_halfspace(pres: NetMapPresentation, slope: Slope) -> HalfSpace | N
 
 @dataclass(frozen=True)
 class BoundarySet:
-    """Boundary trace of a half-space on the extended reals.
+    """Open arc of the extended reals, run from ``start`` to ``end`` in
+    increasing order; ``None`` stands for infinity.  ``wraps`` marks an
+    arc that passes through infinity, which is then interior to it."""
 
-    ``lo``/``hi`` are the finite endpoints (equal for vertical kinds);
-    ``contains_infinity`` reflects the descriptor of the boundary set,
-    which for vertical kinds includes the point at infinity on the
-    unbounded side.
-    """
+    start: QuadExt | None
+    end: QuadExt | None
+    wraps: bool
 
-    kind: Kind
-    lo: QuadExt
-    hi: QuadExt
-    contains_infinity: bool
-
-    def interior_contains(self, x: QuadExt) -> bool:
-        """Whether the finite point x is interior to the set."""
-        if self.kind is Kind.INSIDE_CIRCLE:
-            return self.lo < x < self.hi
-        if self.kind is Kind.OUTSIDE_CIRCLE:
-            return x < self.lo or x > self.hi
-        if self.kind is Kind.LEFT_OF_VERTICAL:
-            return x < self.lo
-        return x > self.lo
-
-    @property
-    def interior_contains_infinity(self) -> bool:
-        # Only the outside of a circle has infinity as an interior
-        # point; for vertical kinds infinity is a boundary point of the
-        # descriptor and must be checked as a leftover.
-        return self.kind is Kind.OUTSIDE_CIRCLE
+    def contains(self, x: QuadExt | None) -> bool:
+        """Whether x, finite or infinity (``None``), is interior."""
+        if x is None:
+            return self.wraps
+        if self.wraps:
+            return self.start < x or x < self.end
+        return (self.start is None or self.start < x) and (
+            self.end is None or x < self.end
+        )
 
 
 def boundary_interval(h: HalfSpace) -> BoundarySet:
-    """The boundary set descriptor of a half-space.
-
-    Inside-circle: the open interval (C - R, C + R).  Outside-circle:
-    the open complement of [C - R, C + R], including infinity.
-    Vertical kinds: the open half-line on the half-space side, with
-    infinity included in the descriptor.
-    """
+    """The open arc the half-space traces on the extended reals."""
     if h.radius is None:
         x0 = QuadExt(h.center)
-        return BoundarySet(h.kind, x0, x0, contains_infinity=True)
+        if h.kind is Kind.LEFT_OF_VERTICAL:
+            return BoundarySet(None, x0, wraps=False)
+        return BoundarySet(x0, None, wraps=False)
     lo, hi = h.endpoints()
-    return BoundarySet(
-        h.kind, lo, hi, contains_infinity=(h.kind is Kind.OUTSIDE_CIRCLE)
-    )
+    if h.kind is Kind.INSIDE_CIRCLE:
+        return BoundarySet(lo, hi, wraps=False)
+    return BoundarySet(hi, lo, wraps=True)
+
+
+def _reach(arc: BoundarySet, x: QuadExt | None) -> tuple[bool, QuadExt | None] | None:
+    """How far the arc runs on from x.
+
+    (tangent, end) when the arc contains x (tangent False) or starts at
+    x (tangent True); end is where the arc stops, ``None`` when it runs
+    on to or through infinity.  None when the arc covers no point just
+    after x.
+    """
+    if arc.contains(x):
+        tangent = False
+    elif x == arc.start:
+        tangent = True
+    else:
+        return None
+    if arc.wraps and x is not None and not x < arc.end:
+        return tangent, None
+    return tangent, arc.end
 
 
 INFINITY_POINT = "inf"
@@ -180,56 +190,33 @@ class CoverVerdict:
 
 
 def cover_certificate(spaces: list[HalfSpace]) -> CoverVerdict:
-    """Decide whether the open boundary sets cover the extended reals.
+    """Decide whether the open boundary arcs cover the extended reals.
 
     Returns ``covered`` when the union covers everything; otherwise
-    reports the finite leftover points (endpoints interior to no set,
-    tagged rational or irrational) and any uncovered open intervals.
-    Uncovered intervals mean the family cannot certify anything.
+    reports the finitely many leftover points (arc ends that no arc
+    contains, tagged rational or irrational) and every uncovered gap
+    as ``(end, next end)``, taken cyclically.  Uncovered gaps mean the
+    family cannot certify anything.
     """
     if not spaces:
         raise ValueError("cover_certificate needs at least one half-space")
-    sets = [boundary_interval(h) for h in spaces]
+    arcs = [boundary_interval(h) for h in spaces]
+    ends: list[QuadExt | None] = sorted(
+        {e for arc in arcs for e in (arc.start, arc.end) if e is not None}
+    )
+    if any(arc.start is None or arc.end is None for arc in arcs):
+        ends.append(None)
 
-    endpoints: list[QuadExt] = []
-    for bs in sets:
-        endpoints.append(bs.lo)
-        if not bs.hi == bs.lo:
-            endpoints.append(bs.hi)
-    uniq: list[QuadExt] = []
-    for e in sorted(endpoints):
-        if not uniq or not uniq[-1] == e:
-            uniq.append(e)
-
-    def point_covered(x: QuadExt) -> bool:
-        return any(bs.interior_contains(x) for bs in sets)
-
+    points = [INFINITY_POINT if e is None else e for e in ends]
     leftovers: list[LeftoverPoint] = []
     uncovered: list[tuple[str, str]] = []
-
-    # Open regions between consecutive endpoints, plus the two rays.
-    samples: list[tuple[QuadExt, str, str]] = []
-    if uniq:
-        first, last = uniq[0], uniq[-1]
-        samples.append((first - 1, "-inf", str(first)))
-        samples.append((last + 1, str(last), "+inf"))
-        for a, b in zip(uniq, uniq[1:]):
-            mid = QuadExt(rational_between(a, b))
-            samples.append((mid, str(a), str(b)))
-    for sample, lo_desc, hi_desc in samples:
-        if not point_covered(sample):
-            uncovered.append((lo_desc, hi_desc))
-
-    for e in uniq:
-        if not point_covered(e):
-            leftovers.append(LeftoverPoint(e, e.is_rational))
-
-    infinity_interior = any(bs.interior_contains_infinity for bs in sets)
-    if not infinity_interior:
-        if any(bs.contains_infinity for bs in sets):
-            leftovers.append(LeftoverPoint(INFINITY_POINT, True))
-        else:
-            uncovered.append(("near-infinity", "near-infinity"))
+    # No arc ends inside the gap after an end, so an arc covering any
+    # point just after the end covers the whole gap.
+    for e, point, after in zip(ends, points, points[1:] + points[:1]):
+        if not any(arc.contains(e) for arc in arcs):
+            leftovers.append(LeftoverPoint(point, e is None or e.is_rational))
+        if all(_reach(arc, e) is None for arc in arcs):
+            uncovered.append((str(point), str(after)))
 
     covered = not leftovers and not uncovered
     return CoverVerdict(

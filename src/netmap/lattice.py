@@ -238,10 +238,6 @@ class AbelianQuotient:
     to_mat: Mat2
     from_mat: Mat2
 
-    @property
-    def order(self) -> int:
-        return self.m * self.n
-
     def reduce(self, w: Vec) -> Vec:
         t = mat_vec(self.to_mat, w)
         return (t[0] % self.m, t[1] % self.n)
@@ -251,9 +247,6 @@ class AbelianQuotient:
 
     def add(self, a: Vec, b: Vec) -> Vec:
         return ((a[0] + b[0]) % self.m, (a[1] + b[1]) % self.n)
-
-    def neg(self, a: Vec) -> Vec:
-        return ((-a[0]) % self.m, (-a[1]) % self.n)
 
 
 def quotient_presentation(sublattice: Basis2, scale: int = 1) -> AbelianQuotient:

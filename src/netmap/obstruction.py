@@ -17,15 +17,14 @@ from .halfspace import (
     INFINITY_POINT,
     CoverVerdict,
     HalfSpace,
-    Kind,
     LeftoverPoint,
+    _reach,
     boundary_interval,
     cover_certificate,
     exclusion_halfspace,
 )
 from .presentation import NetMapPresentation
 from .pullback import analyze_slope
-from .quadext import QuadExt
 from .slope import Slope, enumerate_slopes
 from .slopefn import pullback_slope
 
@@ -155,43 +154,6 @@ def check_certificate(pres: NetMapPresentation, cert: Certificate) -> bool:
     }
 
 
-def _reach(bs, cur: QuadExt) -> tuple[bool, QuadExt | None] | None:
-    """How far past ``cur`` the open boundary set extends.
-
-    Returns (tangent, hi) where hi is the right end of the component
-    containing (or starting at) cur, hi = None meaning plus infinity;
-    or None when the set does not help at cur.
-    """
-    if bs.kind is Kind.INSIDE_CIRCLE:
-        if bs.lo < cur < bs.hi:
-            return (False, bs.hi)
-        if bs.lo == cur:
-            return (True, bs.hi)
-        return None
-    if bs.kind is Kind.OUTSIDE_CIRCLE:
-        if cur > bs.hi:
-            return (False, None)
-        if cur == bs.hi:
-            return (True, None)
-        if cur < bs.lo:
-            return (False, bs.lo)
-        if cur == bs.lo:
-            # cur is the left endpoint of the excluded interval; the set
-            # covers only to the left of it.
-            return None
-        return None
-    if bs.kind is Kind.LEFT_OF_VERTICAL:
-        if cur < bs.lo:
-            return (False, bs.lo)
-        return None
-    # RIGHT_OF_VERTICAL
-    if cur > bs.lo:
-        return (False, None)
-    if cur == bs.lo:
-        return (True, None)
-    return None
-
-
 def _greedy_cover(candidates: list[HalfSpace], budget: int):
     """Select a small subfamily whose boundary sets cover, greedily.
 
@@ -199,38 +161,38 @@ def _greedy_cover(candidates: list[HalfSpace], budget: int):
     interval, then repeatedly picks the candidate reaching furthest to
     the right from the current frontier.  Returns the selection or None.
     """
-    outs = [i for i, h in enumerate(candidates) if h.kind is Kind.OUTSIDE_CIRCLE]
+    bounds = [boundary_interval(h) for h in candidates]
+    outs = [i for i, arc in enumerate(bounds) if arc.wraps]
     if not outs or budget < 1:
         return None
     base = min(outs, key=lambda i: (candidates[i].radius.square(), i))
-    base_bs = boundary_interval(candidates[base])
+    base_arc = bounds[base]
     selected = [base]
-    bounds = [boundary_interval(h) for h in candidates]
-    cur = base_bs.lo
+    cur = base_arc.end
     while len(selected) < budget:
         best = None
         best_reach = None
-        for i, bs in enumerate(bounds):
+        for i, arc in enumerate(bounds):
             if i in selected:
                 continue
-            r = _reach(bs, cur)
+            r = _reach(arc, cur)
             if r is None:
                 continue
-            tangent, hi = r
-            # Unbounded first, then the furthest hi (None == None for two
-            # unbounded keys), then strict over tangent.
-            key = (hi is None, hi, not tangent)
+            tangent, end = r
+            # Reaching infinity first, then the furthest end (None == None
+            # for two such keys), then strict over tangent.
+            key = (end is None, end, not tangent)
             if best is None or key > best_reach:
                 best, best_reach = i, key
         if best is None:
             return None
         selected.append(best)
-        unbounded, hi, _strict = best_reach
-        if unbounded or hi > base_bs.hi:
+        to_infinity, end, _strict = best_reach
+        if to_infinity or end > base_arc.start:
             return [candidates[i] for i in selected]
-        if hi == cur:
+        if end == cur:
             return None
-        cur = hi
+        cur = end
     return None
 
 

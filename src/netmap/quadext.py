@@ -247,16 +247,3 @@ class QuadExt:
         if self.a == 0:
             return term
         return f"{self.a} + {term}" if self.b > 0 else f"{self.a} - {abs(self.b)}*{root}"
-
-
-def rational_between(x: QuadExt, y: QuadExt) -> Fraction:
-    """Some rational strictly between x and y; requires x < y."""
-    if not x < y:
-        raise ValueError("rational_between needs x < y")
-    bits = 32
-    while True:
-        _, xhi = x.enclosure(bits)
-        ylo, _ = y.enclosure(bits)
-        if xhi < ylo:
-            return (xhi + ylo) / 2
-        bits *= 2

@@ -145,10 +145,6 @@ def _boundary_point(slope: Slope) -> Slope:
     return Slope.of(-slope.q, slope.p)
 
 
-def _neg_reciprocal(slope: Slope) -> Slope:
-    return Slope.of(-slope.q, slope.p)
-
-
 def reflection_equation(
     pres: NetMapPresentation, s1: Slope, s2: Slope
 ) -> ReflectionPair:
@@ -199,7 +195,7 @@ def reflection_equation(
             )
     return ReflectionPair(
         domain_endpoints=(_boundary_point(s1), _boundary_point(s2)),
-        image_endpoints=(_neg_reciprocal(img1), _neg_reciprocal(img2)),
+        image_endpoints=(_boundary_point(img1), _boundary_point(img2)),
     )
 
 

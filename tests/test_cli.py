@@ -190,6 +190,14 @@ class TestEquations:
         code, _, _ = run(capsys, "equations", main_path, "--affine", "1,0;0,1;1,0")
         assert code == 2
 
+    @pytest.mark.parametrize("height", ["0", "-3"])
+    def test_check_below_one_exits_2(self, capsys, main_path, height):
+        code, out, err = run(
+            capsys, "equations", main_path, "--affine", "1,0;5,1;0,0", "--check", height
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: height must be a positive integer\n"
+
     def test_missing_slope_exits_2(self, capsys, main_path):
         code, out, err = run(capsys, "equations", main_path)
         assert (code, out) == (2, "")
@@ -241,6 +249,17 @@ class TestNonsep:
         code, out, err = run(capsys, "nonsep", "4,2", "--check", subset)
         assert code == 2 and out == ""
         assert err == f"error: {element} is not an element of Z/4 + Z/2\n"
+
+    @pytest.mark.parametrize("element", ["(1,2,3)", "(1)", "(a,1)"])
+    def test_check_malformed_element_exits_2(self, capsys, element):
+        code, out, err = run(
+            capsys, "nonsep", "4,2", "--check", f"{element};(0,0);(2,1);(3,1)"
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: bad subset element {element!r}; "
+            "expected (x,y) with integers x and y\n"
+        )
 
     def test_search_lists_published_subset(self, capsys):
         code, out, _ = run(capsys, "nonsep", "4,2", "--search")

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from netmap.halfspace import (
     INFINITY_POINT,
+    HalfSpace,
     Kind,
     boundary_interval,
     cover_certificate,
@@ -132,31 +135,34 @@ class TestExclusionHalfspace:
 class TestBoundaryInterval:
     def test_inside_circle_interval(self, main_pres):
         h = exclusion_halfspace(main_pres, Slope(1, 3))
-        bs = boundary_interval(h)
-        assert bs.lo == QuadExt(-3) - F(1, 2) * QuadExt.sqrt(2)
-        assert bs.hi == QuadExt(-3) + F(1, 2) * QuadExt.sqrt(2)
-        assert not bs.contains_infinity
-        assert bs.interior_contains(QuadExt(-3))
-        assert not bs.interior_contains(bs.lo)
+        arc = boundary_interval(h)
+        assert arc.start == QuadExt(-3) - F(1, 2) * QuadExt.sqrt(2)
+        assert arc.end == QuadExt(-3) + F(1, 2) * QuadExt.sqrt(2)
+        # Infinity is neither interior nor an end.
+        assert not arc.wraps and not arc.contains(None)
+        assert arc.contains(QuadExt(-3))
+        assert not arc.contains(arc.start)
 
     def test_outside_circle_interval(self, main_pres):
         h = exclusion_halfspace(main_pres, Slope(1, 8))
-        bs = boundary_interval(h)
-        assert bs.lo == -(4 * QuadExt.sqrt(2))
-        assert bs.hi == 4 * QuadExt.sqrt(2)
-        assert bs.contains_infinity and bs.interior_contains_infinity
-        assert bs.interior_contains(QuadExt(-6))
-        assert not bs.interior_contains(QuadExt(0))
+        arc = boundary_interval(h)
+        assert arc.start == 4 * QuadExt.sqrt(2)
+        assert arc.end == -(4 * QuadExt.sqrt(2))
+        assert arc.wraps and arc.contains(None)
+        assert arc.contains(QuadExt(-6)) and arc.contains(QuadExt(6))
+        assert not arc.contains(QuadExt(0))
 
     def test_vertical_interval(self):
-        h = halfspace_from_data(Slope(1, 1), Slope(1, 0), F(1))
-        bs = boundary_interval(h)
-        assert bs.lo == bs.hi == QuadExt(F(-1, 2))
-        assert bs.contains_infinity
-        # Left of the vertical: covers points below the abscissa only.
-        assert bs.interior_contains(QuadExt(-1))
-        assert not bs.interior_contains(QuadExt(0))
-        assert not bs.interior_contains_infinity
+        x0 = QuadExt(F(-1, 2))
+        left = boundary_interval(halfspace_from_data(Slope(1, 1), Slope(1, 0), F(1)))
+        right = boundary_interval(halfspace_from_data(Slope(1, 0), Slope(1, 1), F(1)))
+        # Infinity is an end of both arcs, interior to neither.
+        assert (left.start, left.end, left.wraps) == (None, x0, False)
+        assert (right.start, right.end, right.wraps) == (x0, None, False)
+        assert left.contains(QuadExt(-1)) and not left.contains(QuadExt(0))
+        assert right.contains(QuadExt(0)) and not right.contains(QuadExt(-1))
+        assert not left.contains(x0) and not right.contains(x0)
+        assert not left.contains(None) and not right.contains(None)
 
 
 class TestCoverCertificate:
@@ -170,8 +176,9 @@ class TestCoverCertificate:
         h1 = halfspace_from_data(Slope(0, 1), Slope(1, 2), F(8))
         h2 = halfspace_from_data(Slope(0, 1), Slope(-1, 2), F(8))
         assert h1.kind is Kind.OUTSIDE_CIRCLE and h2.kind is Kind.OUTSIDE_CIRCLE
+        # The excluded intervals [end, start] are disjoint.
         b1, b2 = boundary_interval(h1), boundary_interval(h2)
-        assert b1.hi < b2.lo or b2.hi < b1.lo
+        assert b1.start < b2.end or b2.start < b1.end
         verdict = cover_certificate([h1, h2])
         assert verdict.covered
 
@@ -213,3 +220,92 @@ class TestCoverCertificate:
         # The shared abscissa and the point at infinity both need checks.
         assert points == {"-1/2", INFINITY_POINT}
         assert not verdict.uncovered_intervals
+
+
+def _rational_between(x: QuadExt, y: QuadExt) -> Fraction:
+    bits = 8
+    while True:
+        _, x_hi = x.enclosure(bits)
+        y_lo, _ = y.enclosure(bits)
+        if x_hi < y_lo:
+            return (x_hi + y_lo) / 2
+        bits *= 2
+
+
+def _interior(h: HalfSpace, x: QuadExt | None) -> bool:
+    """Whether x (None for infinity) is interior to the boundary set of
+    h, straight from the definition of each kind."""
+    if x is None:
+        return h.kind is Kind.OUTSIDE_CIRCLE
+    c = QuadExt(h.center)
+    if h.kind is Kind.LEFT_OF_VERTICAL:
+        return x < c
+    if h.kind is Kind.RIGHT_OF_VERTICAL:
+        return x > c
+    lo, hi = h.endpoints()
+    if h.kind is Kind.INSIDE_CIRCLE:
+        return lo < x < hi
+    return x < lo or x > hi
+
+
+def reference_cover(spaces: list[HalfSpace]):
+    """(leftovers, some gap uncovered) by testing every end and one
+    rational point strictly inside every gap between ends."""
+    finite = sorted(
+        {e for h in spaces for e in (h.endpoints() or (QuadExt(h.center),))}
+    )
+    infinity_is_end = any(h.radius is None for h in spaces)
+    ends = finite + [None] * infinity_is_end
+    samples = [finite[0] - 1, finite[-1] + 1]
+    samples += [QuadExt(_rational_between(a, b)) for a, b in zip(finite, finite[1:])]
+    if not infinity_is_end:
+        samples.append(None)
+
+    def covered(x):
+        return any(_interior(h, x) for h in spaces)
+
+    leftovers = [
+        (INFINITY_POINT if e is None else str(e), e is None or e.is_rational)
+        for e in ends
+        if not covered(e)
+    ]
+    return leftovers, not all(covered(x) for x in samples)
+
+
+_DUMMY = (Slope(1, 1), Slope(1, 0), F(1))
+_abscissas = st.integers(-8, 8).map(lambda n: F(n, 2))
+_radii = st.one_of(
+    st.integers(1, 6).map(lambda n: QuadExt(F(n, 2))),
+    st.builds(
+        lambda n, k: F(n, 2) * QuadExt.sqrt(k), st.integers(1, 4), st.sampled_from([2, 3])
+    ),
+)
+# Small pools of centres and radii make shared ends and tangencies common.
+_families = st.lists(
+    st.one_of(
+        st.builds(
+            lambda kind, c, r: HalfSpace(kind, c, r, *_DUMMY),
+            st.sampled_from([Kind.INSIDE_CIRCLE, Kind.OUTSIDE_CIRCLE]),
+            _abscissas,
+            _radii,
+        ),
+        st.builds(
+            lambda kind, x0: HalfSpace(kind, x0, None, *_DUMMY),
+            st.sampled_from([Kind.LEFT_OF_VERTICAL, Kind.RIGHT_OF_VERTICAL]),
+            _abscissas,
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(_families)
+def test_cover_certificate_matches_per_kind_reference(spaces):
+    verdict = cover_certificate(spaces)
+    leftovers, gap_uncovered = reference_cover(spaces)
+    assert [(str(p), p.rational) for p in verdict.leftover_points] == leftovers
+    assert bool(verdict.uncovered_intervals) == gap_uncovered
+    assert verdict.covered == (not leftovers and not gap_uncovered)
+    assert verdict.certifiable == (not gap_uncovered)

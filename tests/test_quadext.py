@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from netmap.quadext import QuadExt, _sign_triple, rational_between, squarefree_split
+from netmap.quadext import QuadExt, _sign_triple, squarefree_split
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -93,22 +93,6 @@ class TestArithmetic:
     def test_as_fraction_rejects_irrational(self):
         with pytest.raises(ValueError):
             QuadExt(0, 1, 2).as_fraction()
-
-
-class TestRationalBetween:
-    @given(rationals, rationals, radicands, rationals, rationals, radicands)
-    def test_strictly_between(self, a1, b1, k1, a2, b2, k2):
-        x, y = QuadExt(a1, b1, k1), QuadExt(a2, b2, k2)
-        if not x < y:
-            return
-        mid = rational_between(x, y)
-        assert x < QuadExt(mid) < y
-
-    def test_tight_gap(self):
-        x = QuadExt(0, 1, 2)
-        y = QuadExt(Fraction(141422, 100000))
-        mid = rational_between(x, y)
-        assert x < QuadExt(mid) < y
 
 
 def sign_unfiltered(x: QuadExt, y: QuadExt) -> int:
