@@ -154,6 +154,8 @@ def _parse_affine(text: str):
 
 
 def cmd_equations(args) -> int:
+    if args.check is not None and not args.affine:
+        raise ValueError("equations --check needs --affine")
     pres = _load(args.file)
     if args.affine:
         if args.check is not None and args.check < 1:

@@ -17,7 +17,19 @@ one open arc on it, run in increasing order from start to end:
     right-of-vertical   (x0, infinity)
 
 Ends C +- R live in quadratic extensions; all arithmetic here is
-exact.  The arcs are OPEN: an end that no arc contains, the point at
+exact and starts from integers.  With delta = e/d in lowest terms,
+
+    D = d p^2 - e p'^2,   N = e p'q' - d p q,   W = |p q' - p' q|,   k = e d,
+
+the half-space is inside the circle when D > 0 and outside when D < 0,
+with C = N/D and R = (W/|D|) sqrt(k); D = 0 gives the vertical line
+over -(q p' + q' p)/(2 p p').  Writing k = s^2 f with f squarefree,
+R = (W s/|D|) sqrt(f) has no rational part, so the ends C -+ R are
+(C, -+W s/|D|, f) as they stand: no Fraction is added and no radicand
+is factored again.  Only a square k (f <= 1) gives a rational radius,
+whose ends are the rationals C -+ R.
+
+The arcs are OPEN: an end that no arc contains, the point at
 infinity of a vertical half-space included, is not excluded silently
 but reported as a leftover point for individual checking.
 """
@@ -29,7 +41,7 @@ from fractions import Fraction
 
 from .presentation import NetMapPresentation
 from .pullback import analyze_slope
-from .quadext import QuadExt
+from .quadext import _ZERO, QuadExt, squarefree_split
 from .slope import INESSENTIAL, Slope
 from .slopefn import pullback_slope
 
@@ -66,10 +78,13 @@ class HalfSpace:
 
     def endpoints(self) -> tuple[QuadExt, QuadExt] | None:
         """(C - R, C + R) for circle kinds, None for vertical kinds."""
-        if self.radius is None:
+        r = self.radius
+        if r is None:
             return None
-        center = QuadExt(self.center)
-        return center - self.radius, center + self.radius
+        # An irrational radius is b*sqrt(k) alone, so its ends keep C as is.
+        c = self.center
+        lo, hi = (c - r.a, c + r.a) if r.a else (c, c)
+        return QuadExt._canon(lo, -r.b, r.k), QuadExt._canon(hi, r.b, r.k)
 
 
 def halfspace_from_data(slope: Slope, image: Slope, delta: Fraction) -> HalfSpace:
@@ -83,17 +98,20 @@ def halfspace_from_data(slope: Slope, image: Slope, delta: Fraction) -> HalfSpac
         raise ValueError("source and image slopes must differ")
     p, q = slope.p, slope.q
     pp, qq = image.p, image.q
-    if pp != 0 and delta * pp * pp == p * p:
-        # Equal horoball radii: the bisector is a vertical line over
+    e, d = delta.numerator, delta.denominator
+    denom = d * p * p - e * pp * pp  # D of the module docstring
+    if denom == 0:
+        # Equal horoball radii (D = 0): the bisector is a vertical line over
         # -(q/p + q'/p')/2, on the side of the smaller boundary point,
         # with every rational below infinity.
-        x0 = -(Fraction(q, p) + Fraction(qq, pp)) / 2
+        x0 = Fraction(-(q * pp + qq * p), 2 * p * pp)
         kind = Kind.LEFT_OF_VERTICAL if slope < image else Kind.RIGHT_OF_VERTICAL
         return HalfSpace(kind, x0, None, slope, image, delta)
-    denom = p * p - delta * pp * pp
-    center = Fraction(-p * q + delta * pp * qq, 1) / denom
-    radius = abs(Fraction(p * qq - pp * q) / denom) * QuadExt.sqrt(delta)
+    s, f = squarefree_split(e * d)
+    b = Fraction(abs(p * qq - pp * q) * s, abs(denom))
+    radius = QuadExt._canon(b * f, _ZERO, 0) if f <= 1 else QuadExt._canon(_ZERO, b, f)
     kind = Kind.INSIDE_CIRCLE if denom > 0 else Kind.OUTSIDE_CIRCLE
+    center = Fraction(e * pp * qq - d * p * q, denom)
     return HalfSpace(kind, center, radius, slope, image, delta)
 
 
@@ -134,7 +152,7 @@ class BoundarySet:
 def boundary_interval(h: HalfSpace) -> BoundarySet:
     """The open arc the half-space traces on the extended reals."""
     if h.radius is None:
-        x0 = QuadExt(h.center)
+        x0 = QuadExt._canon(h.center, _ZERO, 0)
         if h.kind is Kind.LEFT_OF_VERTICAL:
             return BoundarySet(None, x0, wraps=False)
         return BoundarySet(x0, None, wraps=False)

@@ -25,6 +25,7 @@ from .halfspace import (
 )
 from .presentation import NetMapPresentation
 from .pullback import analyze_slope
+from .quadext import QuadExt
 from .slope import Slope, enumerate_slopes
 from .slopefn import pullback_slope
 
@@ -137,12 +138,9 @@ def check_certificate(pres: NetMapPresentation, cert: Certificate) -> bool:
     memoised images or summaries with the code that built ``cert``.
     """
     pres = replace(pres)
-    rebuilt = []
-    for h in cert.halfspaces:
-        fresh = exclusion_halfspace(pres, h.slope)
-        if fresh != h:
-            return False
-        rebuilt.append(fresh)
+    rebuilt = [exclusion_halfspace(pres, h.slope) for h in cert.halfspaces]
+    if rebuilt != list(cert.halfspaces):
+        return False
     verdict = cover_certificate(rebuilt)
     if verdict.uncovered_intervals:
         return False
@@ -154,45 +152,71 @@ def check_certificate(pres: NetMapPresentation, cert: Certificate) -> bool:
     }
 
 
+def _order(x: QuadExt | None, y: QuadExt | None) -> int:
+    """Sign of x - y for arc ends (``None`` is infinity), boxes first."""
+    if x is None or y is None:
+        return (x is None) - (y is None)
+    (x_lo, x_hi), (y_lo, y_hi) = x._bounds(), y._bounds()
+    return -1 if x_hi < y_lo else 1 if x_lo > y_hi else x._cmp(y)
+
+
 def _greedy_cover(candidates: list[HalfSpace], budget: int):
     """Select a small subfamily whose boundary sets cover, greedily.
 
     Starts from the outside-circle candidate with the narrowest excluded
     interval, then repeatedly picks the candidate reaching furthest to
-    the right from the current frontier.  Returns the selection or None.
+    the right from the current frontier; the first of equal candidates
+    wins.  Returns the selection or None.
+
+    Each arc's ends are placed against the frontier by their integer
+    boxes; ``_reach`` and the exact sign algorithm decide only what the
+    boxes leave open.
     """
     bounds = [boundary_interval(h) for h in candidates]
     outs = [i for i, arc in enumerate(bounds) if arc.wraps]
-    if not outs or budget < 1:
+    if not outs:
         return None
+    boxes = [
+        [None if e is None else e._bounds() for e in (arc.start, arc.end)] for arc in bounds
+    ]
     base = min(outs, key=lambda i: (candidates[i].radius.square(), i))
     base_arc = bounds[base]
     selected = [base]
     cur = base_arc.end
     while len(selected) < budget:
+        lo, hi = cur._bounds()
         best = None
-        best_reach = None
         for i, arc in enumerate(bounds):
             if i in selected:
                 continue
-            r = _reach(arc, cur)
-            if r is None:
+            # Where the boxes put the start and the end against cur: -1
+            # below, 1 above, 0 open.  A missing start or end is infinity.
+            start_box, end_box = boxes[i]
+            s = -1 if start_box is None or start_box[1] < lo else int(start_box[0] > hi)
+            e = 1 if end_box is None or end_box[0] > hi else -int(end_box[1] < lo)
+            if arc.wraps and s < 0:  # past the start: on through infinity
+                tangent, end = False, None
+            elif (s < 0 or arc.wraps) and e > 0:  # inside, before the end
+                tangent, end = False, arc.end
+            elif (s > 0 and e < 0) if arc.wraps else (s > 0 or e < 0):  # outside
                 continue
-            tangent, end = r
-            # Reaching infinity first, then the furthest end (None == None
-            # for two such keys), then strict over tangent.
-            key = (end is None, end, not tangent)
-            if best is None or key > best_reach:
-                best, best_reach = i, key
+            elif (r := _reach(arc, cur)) is None:
+                continue
+            else:
+                tangent, end = r
+            # The furthest end wins, then strict over tangent.
+            if best is None or (c := _order(end, best_end)) > 0 or (
+                c == 0 and best_tangent and not tangent
+            ):
+                best, best_tangent, best_end = i, tangent, end
         if best is None:
             return None
         selected.append(best)
-        to_infinity, end, _strict = best_reach
-        if to_infinity or end > base_arc.start:
+        if _order(best_end, base_arc.start) > 0:
             return [candidates[i] for i in selected]
-        if end == cur:
+        if _order(best_end, cur) == 0:
             return None
-        cur = end
+        cur = best_end
     return None
 
 
@@ -214,19 +238,19 @@ def obstruction_report(
 
     Obstructed when some fixed slope (up to the height, or discovered
     as a leftover point) has multiplier >= 1.  Unobstructed only with a
-    re-verified cover certificate.  Inconclusive otherwise.
+    re-verified cover certificate.  Inconclusive otherwise.  A budget
+    below one is refused before any slope is computed.
     """
+    if budget < 1:
+        raise ValueError("budget must be a positive integer")
     for s, mult in find_fixed_slopes(pres, height):
         if mult >= 1:
             return ObstructionReport(
                 Status.OBSTRUCTED, obstruction=(s, mult), height=height
             )
 
-    candidates = []
-    for s in enumerate_slopes(height):
-        h = exclusion_halfspace(pres, s)
-        if h is not None:
-            candidates.append(h)
+    spaces = (exclusion_halfspace(pres, s) for s in enumerate_slopes(height))
+    candidates = [h for h in spaces if h is not None]
     if not candidates:
         return ObstructionReport(
             Status.INCONCLUSIVE,

@@ -9,7 +9,7 @@ built from floor and ceiling division and ``isqrt``.  Two values whose
 boxes are disjoint are ordered by their boxes alone; only overlapping
 boxes (equal values, or values within about 2^-64 of each other) fall
 through to the exact sign algorithm, which also decides comparisons
-across different radicands.
+across different radicands.  ``float()`` is the midpoint of the box.
 """
 from __future__ import annotations
 
@@ -219,20 +219,9 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def enclosure(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """Rational interval [lo, hi] containing the value."""
-        if self.b == 0:
-            return self.a, self.a
-        scale = 1 << bits
-        root_lo = Fraction(isqrt(self.k * scale * scale), scale)
-        root_hi = root_lo + Fraction(1, scale)
-        if self.b > 0:
-            return self.a + self.b * root_lo, self.a + self.b * root_hi
-        return self.a + self.b * root_hi, self.a + self.b * root_lo
-
     def __float__(self) -> float:
-        lo, hi = self.enclosure()
-        return float((lo + hi) / 2)
+        lo, hi = self._bounds()
+        return (lo + hi) / (1 << 65)
 
     def __repr__(self) -> str:
         if self.b == 0:

@@ -96,17 +96,17 @@ def enumerate_slopes(height: int) -> list[Slope]:
     """All reduced slopes with |p|, |q| <= height, plus infinity.
 
     Deterministic order: infinity first, then by (max(|p|, |q|), value).
+    The slopes of height h >= 2 run -h/q, p/h, h/q in increasing value,
+    with q and |p| below h and prime to it.
     """
     if height < 1:
         raise ValueError("height must be a positive integer")
-    rest = [
-        Slope(p, q)
-        for q in range(1, height + 1)
-        for p in range(-height, height + 1)
-        if gcd(p, q) == 1
-    ]
-    rest.sort(key=lambda s: (s.height(), s.value()))
-    return [INFINITY, *rest]
+    slopes = [INFINITY, Slope(-1, 1), Slope(0, 1), Slope(1, 1)]
+    for h in range(2, height + 1):
+        prime = [q for q in range(1, h) if gcd(h, q) == 1]
+        slopes += [Slope(-h, q) for q in prime] + [Slope(-q, h) for q in reversed(prime)]
+        slopes += [Slope(q, h) for q in prime] + [Slope(h, q) for q in reversed(prime)]
+    return slopes
 
 
 class Inessential:

@@ -152,6 +152,12 @@ class TestObstructions:
         code, out, _ = run(capsys, "obstructions", main_path, "--budget", "1")
         assert code == 0 and out.startswith("INCONCLUSIVE")
 
+    @pytest.mark.parametrize("budget", ["0", "-2"])
+    def test_budget_below_one_exits_2(self, capsys, main_path, budget):
+        code, out, err = run(capsys, "obstructions", main_path, "--budget", budget)
+        assert (code, out) == (2, "")
+        assert err == "error: budget must be a positive integer\n"
+
     def test_obstructed_presentation(self, capsys, euclidean_path):
         code, out, _ = run(capsys, "obstructions", euclidean_path, "--height", "10")
         assert code == 0
@@ -197,6 +203,12 @@ class TestEquations:
         )
         assert (code, out) == (2, "")
         assert err == "error: height must be a positive integer\n"
+
+    @pytest.mark.parametrize("argv", [("inf", "--check", "8"), ("--check", "0")])
+    def test_check_without_affine_exits_2(self, capsys, main_path, argv):
+        code, out, err = run(capsys, "equations", main_path, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: equations --check needs --affine\n"
 
     def test_missing_slope_exits_2(self, capsys, main_path):
         code, out, err = run(capsys, "equations", main_path)

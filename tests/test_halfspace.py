@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from netmap import bundled_presentation
+from netmap.cli import _render_halfspace
 from netmap.halfspace import (
     INFINITY_POINT,
     HalfSpace,
@@ -14,8 +16,10 @@ from netmap.halfspace import (
     halfspace_from_data,
     modulus,
 )
+from netmap.pullback import analyze_slope
 from netmap.quadext import QuadExt
-from netmap.slope import Slope
+from netmap.slope import INESSENTIAL, Slope, enumerate_slopes
+from netmap.slopefn import pullback_slope
 
 F = Fraction
 
@@ -132,6 +136,82 @@ class TestExclusionHalfspace:
         assert h2.center == F(-1, 2)
 
 
+def reference_halfspace(slope: Slope, image: Slope, delta: Fraction) -> HalfSpace:
+    """``halfspace_from_data`` in Fraction and ``QuadExt`` arithmetic."""
+    p, q = slope.p, slope.q
+    pp, qq = image.p, image.q
+    if pp != 0 and delta * pp * pp == p * p:
+        x0 = -(Fraction(q, p) + Fraction(qq, pp)) / 2
+        kind = Kind.LEFT_OF_VERTICAL if slope < image else Kind.RIGHT_OF_VERTICAL
+        return HalfSpace(kind, x0, None, slope, image, delta)
+    denom = p * p - delta * pp * pp
+    center = Fraction(-p * q + delta * pp * qq, 1) / denom
+    radius = abs(Fraction(p * qq - pp * q) / denom) * QuadExt.sqrt(delta)
+    kind = Kind.INSIDE_CIRCLE if denom > 0 else Kind.OUTSIDE_CIRCLE
+    return HalfSpace(kind, center, radius, slope, image, delta)
+
+
+def reference_ends(h: HalfSpace) -> tuple[QuadExt | None, QuadExt | None]:
+    """(start, end) of the boundary arc by the constructor and sums."""
+    c = QuadExt(h.center)
+    if h.kind is Kind.LEFT_OF_VERTICAL:
+        return None, c
+    if h.kind is Kind.RIGHT_OF_VERTICAL:
+        return c, None
+    lo, hi = c - h.radius, c + h.radius
+    return (lo, hi) if h.kind is Kind.INSIDE_CIRCLE else (hi, lo)
+
+
+def assert_matches_reference(slope, image, delta):
+    h = halfspace_from_data(slope, image, delta)
+    ref = reference_halfspace(slope, image, delta)
+    assert h == ref
+    assert _render_halfspace(h) == _render_halfspace(ref)
+    arc = boundary_interval(h)
+    # repr shows the canonical (a, b, k), not only the value.
+    assert list(map(repr, (arc.start, arc.end))) == list(map(repr, reference_ends(ref)))
+
+
+_slopes = st.tuples(st.integers(-12, 12), st.integers(0, 12)).filter(
+    lambda t: t != (0, 0)
+).map(lambda t: Slope.of(*t))
+
+
+@st.composite
+def _halfspace_data(draw):
+    slope = draw(_slopes)
+    image = draw(_slopes.filter(lambda s: s != slope))
+    how = draw(st.sampled_from(["any", "square", "vertical"]))
+    if how == "vertical" and slope.p != 0 and image.p != 0:
+        delta = F(slope.p**2, image.p**2)
+    elif how == "square":
+        delta = F(draw(st.integers(1, 12)), draw(st.integers(1, 12))) ** 2
+    else:
+        delta = F(draw(st.integers(1, 60)), draw(st.integers(1, 60)))
+    return slope, image, delta
+
+
+class TestIntegerHalfspace:
+    @settings(max_examples=150, derandomize=True)
+    @given(_halfspace_data())
+    @example((Slope(1, 1), Slope(1, 0), F(1)))        # vertical, left
+    @example((Slope(1, 0), Slope(-2, 3), F(1, 4)))    # vertical, right
+    @example((Slope(1, 3), Slope(0, 1), F(1, 2)))     # p' = 0
+    @example((Slope(1, 3), Slope(1, 2), F(4, 9)))     # rational radius
+    @example((Slope(1, 8), Slope(1, 4), F(2)))        # outside circle
+    def test_matches_fraction_reference(self, data):
+        assert_matches_reference(*data)
+
+    @pytest.mark.parametrize("name", ["main", "double", "euclidean"])
+    def test_every_candidate_up_to_height_20(self, name):
+        pres = bundled_presentation(name)
+        for slope in enumerate_slopes(20):
+            image = pullback_slope(pres, slope)
+            if image is INESSENTIAL or image == slope:
+                continue
+            assert_matches_reference(slope, image, analyze_slope(pres, slope).multiplier)
+
+
 class TestBoundaryInterval:
     def test_inside_circle_interval(self, main_pres):
         h = exclusion_halfspace(main_pres, Slope(1, 3))
@@ -223,13 +303,11 @@ class TestCoverCertificate:
 
 
 def _rational_between(x: QuadExt, y: QuadExt) -> Fraction:
-    bits = 8
-    while True:
-        _, x_hi = x.enclosure(bits)
-        y_lo, _ = y.enclosure(bits)
-        if x_hi < y_lo:
-            return (x_hi + y_lo) / 2
-        bits *= 2
+    # The 2^-64 boxes of distinct ends built from small data are disjoint.
+    _, x_hi = x._bounds()
+    y_lo, _ = y._bounds()
+    assert x_hi < y_lo
+    return Fraction(x_hi + y_lo, 2 << 64)
 
 
 def _interior(h: HalfSpace, x: QuadExt | None) -> bool:

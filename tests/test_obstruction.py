@@ -1,13 +1,15 @@
 import dataclasses
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 import pytest
 
 from netmap import bundled_presentation
 from netmap.cli import _render_halfspace
+from netmap.halfspace import HalfSpace, Kind
 from netmap.obstruction import (
     Status,
+    _greedy_cover,
     certificate_for_slopes,
     check_certificate,
     enumerate_slopes,
@@ -50,6 +52,17 @@ class TestEnumerateSlopes:
     def test_deterministic_order(self):
         assert enumerate_slopes(6) == enumerate_slopes(6)
         assert str(enumerate_slopes(3)[0]) == "inf"
+
+    def test_matches_sorted_reference(self):
+        for height in range(1, 41):
+            rest = [
+                Slope(p, q)
+                for q in range(1, height + 1)
+                for p in range(-height, height + 1)
+                if gcd(p, q) == 1
+            ]
+            rest.sort(key=lambda s: (s.height(), Fraction(s.p, s.q)))
+            assert enumerate_slopes(height) == [Slope(1, 0), *rest]
 
 
 class TestFixedSlopes:
@@ -128,6 +141,13 @@ class TestObstructionReport:
         assert report.status is Status.OBSTRUCTED
         assert report.obstruction == (Slope(0, 1), Fraction(2))
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_refused_before_any_work(self, budget):
+        pres = bundled_presentation("main")
+        with pytest.raises(ValueError, match="budget must be a positive integer"):
+            obstruction_report(pres, height=20, budget=budget)
+        assert not pres.context.images
+
     def test_constant_map_is_inconclusive(self, double_pres):
         report = obstruction_report(double_pres, height=8, budget=8)
         assert report.status is Status.INCONCLUSIVE
@@ -147,6 +167,23 @@ class TestObstructionReport:
                 for h in report.certificate.halfspaces
             )
         )
+
+
+def test_greedy_prefers_strict_then_first_among_equal_reaches():
+    dummy = (Slope(1, 1), Slope(1, 0), Fraction(1))
+
+    def disc(kind, center, radius):
+        return HalfSpace(kind, Fraction(center), QuadExt(Fraction(radius)), *dummy)
+
+    base = disc(Kind.OUTSIDE_CIRCLE, 0, 3)                 # arc (3, -3)
+    tangent = disc(Kind.INSIDE_CIRCLE, -1, 2)              # (-3, 1): starts at -3
+    strict = disc(Kind.INSIDE_CIRCLE, Fraction(-3, 2), Fraction(5, 2))  # (-4, 1)
+    twin = disc(Kind.INSIDE_CIRCLE, Fraction(-3, 2), Fraction(5, 2))
+    last = disc(Kind.INSIDE_CIRCLE, Fraction(5, 2), Fraction(3, 2))     # (1, 4)
+    selected = _greedy_cover([base, tangent, strict, twin, last], 12)
+    assert [id(h) for h in selected] == [id(base), id(strict), id(last)]
+    # Reaching the base's start only touches it: the open arcs leave it out.
+    assert _greedy_cover([base, strict, disc(Kind.INSIDE_CIRCLE, 2, 1)], 12) is None
 
 
 def rendered(report) -> list[str]:
@@ -171,6 +208,9 @@ def test_cover_unchanged_without_box_filter(name, monkeypatch):
     pres = bundled_presentation(name)
     cases = [(h, b) for h in (8, 20, 40) for b in (1, 3, 6, 12)]
     shipped = [obstruction_report(pres, height=h, budget=b) for h, b in cases]
+    # Boxes that contain every value leave each decision, the greedy's
+    # box prefilter included, to the sign algorithm.
+    monkeypatch.setattr(QuadExt, "_bounds", lambda self: (-inf, inf))
     monkeypatch.setattr(QuadExt, "_cmp", cmp_unfiltered)
     unfiltered = [obstruction_report(pres, height=h, budget=b) for h, b in cases]
     monkeypatch.undo()
