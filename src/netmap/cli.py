@@ -4,7 +4,7 @@ Subcommands operate on presentation files:
 
     netmap analyze FILE (--slope P/Q | --table) [--format text|csv]
     netmap slope FILE (SLOPE | --graph QMAX) [--out PATH]
-    netmap obstructions FILE [--height N] [--budget B] [--slopes LIST]
+    netmap obstructions FILE ([--height N] [--budget B] | --slopes LIST)
                              [--svg PATH]
     netmap equations FILE (SLOPE | --affine "a,b;c,d;tx,ty") [--check N]
     netmap nonsep M,N (--check "(h1);(h2);(h3);(h4)" | --search | --refute)
@@ -110,6 +110,8 @@ def _render_halfspace(h) -> str:
 
 
 def cmd_obstructions(args) -> int:
+    if args.slopes and (args.height is not None or args.budget is not None):
+        raise ValueError("obstructions --slopes takes no --height or --budget")
     pres = _load(args.file)
     if args.slopes:
         slopes = [Slope.parse(tok) for tok in args.slopes.split(",")]
@@ -121,7 +123,9 @@ def cmd_obstructions(args) -> int:
             print("INCONCLUSIVE (certificate failed re-verification)")
             return 0
     else:
-        report = ob.obstruction_report(pres, height=args.height, budget=args.budget)
+        report = ob.obstruction_report(
+            pres, height=20 if args.height is None else args.height,
+            budget=12 if args.budget is None else args.budget)
         if report.status is ob.Status.INCONCLUSIVE:
             print(f"INCONCLUSIVE ({report.diagnostics})")
             return 0
@@ -156,6 +160,8 @@ def _parse_affine(text: str):
 def cmd_equations(args) -> int:
     if args.check is not None and not args.affine:
         raise ValueError("equations --check needs --affine")
+    if args.affine and args.value is not None:
+        raise ValueError("equations takes a SLOPE or --affine, not both")
     pres = _load(args.file)
     if args.affine:
         if args.check is not None and args.check < 1:
@@ -269,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("obstructions", help="search for Thurston obstructions")
     p.add_argument("file")
-    p.add_argument("--height", type=int, default=20)
-    p.add_argument("--budget", type=int, default=12)
+    p.add_argument("--height", type=int, help="search height (default 20)")
+    p.add_argument("--budget", type=int, help="half-space budget (default 12)")
     p.add_argument("--slopes", help="comma-separated slopes for an explicit certificate")
     p.add_argument("--svg", help="draw the certificate half-spaces to this file")
     p.set_defaults(func=cmd_obstructions)

@@ -19,6 +19,13 @@ lcm of the edge denominators: one integer sort orders every crossing
 along pq.  Edges parallel to pq never cross it; they are only checked
 for overlap and vertex contact.
 
+The edge list is built once per presentation.  A mirror's chain is
+symmetric about its midpoint m, so the two edges at m are collinear and
+form one edge; a straight mirror is a single edge.  m lies in L1, so a
+segment through a translate of m meets a lattice point of class m mod
+2*L1.  One scan of the segment's lattice points, stepping the class key
+linearly, finds those points and the degenerate mirror points.
+
 Every other question about 2*L1 translates goes through one
 enumerator, ``_parallelogram_candidates``: which translates of a
 segment may meet another segment (a point being a segment of length
@@ -31,11 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import DegenerateIncidenceError, NonTransverseError, ValidationError
-from .lattice import Mat2, Vec, cross, mat_vec, vadd, vneg, vscale, vsub
+from .lattice import Mat2, Vec, _xgcd, cross, mat_vec, vadd, vneg, vscale, vsub
 from .presentation import ClassTable, NetMapPresentation, segments_touch
 
 Point = tuple[Fraction, Fraction]
@@ -67,7 +74,12 @@ class PresentationContext:
     lookup: dict[Vec, tuple]
     degenerate_keys: frozenset[Vec]  # class keys of +-h for degenerate mirrors
     mirror_of: dict[Vec, int]        # postcritical class key -> mirror index
+    # (midpoint, a, b, midpoint key or None) for each mirror edge a->b,
+    # times scale, with the two collinear middle edges as one.
+    edges: tuple[tuple[Vec, Vec, Vec, Vec | None], ...]
+    midpoint_keys: frozenset[Vec]    # class keys of the non-degenerate midpoints
     summaries: dict = field(default_factory=dict)  # slope -> PullbackSummary
+    plans: dict = field(default_factory=dict)      # class mod 2N -> pullback.ClassPlan
     images: dict = field(default_factory=dict)     # slope -> pullback_slope value
 
 
@@ -103,6 +115,15 @@ def build_context(pres: NetMapPresentation) -> PresentationContext:
         if mirror.degenerate
         for x in (h, vneg(h))
     )
+    # A chain is symmetric about its midpoint, so the edges on either
+    # side of it are collinear: they become one edge, and the lattice
+    # scan of interior_crossings finds a segment through the midpoint.
+    edges = []
+    for m in mirrors:
+        half = len(m.chain) // 2
+        chain = m.chain[:half] + m.chain[half + 1:]
+        for i, (a, b) in enumerate(zip(chain, chain[1:])):
+            edges.append((m.midpoint, a, b, table.key(m.midpoint) if i == half - 1 else None))
     return PresentationContext(
         scale=scale,
         mirrors=tuple(mirrors),
@@ -112,6 +133,8 @@ def build_context(pres: NetMapPresentation) -> PresentationContext:
         lookup=lookup,
         degenerate_keys=degenerate_keys,
         mirror_of={k: e[1] for k, e in lookup.items() if e[0] == "P2"},
+        edges=tuple(edges),
+        midpoint_keys=frozenset(e[3] for e in edges if e[3] is not None),
     )
 
 
@@ -222,7 +245,8 @@ def interior_crossings(
     the whole list, so keys compare only within one call.  Raises
     NonTransverseError for non-transverse incidence and
     DegenerateIncidenceError when the open segment meets a degenerate
-    mirror point.
+    mirror point; the first error along the edge list wins, and a
+    degenerate point comes before every edge.
     """
     ctx = pres.context
     extra = lcm(v[0].denominator, v[1].denominator, w[0].denominator, w[1].denominator)
@@ -232,24 +256,21 @@ def interior_crossings(
     u2 = vscale(extra, ctx.u2)
     v2 = vscale(extra, ctx.v2)
 
-    _check_degenerate_incidence(ctx, v, w)
+    met = _check_degenerate_incidence(ctx, v, w)
 
     d = vsub(q, p)
-    edges = []
-    for mirror in ctx.mirrors:
-        if mirror.degenerate:
-            continue
-        chain = [vscale(extra, c) for c in mirror.chain]
-        for a, b in zip(chain, chain[1:]):
-            edges.append((mirror.midpoint, a, b, cross(d, vsub(b, a))))
-    period = lcm(*(den for *_, den in edges if den))
+    edges = ctx.edges
+    if extra != 1:
+        edges = [(mid, vscale(extra, a), vscale(extra, b), key) for mid, a, b, key in edges]
+    dens = [cross(d, vsub(b, a)) for _, a, b, _ in edges]
+    period = lcm(*(den for den in dens if den))
 
     (px, py), (dx, dy) = p, d
     (u2x, u2y), (v2x, v2y) = u2, v2
     step_u = vscale(2, pres.lambda1.u)  # the translate u2, unscaled
     step_v = vscale(2, pres.lambda1.v)
     hits: list[tuple[int, Vec]] = []
-    for mid, a, b, den in edges:
+    for (mid, a, b, key), den in zip(edges, dens):
         if den == 0:
             # A parallel edge never crosses pq, but it may overlap pq or
             # touch it at a vertex.
@@ -257,6 +278,8 @@ def interior_crossings(
                 t_vec = vadd(vscale(alpha, u2), vscale(beta, v2))
                 _line_hit(p, q, vadd(a, t_vec), vadd(b, t_vec))
             continue
+        if key in met:
+            raise NonTransverseError("segment passes through a mirror endpoint or midpoint")
         # For the translate i*u2 + j*v2 of ab: tn = t0 + i*ta + j*tb is
         # cross(a' - p, b - a) and un = u0 + i*ua + j*ub is
         # cross(a' - p, q - p), with signs chosen so that den > 0.
@@ -342,44 +365,59 @@ def interior_crossings(
     return hits
 
 
-def _check_degenerate_incidence(ctx: PresentationContext, v, w) -> None:
-    if not ctx.degenerate_keys:
-        return
-    for pt in _lattice_points_on_open_segment(v, w):
-        if ctx.table.key(pt) in ctx.degenerate_keys:
+def _check_degenerate_incidence(ctx: PresentationContext, v, w) -> set[Vec]:
+    """Scan the lattice points of the open segment (v, w).
+
+    Raises DegenerateIncidenceError at the first degenerate mirror point
+    and otherwise returns the class keys of the mirror midpoints met.
+    The class key steps linearly from point to point.
+    """
+    met: set[Vec] = set()
+    if not (ctx.degenerate_keys or ctx.midpoint_keys):
+        return met
+    first, step, count = _lattice_points_on_open_segment(v, w)
+    if count <= 0:
+        return met
+    m = ctx.table.modulus
+    (k1, k2), (s1, s2) = ctx.table.key(first), ctx.table.key(step)
+    for i in range(count):
+        key = ((k1 + i * s1) % m, (k2 + i * s2) % m)
+        if key in ctx.degenerate_keys:
+            pt = (first[0] + i * step[0], first[1] + i * step[1])
             raise DegenerateIncidenceError(
                 f"open segment passes through degenerate mirror point {pt}"
             )
+        if key in ctx.midpoint_keys:
+            met.add(key)
+    return met
 
 
-def _lattice_points_on_open_segment(v, w):
-    if all(isinstance(c, int) for c in (*v, *w)):
-        # Between lattice endpoints the lattice points sit at the gcd steps.
-        dx, dy = w[0] - v[0], w[1] - v[1]
-        g = gcd(dx, dy)
-        sx, sy = dx // g, dy // g
-        for i in range(1, g):
-            yield (v[0] + i * sx, v[1] + i * sy)
-        return
-    vx, vy = Fraction(v[0]), Fraction(v[1])
-    wx, wy = Fraction(w[0]), Fraction(w[1])
-    dx, dy = wx - vx, wy - vy
-    if dx == 0:
-        if vx.denominator != 1:
-            return
-        x = int(vx)
-        lo, hi = (vy, wy) if vy <= wy else (wy, vy)
-        for y in range(floor(lo) + 1, ceil(hi)):
-            yield (x, y)
-        return
-    lo, hi = (vx, wx) if vx <= wx else (wx, vx)
-    for x in range(floor(lo) + 1, ceil(hi)):
-        fx = Fraction(x)
-        if fx == lo or fx == hi:
-            continue
-        y = vy + (fx - vx) * dy / dx
-        if y.denominator == 1:
-            yield (x, int(y))
+def _lattice_points_on_open_segment(v, w) -> tuple[Vec, Vec, int]:
+    """(first, step, count): the points first + i*step, 0 <= i < count.
+
+    They run from v to w when all four coordinates are ints, and by
+    increasing (x, y) otherwise.
+    """
+    den = lcm(v[0].denominator, v[1].denominator, w[0].denominator, w[1].denominator)
+    a, b = _scaled(v, den), _scaled(w, den)
+    if not all(isinstance(c, int) for c in (*v, *w)) and b < a:
+        a, b = b, a
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    g = gcd(dx, dy)
+    sx, sy = dx // g, dy // g
+    if den == 1:
+        return (a[0] + sx, a[1] + sy), (sx, sy), g - 1
+    # Lattice points x of the line have den * cross(x, s) = cross(a, s).
+    c, r = divmod(a[0] * sy - a[1] * sx, den)
+    if r:
+        return (0, 0), (sx, sy), 0
+    _, i, j = _xgcd(sy, -sx)  # i*sy - j*sx = 1
+    x0 = (c * i, c * j)
+    # den*x0 - a = lam * s; the open segment is 0 < lam + den*k < g.
+    lam = (den * x0[0] - a[0]) // sx if sx else (den * x0[1] - a[1]) // sy
+    lo = -lam // den + 1
+    hi = (g - lam - 1) // den
+    return (x0[0] + lo * sx, x0[1] + lo * sy), (sx, sy), hi - lo + 1
 
 
 def affine_preserves_mirrors(pres: NetMapPresentation, linear: Mat2, translation: Vec) -> bool:
@@ -431,15 +469,12 @@ def point_on_any_mirror(pres: NetMapPresentation, point: Point | Vec) -> bool:
     pt = (int(px * s), int(py * s))
     u2 = vscale(extra, ctx.u2)
     v2 = vscale(extra, ctx.v2)
-    for mirror in ctx.mirrors:
-        if mirror.degenerate:
-            continue
-        chain = [vscale(extra, c) for c in mirror.chain]
-        for a, b in zip(chain, chain[1:]):
-            for alpha, beta in _parallelogram_candidates(u2, v2, (pt, pt), (a, b)):
-                t_vec = vadd(vscale(alpha, u2), vscale(beta, v2))
-                if segments_touch(pt, pt, vadd(a, t_vec), vadd(b, t_vec)):
-                    return True
+    for _, a, b, _ in ctx.edges:
+        a, b = vscale(extra, a), vscale(extra, b)
+        for alpha, beta in _parallelogram_candidates(u2, v2, (pt, pt), (a, b)):
+            t_vec = vadd(vscale(alpha, u2), vscale(beta, v2))
+            if segments_touch(pt, pt, vadd(a, t_vec), vadd(b, t_vec)):
+                return True
     return False
 
 

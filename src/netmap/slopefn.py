@@ -25,9 +25,9 @@ from .geometry import (
     mirror_midpoint_at,
     point_on_any_mirror,
 )
-from .lattice import IDENTITY, Vec, _xgcd, cross, vadd, vscale
+from .lattice import IDENTITY, Vec, _xgcd, cross, vscale
 from .presentation import NetMapPresentation
-from .pullback import analyze_slope, coset_number
+from .pullback import analyze_slope, class_plan, coset_number
 from .slope import INESSENTIAL, Inessential, Slope, enumerate_slopes
 
 SlopeOrInessential = Slope | Inessential
@@ -48,19 +48,16 @@ class ZigzagTrace:
 def _walk_to_marked(pres: NetMapPresentation, start: Vec, step: Vec, max_t: int):
     """First marked lattice point along start + t*step, t = 1..max_t.
 
-    Returns the endpoint if it lies in a postcritical coset before any
-    other marked coset blocks the way; otherwise None.
+    Returns its t if it lies in a postcritical coset before any other
+    marked coset blocks the way; otherwise None.  The class key of the
+    point steps linearly with t.
     """
-    table, lookup = pres.context.table, pres.context.lookup
-    pt = start
-    for _ in range(max_t):
-        pt = vadd(pt, step)
-        entry = lookup.get(table.key(pt))
-        if entry is None:
-            continue
-        if entry[0] == "P2":
-            return pt
-        return None
+    table, lookup, m = pres.context.table, pres.context.lookup, pres.context.table.modulus
+    (k1, k2), (s1, s2) = table.key(start), table.key(step)
+    for t in range(1, max_t + 1):
+        entry = lookup.get(((k1 + t * s1) % m, (k2 + t * s2) % m))
+        if entry is not None:
+            return t if entry[0] == "P2" else None
     return None
 
 
@@ -69,22 +66,30 @@ def segment_candidates(pres: NetMapPresentation, slope: Slope):
 
     Candidates start at postcritical representatives whose coset number
     equals c2, then c3, walking in the +direction then the -direction.
+    The walks are made once per class of the slope mod 2N (see
+    ``pullback.ClassPlan``); each yields w = h + t*(q, p).
     """
-    summary = analyze_slope(pres, slope)
+    plan = class_plan(pres, slope)
+    summary = plan.summary
     if summary.essential == 0:
         raise NonEssentialError(f"slope {slope} pulls back with no essential component")
-    values = [coset_number(h, slope, summary.d_prime) for h in pres.postcritical]
-    direction = (slope.q, slope.p)
-    c2, c3 = summary.coset_numbers[1], summary.coset_numbers[2]
-    targets = [c2] if c2 == c3 else [c2, c3]
-    for target in targets:
-        for k, h in enumerate(pres.postcritical):
-            if values[k] != target:
-                continue
-            for sign in (1, -1):
-                w = _walk_to_marked(pres, h, vscale(sign, direction), 2 * summary.d)
-                if w is not None:
-                    yield h, w
+    if plan.segments is None:
+        values = [coset_number(h, slope, summary.d_prime) for h in pres.postcritical]
+        direction = (slope.q, slope.p)
+        c2, c3 = summary.coset_numbers[1], summary.coset_numbers[2]
+        segments = []
+        for target in [c2] if c2 == c3 else [c2, c3]:
+            for k, h in enumerate(pres.postcritical):
+                if values[k] != target:
+                    continue
+                for sign in (1, -1):
+                    t = _walk_to_marked(pres, h, vscale(sign, direction), 2 * summary.d)
+                    if t is not None:
+                        segments.append((h, sign * t))
+        plan.segments = tuple(segments)
+    q, p = slope.q, slope.p
+    for h, t in plan.segments:
+        yield h, (h[0] + t * q, h[1] + t * p)
 
 
 def find_segment(pres: NetMapPresentation, slope: Slope) -> tuple[Vec, Vec]:
@@ -170,10 +175,13 @@ def slope_graph_rows(pres: NetMapPresentation, qmax: int) -> list[tuple]:
     """The graph of the slope map over the finite slopes of height <= qmax.
 
     Rows (slope, value, image, image value) in order of value; the image
-    value is None for infinity and the inessential symbol.
+    value is None for infinity and the inessential symbol.  Two slopes
+    of height <= qmax differ by at least 1/qmax^2, so the integer
+    floor(p * qmax^2 / q) orders them as their values do.
     """
     rows = []
-    for s in sorted(enumerate_slopes(qmax)[1:], key=Slope.value):
+    square = qmax * qmax
+    for s in sorted(enumerate_slopes(qmax)[1:], key=lambda s: s.p * square // s.q):
         image = pullback_slope(pres, s)
         image_value = None if image is INESSENTIAL or image.is_infinity else image.value()
         rows.append((str(s), s.value(), str(image), image_value))

@@ -158,6 +158,22 @@ class TestObstructions:
         assert (code, out) == (2, "")
         assert err == "error: budget must be a positive integer\n"
 
+    @pytest.mark.parametrize(
+        "extra", [["--budget", "0", "--height", "0"], ["--height", "20"], ["--budget", "12"]]
+    )
+    def test_slopes_with_height_or_budget_exits_2(self, capsys, main_path, extra):
+        code, out, err = run(
+            capsys, "obstructions", main_path, "--slopes=-1/2,-1/4,1/8,1/4,1/3,7/16,1/2,3/4",
+            *extra,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: obstructions --slopes takes no --height or --budget\n"
+
+    def test_defaults_are_height_20_budget_12(self, capsys, main_path):
+        default = run(capsys, "obstructions", main_path)
+        explicit = run(capsys, "obstructions", main_path, "--height", "20", "--budget", "12")
+        assert default == explicit and default[1].startswith("UNOBSTRUCTED")
+
     def test_obstructed_presentation(self, capsys, euclidean_path):
         code, out, _ = run(capsys, "obstructions", euclidean_path, "--height", "10")
         assert code == 0
@@ -209,6 +225,12 @@ class TestEquations:
         code, out, err = run(capsys, "equations", main_path, *argv)
         assert (code, out) == (2, "")
         assert err == "error: equations --check needs --affine\n"
+
+    @pytest.mark.parametrize("argv", [["inf"], ["1/4", "--check", "30"]])
+    def test_slope_with_affine_exits_2(self, capsys, main_path, argv):
+        code, out, err = run(capsys, "equations", main_path, *argv, "--affine", "1,0;5,1;0,0")
+        assert (code, out) == (2, "")
+        assert err == "error: equations takes a SLOPE or --affine, not both\n"
 
     def test_missing_slope_exits_2(self, capsys, main_path):
         code, out, err = run(capsys, "equations", main_path)

@@ -10,16 +10,37 @@ the open segment is a degenerate incidence.
 from fractions import Fraction
 from math import ceil, floor, gcd
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from netmap import bundled_presentation
 from netmap.errors import DegenerateIncidenceError, NonEssentialError, NonTransverseError
 from netmap.geometry import interior_crossings, mirror_midpoint_at
+from netmap.presentation import parse, serialize
 from netmap.slope import Slope
 from netmap.slopefn import segment_candidates
 
 PRESENTATIONS = {name: bundled_presentation(name) for name in ("main", "double", "euclidean")}
+# main with mirror 3 bent: (2, -2) (3/2, -3/2) (2, -1) (5/2, -1/2) (2, 0).
+PRESENTATIONS["bent"] = parse(
+    serialize(PRESENTATIONS["main"]).replace(
+        "mirror 3 = (2,-1) : (2,0)", "mirror 3 = (2,-1) : (5/2,-1/2) (2,0)"
+    )
+)
+# Four straight mirrors and no degenerate one, on a non-rectangular L1.
+PRESENTATIONS["straight"] = parse(
+    """
+name = straight
+lambda1 = (3,0) (2,1)
+postcritical = (3,2) (1,1) (2,0) (4,1)
+correspondence = (3,0) (2,1)
+mirror 1 = (3,3) : (3,2)
+mirror 2 = (1,2) : (1,1)
+mirror 3 = (2,1) : (2,0)
+mirror 4 = (4,2) : (4,1)
+"""
+)
 
 
 def _cross(a, b):
@@ -191,6 +212,60 @@ def test_reference_sees_failures():
     assert _agree("main", (2, -2), (2, 0)) is NonTransverseError
     assert _agree("main", (0, -3), (4, -1)) is NonTransverseError
     assert _agree("main", (-4, 2), (4, -2)) is DegenerateIncidenceError
+
+
+MAIN_MIDPOINT_SEGMENTS = [
+    ((1, -1), (3, -1)),    # through mirror 3's midpoint (2, -1)
+    ((5, -3), (7, -3)),    # through its translate (6, -3)
+    ((1, 3), (3, 5)),      # through mirror 4's midpoint (2, 4)
+    ((Fraction(11, 2), Fraction(-3)), (Fraction(13, 2), Fraction(-3))),
+]
+
+
+@pytest.mark.parametrize(
+    "name, v, w",
+    [("main", v, w) for v, w in MAIN_MIDPOINT_SEGMENTS]
+    + [("bent", v, w) for v, w in MAIN_MIDPOINT_SEGMENTS]
+    + [
+        ("straight", (Fraction(3, 2), Fraction(1)), (Fraction(5, 2), Fraction(1))),
+        ("straight", (0, 3), (8, 1)),  # through (4, 2), mirror 4's midpoint
+    ],
+)
+def test_segment_through_a_mirror_midpoint_is_not_transverse(name, v, w):
+    # The two middle edges of a mirror are one edge of the kernel, so
+    # only its lattice scan sees the midpoint.
+    with pytest.raises(NonTransverseError) as err:
+        interior_crossings(PRESENTATIONS[name], v, w)
+    assert str(err.value) == "segment passes through a mirror endpoint or midpoint"
+    assert _agree(name, v, w) is NonTransverseError
+
+
+@pytest.mark.parametrize(
+    "v, w, point",
+    [
+        # Int ends are scanned from v to w, others by increasing (x, y).
+        ((-2, 1), (6, -3), (0, 0)),
+        ((6, -3), (-2, 1), (4, -2)),
+        ((Fraction(-1, 2), Fraction(1, 4)), (Fraction(9, 2), Fraction(-9, 4)), (0, 0)),
+        ((Fraction(9, 2), Fraction(-9, 4)), (Fraction(-1, 2), Fraction(1, 4)), (0, 0)),
+        ((Fraction(0), Fraction(-1, 2)), (Fraction(0), Fraction(21, 2)), (0, 0)),
+        ((Fraction(0), Fraction(21, 2)), (Fraction(0), Fraction(-1, 2)), (0, 0)),
+    ],
+)
+def test_degenerate_incidence_names_the_first_point(v, w, point):
+    # Each segment meets two or three degenerate points of main.
+    with pytest.raises(DegenerateIncidenceError) as err:
+        interior_crossings(PRESENTATIONS["main"], v, w)
+    assert str(err.value) == f"open segment passes through degenerate mirror point {point}"
+
+
+def test_bent_mirror_keeps_its_crossings():
+    # x = 9/4 meets both bent edges on the right of mirror 3's midpoint.
+    v, w = (Fraction(9, 4), Fraction(-2)), (Fraction(9, 4), Fraction(1))
+    assert _agree("bent", v, w) == [(2, -1), (2, -1)]
+    assert _agree("main", v, w) == []
+    outcomes = [_agree("bent", v, w) for v, w in _zigzag_segments("bent", 5)]
+    assert sum(len(o) for o in outcomes if isinstance(o, list)) > 100
 
 
 def reference_midpoint(pres, point):

@@ -1,12 +1,18 @@
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netmap.pullback import analyze_slope, coset_number, multiplier
-from netmap.slope import Slope
+from netmap import bundled_presentation
+from netmap.errors import NonEssentialError, ValidationError
+from netmap.lattice import Basis2, order_in_quotient
+from netmap.presentation import MirrorArc, NetMapPresentation, validate
+from netmap.pullback import PullbackSummary, analyze_slope, coset_number, multiplier
+from netmap.slope import Slope, enumerate_slopes
+from netmap.slopefn import segment_candidates
 
 # One representative slope per residue class (q mod 20, 2p+q mod 5) of
 # the bundled degree-10 example, with the published table row.
@@ -126,3 +132,130 @@ class TestUnitRescaling:
         m2 = analyze_slope(main_pres, s2)
         if m2.d == m.d:
             assert m2.coset_numbers == m.coset_numbers
+
+
+# ---------------------------------------------------------------------------
+# Class plans against a direct, per-slope computation
+
+
+def reference_summary(pres, slope):
+    d = order_in_quotient((slope.q, slope.p), pres.lambda1)
+    d_prime = pres.lambda1.index // d
+    cs = tuple(sorted(coset_number(h, slope, d_prime) for h in pres.postcritical))
+    return PullbackSummary(
+        slope, d, d_prime, cs, cs[2] - cs[1], cs[1] - cs[0] + cs[3] - cs[2],
+        cs[0] - cs[3] + d_prime, Fraction(cs[2] - cs[1], d),
+    )
+
+
+def _in_double_l1(pres, x):
+    coords = pres.lambda1.integer_coords(x)
+    return coords is not None and coords[0] % 2 == 0 and coords[1] % 2 == 0
+
+
+def reference_segments(pres, slope):
+    """Marked segments by walking from each h, with membership in 2*L1
+    tested directly; a class that is both postcritical and in L1 counts
+    as postcritical."""
+    summary = reference_summary(pres, slope)
+    if summary.essential == 0:
+        return NonEssentialError
+    u, v = pres.lambda1.u, pres.lambda1.v
+    l1_reps = [(0, 0), u, v, (u[0] + v[0], u[1] + v[1])]
+
+    def marked(pt):
+        for h in pres.postcritical:
+            for x in (h, (-h[0], -h[1])):
+                if _in_double_l1(pres, (pt[0] - x[0], pt[1] - x[1])):
+                    return "P2"
+        for rep in l1_reps:
+            if _in_double_l1(pres, (pt[0] - rep[0], pt[1] - rep[1])):
+                return "P1"
+        return None
+
+    c2, c3 = summary.coset_numbers[1], summary.coset_numbers[2]
+    out = []
+    for target in ([c2] if c2 == c3 else [c2, c3]):
+        for h in pres.postcritical:
+            if coset_number(h, slope, summary.d_prime) != target:
+                continue
+            for sign in (1, -1):
+                for t in range(1, 2 * summary.d + 1):
+                    pt = (h[0] + sign * t * slope.q, h[1] + sign * t * slope.p)
+                    kind = marked(pt)
+                    if kind == "P2":
+                        out.append((h, pt))
+                    if kind is not None:
+                        break
+    return out
+
+
+def _plan_outcome(pres, slope):
+    try:
+        return list(segment_candidates(pres, slope))
+    except NonEssentialError:
+        return NonEssentialError
+
+
+def _check_plans(pres, slopes):
+    for s in slopes:
+        assert analyze_slope(pres, s) == reference_summary(pres, s)
+        assert _plan_outcome(pres, s) == reference_segments(pres, s)
+    m = 2 * pres.lambda1.index
+    assert len(pres.context.plans) == len({(s.q % m, s.p % m) for s in slopes})
+
+
+@pytest.mark.parametrize("name", ["main", "double", "euclidean"])
+def test_class_plans_match_direct_computation(name):
+    pres = bundled_presentation(name)
+    _check_plans(pres, enumerate_slopes(40))
+
+
+def random_presentation(seed):
+    """A valid presentation with L1 = <(a, 0), (b, c)> of index 2..36.
+
+    A postcritical point on L1 gets a degenerate mirror, any other a
+    straight one to the nearest point of L1.  Draws repeat until one
+    passes validation.
+    """
+    rng = random.Random(seed)
+    while True:
+        a, c = rng.randint(1, 6), rng.randint(1, 6)
+        if a * c < 2:
+            continue
+        basis = Basis2((a, 0), (rng.randint(0, a - 1), c))
+        hs = tuple((rng.randint(0, 2 * a), rng.randint(0, 2 * c)) for _ in range(4))
+        mirrors = []
+        for h in hs:
+            if basis.contains(h):
+                mirrors.append(MirrorArc(h))
+                continue
+            near = [
+                (i * basis.u[0] + j * basis.v[0], i * basis.u[1] + j * basis.v[1])
+                for i in range(-4, 5)
+                for j in range(-4, 5)
+            ]
+            mid = min(near, key=lambda m: ((m[0] - h[0]) ** 2 + (m[1] - h[1]) ** 2, m))
+            mirrors.append(MirrorArc(mid, ((Fraction(h[0]), Fraction(h[1])),)))
+        pres = NetMapPresentation("random", basis, hs, tuple(mirrors), basis)
+        try:
+            validate(pres)
+        except ValidationError:
+            continue
+        return pres
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 2**32))
+def test_class_plans_on_other_lattices(seed):
+    pres = random_presentation(seed)
+    step = 2 * pres.lambda1.index
+    slopes = enumerate_slopes(10)
+    # Shifts by 2N keep the class, so later slopes reuse the plans.
+    slopes += [
+        Slope(s.p + step * x, s.q + step * y)
+        for s in enumerate_slopes(4)
+        for x, y in ((1, 0), (0, 1), (-2, 3))
+        if gcd(s.p + step * x, s.q + step * y) == 1
+    ]
+    _check_plans(pres, slopes)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import netmap.slopefn as slopefn
 from netmap.errors import (
     DegenerateIncidenceError,
     NonEssentialError,
@@ -13,7 +14,7 @@ from netmap.errors import (
 )
 from netmap.geometry import interior_crossings, point_on_any_mirror
 from netmap.pullback import analyze_slope
-from netmap.slope import INESSENTIAL, Slope
+from netmap.slope import INESSENTIAL, Slope, enumerate_slopes
 from netmap.slopefn import (
     find_segment,
     mirror_crossings,
@@ -262,3 +263,12 @@ class TestPointOnMirror:
             assert point_on_any_mirror(pres, (x, y))
             assert not point_on_any_mirror(pres, (x + eps, y))
             assert not point_on_any_mirror(pres, (x - eps, y))
+
+
+def test_graph_rows_follow_value_order(main_pres, monkeypatch):
+    # The rows are ordered by an integer key, floor(p * Q^2 / q).
+    monkeypatch.setattr(slopefn, "pullback_slope", lambda pres, s: INESSENTIAL)
+    for qmax in range(1, 81):
+        rows = slopefn.slope_graph_rows(main_pres, qmax)
+        by_value = sorted(enumerate_slopes(qmax)[1:], key=Slope.value)
+        assert [row[0] for row in rows] == [str(s) for s in by_value]
