@@ -249,6 +249,48 @@ def cmd_nonsep(args) -> int:
     return 2
 
 
+# Each subcommand's help and arguments, as the names and keyword arguments
+# of argparse's add_argument.  Its handler is the module's cmd_<name>,
+# looked up when a command line is parsed, so a patched handler is used.
+_COMMANDS = {
+    "analyze": ("pullback data for one slope or the table", (
+        ("file", {}),
+        ("--slope", {"help": 'slope as "p/q", "p" or "inf"'}),
+        ("--table", {"action": "store_true",
+                     "help": "sweep the eight residue classes of the bundled example"}),
+        ("--format", {"choices": ("text", "csv"), "default": "text"}),
+    )),
+    "slope": ("image of a slope under the induced map", (
+        ("file", {}),
+        ("value", {"nargs": "?", "help": 'slope as "p/q", "p" or "inf"'}),
+        ("--graph", {"type": int, "metavar": "QMAX",
+                     "help": "emit CSV over all reduced slopes with |p|,|q| <= QMAX"}),
+        ("--out", {"help": "write CSV here instead of stdout"}),
+    )),
+    "obstructions": ("search for Thurston obstructions", (
+        ("file", {}),
+        ("--height", {"type": int, "help": "search height (default 20)"}),
+        ("--budget", {"type": int, "help": "half-space budget (default 12)"}),
+        ("--slopes", {"help": "comma-separated slopes for an explicit certificate"}),
+        ("--svg", {"help": "draw the certificate half-spaces to this file"}),
+    )),
+    "equations": ("functional equations for the induced map", (
+        ("file", {}),
+        ("value", {"nargs": "?", "help": "slope for a Dehn-twist equation"}),
+        ("--affine", {"help": 'affine symmetry "a,b;c,d;tx,ty"'}),
+        ("--check", {"type": int, "metavar": "HEIGHT",
+                     "help": "run the slope-level consistency suite to this height"}),
+    )),
+    "nonsep": ("nonseparating subsets of Z/m + Z/n", (
+        ("group", {"help": 'group as "m,n"'}),
+        ("--check", {"help": 'four elements "(x1,y1);...;(x4,y4)"'}),
+        ("--search", {"action": "store_true"}),
+        ("--refute", {"action": "store_true", "help": "degree-2 refutation report (group 4,2)"}),
+        ("--budget", {"type": int, "default": 100_000}),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netmap",
@@ -256,53 +298,74 @@ def build_parser() -> argparse.ArgumentParser:
         "presented by lattice data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="pullback data for one slope or the table")
-    p.add_argument("file")
-    p.add_argument("--slope", help='slope as "p/q", "p" or "inf"')
-    p.add_argument("--table", action="store_true",
-                   help="sweep the eight residue classes of the bundled example")
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("slope", help="image of a slope under the induced map")
-    p.add_argument("file")
-    p.add_argument("value", nargs="?", help='slope as "p/q", "p" or "inf"')
-    p.add_argument("--graph", type=int, metavar="QMAX",
-                   help="emit CSV over all reduced slopes with |p|,|q| <= QMAX")
-    p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(func=cmd_slope)
-
-    p = sub.add_parser("obstructions", help="search for Thurston obstructions")
-    p.add_argument("file")
-    p.add_argument("--height", type=int, help="search height (default 20)")
-    p.add_argument("--budget", type=int, help="half-space budget (default 12)")
-    p.add_argument("--slopes", help="comma-separated slopes for an explicit certificate")
-    p.add_argument("--svg", help="draw the certificate half-spaces to this file")
-    p.set_defaults(func=cmd_obstructions)
-
-    p = sub.add_parser("equations", help="functional equations for the induced map")
-    p.add_argument("file")
-    p.add_argument("value", nargs="?", help="slope for a Dehn-twist equation")
-    p.add_argument("--affine", help='affine symmetry "a,b;c,d;tx,ty"')
-    p.add_argument("--check", type=int, metavar="HEIGHT",
-                   help="run the slope-level consistency suite to this height")
-    p.set_defaults(func=cmd_equations)
-
-    p = sub.add_parser("nonsep", help="nonseparating subsets of Z/m + Z/n")
-    p.add_argument("group", help='group as "m,n"')
-    p.add_argument("--check", help='four elements "(x1,y1);...;(x4,y4)"')
-    p.add_argument("--search", action="store_true")
-    p.add_argument("--refute", action="store_true",
-                   help="degree-2 refutation report (group 4,2)")
-    p.add_argument("--budget", type=int, default=100_000)
-    p.set_defaults(func=cmd_nonsep)
+    for name, (help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, for a command
+    line of a subcommand, exact option names each with its value, and
+    one run of positional arguments with at most one ``--`` in it.
+
+    None for any other command line (help, abbreviated options,
+    ``--name=value``, a value that starts with "-", or anything argparse
+    would reject), which argparse then parses.  The first use of
+    argparse in a process (gettext's import of locale, the regexes it
+    compiles) takes about 7 ms, more than the rest of a typical
+    ``netmap slope FILE P/Q``, so a plain command line does not build
+    the parser.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, arguments = command
+    spec = dict(arguments)
+    names = [flag for flag in spec if not flag.startswith("-")]
+    values = {flag.lstrip("-"): kwargs.get("default", False if "action" in kwargs else None)
+              for flag, kwargs in arguments}
+    positional: list[str] = []
+    run = dashed = None  # run: None before the positional run, True in it, False after
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if dashed or token == "--" or not token.startswith("-"):
+            if run is False or token == "--" and dashed:
+                return None
+            run, dashed = True, dashed or token == "--"
+            if token != "--":
+                positional.append(token)
+            continue
+        if run:
+            run = False
+        kwargs = spec.get(token)
+        if kwargs is None:
+            return None
+        if "action" in kwargs:  # store_true
+            values[token[2:]] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        values[token[2:]] = value
+    required = sum(1 for flag in names if "nargs" not in spec[flag])
+    if not required <= len(positional) <= len(names):
+        return None
+    values.update(zip(names, positional))
+    return argparse.Namespace(command=argv[0], **values, func=globals()[f"cmd_{argv[0]}"])
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PresentationSyntaxError, ValidationError, FileNotFoundError, ValueError) as exc:

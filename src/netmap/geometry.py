@@ -13,7 +13,11 @@ points of the parallelogram 0 <= tn, un <= den.  They are enumerated
 line by line, with the bounds of each line from integer floor
 division.  The lines run along a Gauss-reduced lattice direction in
 which the parallelogram is long, so the lines of an edge number about
-the square root of the parallelogram's area, not its length.  A
+the square root of the parallelogram's area, not its length.  Along a
+line tn and un step by constants, so only its first and last crossing
+can touch an end of pq or of the edge; on a line of more than
+``_SHORT_LINE`` crossings the others are built as arithmetic
+progressions, with no Python step per crossing.  A
 crossing's sort key is the exact integer tn * (L // den), with L the
 lcm of the edge denominators: one integer sort orders every crossing
 along pq.  Edges parallel to pq never cross it; they are only checked
@@ -24,7 +28,14 @@ symmetric about its midpoint m, so the two edges at m are collinear and
 form one edge; a straight mirror is a single edge.  m lies in L1, so a
 segment through a translate of m meets a lattice point of class m mod
 2*L1.  One scan of the segment's lattice points, stepping the class key
-linearly, finds those points and the degenerate mirror points.
+linearly, finds those points and the degenerate mirror points.  A
+marked segment of a class plan skips the scan (``walked=True``, passed
+by ``slopefn.mirror_crossings`` for exactly those segments): the class
+walk that found it has looked up every lattice point of its open
+segment in the context's table of marked classes, which holds every
++-h class and all four classes of L1 mod 2*L1, and found none marked.
+Every other segment is scanned.  A marked point's mirror midpoint is the point
+plus an offset looked up by its class.
 
 Every other question about 2*L1 translates goes through one
 enumerator, ``_parallelogram_candidates``: which translates of a
@@ -38,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -47,13 +59,17 @@ from .presentation import ClassTable, NetMapPresentation, segments_touch
 
 Point = tuple[Fraction, Fraction]
 
+# Lines of translates with more crossings than this build them as
+# arithmetic progressions; on shorter ones a loop of Python steps is
+# faster (the two break even at about 8 crossings a line).
+_SHORT_LINE = 8
+
 
 @dataclass(frozen=True)
 class ScaledMirror:
     degenerate: bool
     midpoint: Vec           # unscaled
     chain: tuple[Vec, ...]  # full polyline, times scale
-    ends: tuple[Vec, Vec]   # first and last polyline points, unscaled
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +89,8 @@ class PresentationContext:
     # L1/2L1 classes.
     lookup: dict[Vec, tuple]
     degenerate_keys: frozenset[Vec]  # class keys of +-h for degenerate mirrors
-    mirror_of: dict[Vec, int]        # postcritical class key -> mirror index
+    # Class key of a mirror end -> midpoint minus that end.
+    midpoint_offsets: dict[Vec, Vec]
     # (midpoint, a, b, midpoint key or None) for each mirror edge a->b,
     # times scale, with the two collinear middle edges as one.
     edges: tuple[tuple[Vec, Vec, Vec, Vec | None], ...]
@@ -90,7 +107,12 @@ def build_context(pres: NetMapPresentation) -> PresentationContext:
             denoms.append(p[0].denominator)
             denoms.append(p[1].denominator)
     scale = lcm(*denoms)
+    table = ClassTable(basis=pres.lambda1, modulus=2 * pres.lambda1.index)
     mirrors = []
+    # Validation puts the ends of mirror k in the classes of h_k and -h_k
+    # (a degenerate mirror, with h_k in L1, is its own end), and keeps the
+    # ends of distinct mirrors in distinct classes.
+    midpoint_offsets = {}
     for mirror in pres.mirrors:
         poly = mirror.full_polyline()
         mirrors.append(
@@ -98,10 +120,11 @@ def build_context(pres: NetMapPresentation) -> PresentationContext:
                 degenerate=mirror.degenerate,
                 midpoint=mirror.midpoint,
                 chain=tuple((int(p[0] * scale), int(p[1] * scale)) for p in poly),
-                ends=tuple((int(p[0]), int(p[1])) for p in (poly[0], poly[-1])),
             )
         )
-    table = ClassTable(basis=pres.lambda1, modulus=2 * pres.lambda1.index)
+        for x, y in (poly[0], poly[-1]):
+            end = (int(x), int(y))
+            midpoint_offsets[table.key(end)] = vsub(mirror.midpoint, end)
     lookup: dict[Vec, tuple] = {}
     for k, h in enumerate(pres.postcritical):
         lookup[table.key(h)] = ("P2", k, +1)
@@ -132,7 +155,7 @@ def build_context(pres: NetMapPresentation) -> PresentationContext:
         table=table,
         lookup=lookup,
         degenerate_keys=degenerate_keys,
-        mirror_of={k: e[1] for k, e in lookup.items() if e[0] == "P2"},
+        midpoint_offsets=midpoint_offsets,
         edges=tuple(edges),
         midpoint_keys=frozenset(e[3] for e in edges if e[3] is not None),
     )
@@ -186,22 +209,15 @@ def _parallelogram_candidates(u2: Vec, v2: Vec, ab: tuple[Vec, Vec], cd: tuple[V
 def mirror_midpoint_at(pres: NetMapPresentation, point: Vec) -> Vec:
     """Midpoint of the unique mirror containing a marked lattice point.
 
-    ``point`` must lie in a postcritical coset; for a degenerate mirror
-    the point is its own midpoint.
+    ``point`` must lie in a postcritical coset.  It is a 2*L1 translate
+    of the end of its class, so the midpoint is the same translate of
+    the mirror's midpoint; a degenerate mirror is its own midpoint.
     """
     ctx = pres.context
-    index = ctx.mirror_of.get(ctx.table.key(point))
-    if index is None:
+    offset = ctx.midpoint_offsets.get(ctx.table.key(point))
+    if offset is None:
         raise ValueError(f"{point} is not in a postcritical coset")
-    mirror = ctx.mirrors[index]
-    if mirror.degenerate:
-        return point
-    zero_key = ctx.table.key((0, 0))
-    for end in mirror.ends:
-        t = vsub(point, end)
-        if ctx.table.key(t) == zero_key:
-            return vadd(mirror.midpoint, t)
-    raise ValueError(f"{point} is not an endpoint of its class mirror")
+    return (point[0] + offset[0], point[1] + offset[1])
 
 
 def _line_hit(p: Vec, q: Vec, a: Vec, b: Vec) -> None:
@@ -235,7 +251,7 @@ def _scaled(point: Point | Vec, factor: int) -> Vec:
 
 
 def interior_crossings(
-    pres: NetMapPresentation, v: Point | Vec, w: Point | Vec
+    pres: NetMapPresentation, v: Point | Vec, w: Point | Vec, *, walked: bool = False
 ) -> list[tuple[int, Vec]]:
     """Transverse crossings of the open segment (v, w) with the mirrors.
 
@@ -247,28 +263,33 @@ def interior_crossings(
     DegenerateIncidenceError when the open segment meets a degenerate
     mirror point; the first error along the edge list wins, and a
     degenerate point comes before every edge.
+
+    ``walked`` says that v and w are lattice points and that every
+    lattice point of the open segment lies outside the marked classes
+    (those of +-h and of L1 mod 2*L1), as for the segments of a class
+    walk.  Such a segment meets no degenerate point and no midpoint, so
+    the lattice scan is skipped.
     """
     ctx = pres.context
-    extra = lcm(v[0].denominator, v[1].denominator, w[0].denominator, w[1].denominator)
-    s = ctx.scale * extra
-    p = _scaled(v, s)
-    q = _scaled(w, s)
-    u2 = vscale(extra, ctx.u2)
-    v2 = vscale(extra, ctx.v2)
+    s, u2, v2, edges = ctx.scale, ctx.u2, ctx.v2, ctx.edges
+    if type(v[0]) is type(v[1]) is type(w[0]) is type(w[1]) is int:
+        p, q = (v[0] * s, v[1] * s), (w[0] * s, w[1] * s)
+    else:
+        extra = lcm(v[0].denominator, v[1].denominator, w[0].denominator, w[1].denominator)
+        p, q = _scaled(v, s * extra), _scaled(w, s * extra)
+        if extra != 1:
+            u2, v2 = vscale(extra, u2), vscale(extra, v2)
+            edges = [(mid, vscale(extra, a), vscale(extra, b), key) for mid, a, b, key in edges]
 
-    met = _check_degenerate_incidence(ctx, v, w)
+    met = () if walked else _check_degenerate_incidence(ctx, v, w)
 
-    d = vsub(q, p)
-    edges = ctx.edges
-    if extra != 1:
-        edges = [(mid, vscale(extra, a), vscale(extra, b), key) for mid, a, b, key in edges]
-    dens = [cross(d, vsub(b, a)) for _, a, b, _ in edges]
+    (px, py), (qx, qy) = p, q
+    dx, dy = qx - px, qy - py
+    dens = [dx * (b[1] - a[1]) - dy * (b[0] - a[0]) for _, a, b, _ in edges]
     period = lcm(*(den for den in dens if den))
 
-    (px, py), (dx, dy) = p, d
     (u2x, u2y), (v2x, v2y) = u2, v2
-    step_u = vscale(2, pres.lambda1.u)  # the translate u2, unscaled
-    step_v = vscale(2, pres.lambda1.v)
+    (ux, uy), (vx, vy) = pres.lambda1.u, pres.lambda1.v  # u2 = 2u and v2 = 2v, unscaled
     hits: list[tuple[int, Vec]] = []
     for (mid, a, b, key), den in zip(edges, dens):
         if den == 0:
@@ -315,8 +336,8 @@ def interior_crossings(
                 break
             ta, ua, tb, ub, n1, n2 = tb, ub, ta, ua, n2, n1
             si, sj, ri, rj = ri, rj, si, sj
-        iux, iuy = si * step_u[0] + sj * step_v[0], si * step_u[1] + sj * step_v[1]
-        jux, juy = ri * step_u[0] + rj * step_v[0], ri * step_u[1] + rj * step_v[1]
+        iux, iuy = 2 * (si * ux + sj * vx), 2 * (si * uy + sj * vy)
+        jux, juy = 2 * (ri * ux + rj * vx), 2 * (ri * uy + rj * vy)
         # Range of i: i = (ub*(tn - t0) - tb*(un - u0)) / det over the
         # corners tn, un in {0, den}.
         det = ta * ub - tb * ua
@@ -350,17 +371,35 @@ def interior_crossings(
             un = u0 + i * ua + lo * ub
             mx = mx0 + i * iux + lo * jux
             my = my0 + i * iuy + lo * juy
-            for _ in range(hi - lo + 1):
-                if 0 < tn < den:  # tn in {0, den}: contact at v or w
-                    if not 0 < un < den:
-                        raise NonTransverseError(
-                            "segment passes through a mirror endpoint or midpoint"
-                        )
-                    hits.append((tn * mult, (mx, my)))
-                tn += tb
-                un += ub
-                mx += jux
-                my += juy
+            if hi - lo < _SHORT_LINE:
+                for _ in range(hi - lo + 1):
+                    if 0 < tn < den:  # tn in {0, den}: contact at v or w
+                        if not 0 < un < den:
+                            raise NonTransverseError(
+                                "segment passes through a mirror endpoint or midpoint"
+                            )
+                        hits.append((tn * mult, (mx, my)))
+                    tn += tb
+                    un += ub
+                    mx += jux
+                    my += juy
+                continue
+            # tn and un step by tb and ub and stay in [0, den], so only the
+            # first and last j can meet 0 or den (every j when the step is 0).
+            if not 0 < tn < den:
+                if tb == 0:
+                    continue
+                lo, tn, un, mx, my = lo + 1, tn + tb, un + ub, mx + jux, my + juy
+            n = hi - lo + 1
+            if not 0 < tn + (n - 1) * tb < den:
+                n -= 1
+            if not (0 < un < den and 0 < un + (n - 1) * ub < den):
+                raise NonTransverseError("segment passes through a mirror endpoint or midpoint")
+            # The other crossings as arithmetic progressions.
+            keys = range(tn * mult, (tn + n * tb) * mult, tb * mult) if tb else repeat(tn * mult, n)
+            xs = range(mx, mx + n * jux, jux) if jux else repeat(mx, n)
+            ys = range(my, my + n * juy, juy) if juy else repeat(my, n)
+            hits.extend(zip(keys, zip(xs, ys)))
     hits.sort(key=itemgetter(0))
     return hits
 

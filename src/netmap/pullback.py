@@ -55,7 +55,11 @@ class ClassPlan:
     lies in 2*L1, so the point keeps its class key mod 2*L1: the walk
     stops at the same t with the same outcome.  The marked segments of
     p/q are therefore (h, h + t*(q, p)) for the same (h, t), with t < 0
-    on the minus walk.
+    on the minus walk.  The walk has looked up every lattice point
+    strictly between h and h + t*(q, p) and found it unmarked, so the
+    crossing kernel skips its lattice scan for these segments, which
+    ``slopefn.mirror_crossings`` knows by their (h, t) in ``segments``;
+    the zigzag reads ``essential`` from the plan's summary.
     """
 
     summary: PullbackSummary  # of the first slope of the class seen

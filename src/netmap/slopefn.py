@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import gcd
+from operator import itemgetter
 
 from .errors import (
     DegenerateIncidenceError,
@@ -104,12 +107,31 @@ def mirror_crossings(pres: NetMapPresentation, v: Vec, w: Vec) -> list[Vec]:
 
     The list starts with the midpoint of the mirror containing v and
     ends with that of the mirror containing w; interior entries are the
-    midpoints of the transversely crossed mirror translates.
+    midpoints of the transversely crossed mirror translates.  A marked
+    segment of a class plan skips the kernel's lattice scan, since the
+    walk that found it has looked up every lattice point between v and
+    w and found none marked; every other segment is scanned.
     """
     first = mirror_midpoint_at(pres, v)
     last = mirror_midpoint_at(pres, w)
-    interior = [mid for _, mid in interior_crossings(pres, v, w)]
+    walked = _plan_segment(pres, v, w)
+    interior = [mid for _, mid in interior_crossings(pres, v, w, walked=walked)]
     return [first, *interior, last]
+
+
+def _plan_segment(pres: NetMapPresentation, v: Vec, w: Vec) -> bool:
+    """Whether (v, w) is (h, h + t*(q, p)) for a marked segment (h, t)
+    that ``segment_candidates`` has stored in the plan of p/q's class."""
+    dx, dy = w[0] - v[0], w[1] - v[1]
+    if type(dx) is not int or type(dy) is not int or dx == dy == 0:
+        return False
+    t = gcd(dx, dy) if dx > 0 or (dx == 0 and dy > 0) else -gcd(dx, dy)
+    m = pres.context.table.modulus
+    plan = pres.context.plans.get((dx // t % m, dy // t % m))
+    return plan is not None and plan.segments is not None and (v, t) in plan.segments
+
+
+_X, _Y = itemgetter(0), itemgetter(1)
 
 
 def _alternating_sum(midpoints: list[Vec]) -> Vec:
@@ -119,14 +141,14 @@ def _alternating_sum(midpoints: list[Vec]) -> Vec:
     (fx, fy), (lx, ly) = midpoints[0], midpoints[n]
     odd, even = midpoints[1:n:2], midpoints[2:n:2]
     sign = 1 if n % 2 else -1
-    ix = sum(x for x, _ in odd) - sum(x for x, _ in even)
-    iy = sum(y for _, y in odd) - sum(y for _, y in even)
+    ix = sum(map(_X, odd)) - sum(map(_X, even))
+    iy = sum(map(_Y, odd)) - sum(map(_Y, even))
     return (2 * ix - fx + sign * lx, 2 * iy - fy + sign * ly)
 
 
 def zigzag_trace(pres: NetMapPresentation, slope: Slope) -> ZigzagTrace | None:
     """Full zigzag data for an essential slope; None when inessential."""
-    if analyze_slope(pres, slope).essential == 0:
+    if class_plan(pres, slope).summary.essential == 0:
         return None
     failure: Exception | None = None
     for v, w in segment_candidates(pres, slope):
@@ -219,6 +241,11 @@ def slope_orbit(
 # Closed form for the bundled degree-10 example
 
 
+def _require_reduced(slope: Slope) -> None:
+    if Slope.of(slope.p, slope.q) != slope:
+        raise ValueError(f"slope {slope.p}/{slope.q} is not in lowest terms with q >= 0")
+
+
 def _ceil_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
@@ -252,36 +279,30 @@ def pullback_slope_via_residues(slope: Slope) -> Slope:
     mod 4.  Never returns the inessential symbol: every residue class
     of this example has an essential pullback component.
     """
+    _require_reduced(slope)
     p, q = slope.p, slope.q
     if q == 0:
         # Vertical segment from (0,0) to (0,5); no columns in between.
         return Slope(1, 0)
     base, t = _residue_segment(slope)
 
-    def tens_quotient(x: int) -> int:
-        # r = (1 + 2p/q) x - base * 2p/q reduced to 10*Q + R, -5 < R <= 5
+    def tens(x: int) -> tuple[int, Fraction]:
+        # r = (1 + 2p/q) x - base * 2p/q = 10*Q + R; the ceiling puts R in (-5, 5].
         r = Fraction((q + 2 * p) * x - 2 * p * base, q)
         quo = _ceil_frac((r - 5) / 10)
-        rem = r - 10 * quo
-        assert -5 < rem <= 5
-        return quo
-
-    def remainder_small(x: int) -> bool:
-        r = Fraction((q + 2 * p) * x - 2 * p * base, q)
-        rem = r - 10 * _ceil_frac((r - 5) / 10)
-        return abs(rem) < 2
+        return quo, r - 10 * quo
 
     far = base + t * q
     xs = [base]
     first = base + ((2 - base) % 4 or 4)
     for x in range(first, far, 4):
-        if remainder_small(x):
+        if abs(tens(x)[1]) < 2:
             xs.append(x)
     xs.append(far)
 
     num = 0
     den2 = 0
-    quos = [tens_quotient(x) for x in xs]
+    quos = [tens(x)[0] for x in xs]
     for i in range(len(xs) - 1):
         sign = 1 if i % 2 == 0 else -1
         num += sign * (quos[i + 1] - quos[i])
@@ -308,21 +329,22 @@ def pullback_slope_long_segment(
     Uses a start point v in the interior of an essential line and the
     endpoint w = v + d * (q, p) when translating by d * (q, p)
     preserves the mirror system (the halved form), or w = v + 2d *
-    (q, p) otherwise.  Kept as an independent cross-check of the
-    zigzag path.
+    (q, p) otherwise.  The start points are h + eps * c + tau * (q, p)
+    for every postcritical h of coset number c2, eps in ``offsets`` on
+    the side of the essential lines, tau in 0, 1/2, 1/3, and c a
+    lattice vector with det((q, p), c) = 1.  Kept as an independent cross-check
+    of the zigzag path; when every start point fails, the ZigzagError
+    names the check that rejected the last one.
     """
+    _require_reduced(slope)
     summary = analyze_slope(pres, slope)
     if summary.essential == 0:
         return INESSENTIAL
     p, q = slope.p, slope.q
-    direction = (q, p)
-    g, x, y = _xgcd(q, p)
-    assert g == 1
+    _, x, y = _xgcd(q, p)
     complement = (-y, x)  # det((q, p), complement-direction) = 1
     step = summary.d
-    if not affine_preserves_mirrors(
-        pres, IDENTITY, (step * direction[0], step * direction[1])
-    ):
+    if not affine_preserves_mirrors(pres, IDENTITY, (step * q, step * p)):
         step = 2 * summary.d
 
     c2, c3 = summary.coset_numbers[1], summary.coset_numbers[2]
@@ -333,42 +355,37 @@ def pullback_slope_long_segment(
         off = off % (2 * d_prime)
         return min(off, 2 * d_prime - off)
 
-    base = None
-    for h in pres.postcritical:
-        if coset_number(h, slope, d_prime) == c2:
-            base = h
-            break
-    failure: Exception | None = None
-    for eps in offsets:
-        for sign in (1, -1):
-            v = (
-                Fraction(base[0]) + sign * eps * complement[0],
-                Fraction(base[1]) + sign * eps * complement[1],
-            )
-            if not (c2 < canonical_offset(v) < c3):
-                continue
-            w = (v[0] + step * direction[0], v[1] + step * direction[1])
-            if point_on_any_mirror(pres, v) or point_on_any_mirror(pres, w):
-                continue
-            try:
-                crossings = interior_crossings(pres, v, w)
-            except (NonTransverseError, DegenerateIncidenceError) as exc:
-                failure = exc
-                continue
-            # w' = (-1)^n w + 2 * sum (-1)^(i+1) midpoint_i
-            n = len(crossings)
-            acc = (Fraction(0), Fraction(0))
-            for i, (_, mid) in enumerate(crossings, start=1):
-                s = 1 if i % 2 == 1 else -1
-                acc = (acc[0] + 2 * s * mid[0], acc[1] + 2 * s * mid[1])
-            wsign = 1 if n % 2 == 0 else -1
-            w_prime = (wsign * w[0] + acc[0], wsign * w[1] + acc[1])
-            res = (w_prime[0] - v[0], w_prime[1] - v[1])
-            cu, cv = pres.correspondence.u, pres.correspondence.v
-            det = Fraction(cross(cu, cv))
-            a = (res[0] * cv[1] - res[1] * cv[0]) / det
-            b = (cu[0] * res[1] - cu[1] * res[0]) / det
-            return Slope.of_fractions(b, a)
-    if failure is not None:
-        raise failure
-    raise ZigzagError(f"no transverse long segment found for slope {slope}")
+    bases = [h for h in pres.postcritical if coset_number(h, slope, d_prime) == c2]
+    rejected = "no start point lies between the lines of coset numbers c2 and c3"
+    shifts = (Fraction(0), Fraction(1, 2), Fraction(1, 3))
+    for h, eps, sign, tau in product(bases, offsets, (1, -1), shifts):
+        v = (
+            h[0] + sign * eps * complement[0] + tau * q,
+            h[1] + sign * eps * complement[1] + tau * p,
+        )
+        if not c2 < canonical_offset(v) < c3:
+            continue
+        w = (v[0] + step * q, v[1] + step * p)
+        if point_on_any_mirror(pres, v) or point_on_any_mirror(pres, w):
+            rejected = f"start point ({v[0]}, {v[1]}) lies on a mirror"
+            continue
+        try:
+            crossings = interior_crossings(pres, v, w)
+        except (NonTransverseError, DegenerateIncidenceError) as exc:
+            rejected = f"segment from ({v[0]}, {v[1]}): {exc}"
+            continue
+        # w' = (-1)^n w + 2 * sum (-1)^(i+1) midpoint_i
+        n = len(crossings)
+        acc = (Fraction(0), Fraction(0))
+        for i, (_, mid) in enumerate(crossings, start=1):
+            s = 1 if i % 2 == 1 else -1
+            acc = (acc[0] + 2 * s * mid[0], acc[1] + 2 * s * mid[1])
+        wsign = 1 if n % 2 == 0 else -1
+        w_prime = (wsign * w[0] + acc[0], wsign * w[1] + acc[1])
+        res = (w_prime[0] - v[0], w_prime[1] - v[1])
+        cu, cv = pres.correspondence.u, pres.correspondence.v
+        det = Fraction(cross(cu, cv))
+        a = (res[0] * cv[1] - res[1] * cv[0]) / det
+        b = (cu[0] * res[1] - cu[1] * res[0]) / det
+        return Slope.of_fractions(b, a)
+    raise ZigzagError(f"no transverse long segment found for slope {slope}; {rejected}")

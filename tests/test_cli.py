@@ -1,5 +1,6 @@
 import csv
 import io
+import random
 from importlib import resources
 
 import pytest
@@ -313,3 +314,104 @@ class TestNonsep:
     def test_bad_group_spec_exits_2(self, capsys):
         code, _, _ = run(capsys, "nonsep", "four", "--search")
         assert code == 2
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        parse(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        [],
+        ["bogus"],
+        ["bogus", "--help"],
+        ["--graph", "60"],
+        ["analyze", "--help"],
+        ["slope", "--help"],
+        ["obstructions", "--help"],
+        ["equations", "--help"],
+        ["nonsep", "--help"],
+        ["slope"],
+        ["slope", "main.net", "--graph", "x"],
+        ["obstructions", "main.net", "--unknown"],
+        ["nonsep"],
+    ],
+)
+def test_main_prints_what_the_parser_prints(capsys, argv):
+    # Help, usage and errors come from argparse, byte for byte.
+    full = _parse_outcome(capsys, cli.build_parser().parse_args, argv)
+    assert full[0] is not None
+    assert _parse_outcome(capsys, cli.main, argv) == full
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "f.net", "--table", "--format", "csv"],
+        ["analyze", "--table", "f.net"],
+        ["slope", "f.net", "--graph", "3", "--out", "x.csv"],
+        ["slope", "f.net", "200/3"],
+        ["slope", "f.net", "--", "-77/102"],
+        ["slope", "--graph", "3", "--", "f.net"],
+        ["obstructions", "f.net", "--height", "9"],
+        ["equations", "f.net", "--affine", "1,0;5,1;0,0", "--check", "3"],
+        ["nonsep", "4,2", "--search", "--budget", "7"],
+    ],
+)
+def test_plain_command_lines_skip_argparse(argv, monkeypatch):
+    expected = cli.build_parser().parse_args(argv)
+    assert cli._parse_plain(argv) == expected
+
+    def no_parser():
+        raise AssertionError("argparse built for a plain command line")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: 7)
+    assert cli.main(argv) == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["slope", "-h"],
+        ["slope", "f.net", "--gr", "3"],          # abbreviation
+        ["slope", "f.net", "--graph=3"],
+        ["slope", "f.net", "-3"],                 # argparse's negative number
+        ["slope", "f.net", "--graph", "-3"],
+        ["slope", "f.net", "--graph", "x"],
+        ["slope", "f.net", "--graph"],
+        ["slope", "f.net", "--graph", "3", "1/2"],  # two runs of positionals
+        ["slope", "f.net", "--", "--", "1/2"],
+        ["slope", "f.net", "1/2", "3/4"],
+        ["slope"],
+        ["analyze", "f.net", "--format", "xml"],
+    ],
+)
+def test_other_command_lines_go_to_argparse(argv):
+    assert cli._parse_plain(argv) is None
+
+
+def test_plain_parse_agrees_with_argparse_on_random_command_lines():
+    rng = random.Random(10)
+    words = ["f.net", "1/2", "-1/2", "-3", "7", "", "csv", "xml", "4,2", "--", "-", "-h",
+             "--gr", "--graph=5"]
+    words += [flag for _, arguments in cli._COMMANDS.values() for flag, _ in arguments]
+    plain = 0
+    for _ in range(3000):
+        argv = [rng.choice(list(cli._COMMANDS))] + rng.choices(words, k=rng.randint(0, 6))
+        got = cli._parse_plain(argv)
+        if got is None:
+            continue
+        plain += 1
+        assert got == cli.build_parser().parse_args(argv), argv
+    assert plain > 100

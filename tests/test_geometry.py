@@ -14,12 +14,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from netmap import bundled_presentation
+from netmap import bundled_presentation, geometry
 from netmap.errors import DegenerateIncidenceError, NonEssentialError, NonTransverseError
-from netmap.geometry import interior_crossings, mirror_midpoint_at
+from netmap.geometry import _check_degenerate_incidence, interior_crossings, mirror_midpoint_at
+from netmap.lattice import Basis2
 from netmap.presentation import parse, serialize
-from netmap.slope import Slope
-from netmap.slopefn import segment_candidates
+from netmap.slope import Slope, enumerate_slopes
+from netmap.slopefn import mirror_crossings, segment_candidates
 
 PRESENTATIONS = {name: bundled_presentation(name) for name in ("main", "double", "euclidean")}
 # main with mirror 3 bent: (2, -2) (3/2, -3/2) (2, -1) (5/2, -1/2) (2, 0).
@@ -186,24 +187,20 @@ def test_fractional_segments_match_reference(name, v, w):
         _agree(name, v, w)
 
 
-def _zigzag_segments(name, bound):
+def _zigzag_segments(pres, bound):
     """Every candidate zigzag segment of the slopes of height <= bound."""
-    pres = PRESENTATIONS[name]
     segments = []
-    for q in range(bound + 1):
-        for p in range(-bound, bound + 1):
-            if gcd(p, q) != 1 or (q == 0 and p != 1):
-                continue
-            try:
-                segments.extend(segment_candidates(pres, Slope(p, q)))
-            except NonEssentialError:
-                continue
+    for s in enumerate_slopes(bound):
+        try:
+            segments.extend(segment_candidates(pres, s))
+        except NonEssentialError:
+            continue
     return segments
 
 
 def test_zigzag_segments_match_reference():
     # Every zigzag candidate segment of height <= 6 on main (280 of them).
-    outcomes = [_agree("main", v, w) for v, w in _zigzag_segments("main", 6)]
+    outcomes = [_agree("main", v, w) for v, w in _zigzag_segments(PRESENTATIONS["main"], 6)]
     assert sum(len(o) for o in outcomes if isinstance(o, list)) > 200
 
 
@@ -212,6 +209,52 @@ def test_reference_sees_failures():
     assert _agree("main", (2, -2), (2, 0)) is NonTransverseError
     assert _agree("main", (0, -3), (4, -1)) is NonTransverseError
     assert _agree("main", (-4, 2), (4, -2)) is DegenerateIncidenceError
+
+
+def _mirror_end_segments(directions):
+    """Segments (name, v, w) whose only lattice point is a mirror end: the
+    end +- 9/10 of each direction, both ways."""
+    segments = []
+    for name, pres in PRESENTATIONS.items():
+        for mirror in pres.mirrors:
+            poly = mirror.full_polyline()
+            for end in (poly[0], poly[-1]):
+                for d in directions:
+                    v = (end[0] - Fraction(9, 10) * d[0], end[1] - Fraction(9, 10) * d[1])
+                    w = (end[0] + Fraction(9, 10) * d[0], end[1] + Fraction(9, 10) * d[1])
+                    segments += [(name, v, w), (name, w, v)]
+    return segments
+
+
+def test_long_segments_through_a_mirror_end_match_reference():
+    # The line of translates through the end holds several crossings, and
+    # the end can be the first or the last crossing on it.
+    segments = _mirror_end_segments(((3, 11), (11, -3), (7, 5), (-5, 9)))
+    outcomes = [_agree(name, v, w) for name, v, w in segments]
+    assert outcomes.count(NonTransverseError) > 50
+
+
+def test_progressions_match_the_per_step_loop(monkeypatch):
+    # Lines of more than _SHORT_LINE crossings are built as arithmetic
+    # progressions.  With the threshold at 2 every line of 3 or more takes
+    # that path, and must give what the per-step loop gives.
+    cases = _mirror_end_segments(((3, 11), (11, -3), (7, 31), (-23, 13)))
+    for name, pres in PRESENTATIONS.items():
+        for p, q in ((301, 1000), (-777, 1024), (1000, 1999), (-4001, 3000)):
+            try:
+                cases += [(name, v, w) for v, w in segment_candidates(pres, Slope.of(p, q))]
+            except NonEssentialError:
+                continue
+
+    def outcomes():
+        return [_outcome(_kernel_midpoints, PRESENTATIONS[name], v, w) for name, v, w in cases]
+
+    monkeypatch.setattr(geometry, "_SHORT_LINE", 10**9)
+    expected = outcomes()
+    monkeypatch.setattr(geometry, "_SHORT_LINE", 2)
+    assert outcomes() == expected
+    assert expected.count(NonTransverseError) > 50
+    assert sum(len(o) for o in expected if isinstance(o, list)) > 10_000
 
 
 MAIN_MIDPOINT_SEGMENTS = [
@@ -264,7 +307,7 @@ def test_bent_mirror_keeps_its_crossings():
     v, w = (Fraction(9, 4), Fraction(-2)), (Fraction(9, 4), Fraction(1))
     assert _agree("bent", v, w) == [(2, -1), (2, -1)]
     assert _agree("main", v, w) == []
-    outcomes = [_agree("bent", v, w) for v, w in _zigzag_segments("bent", 5)]
+    outcomes = [_agree("bent", v, w) for v, w in _zigzag_segments(PRESENTATIONS["bent"], 5)]
     assert sum(len(o) for o in outcomes if isinstance(o, list)) > 100
 
 
@@ -297,10 +340,115 @@ def test_mirror_midpoint_matches_reference(name, point):
 
 
 def test_mirror_midpoint_at_every_marked_translate():
-    for pres in PRESENTATIONS.values():
+    # The table of midpoint - end offsets against the Fraction polylines,
+    # on every 2*L1 translate of +-h near the origin.
+    for _, pres in _presentations_with_random_draws():
         u, v = pres.lambda1.u, pres.lambda1.v
         for h in pres.postcritical:
-            for a in range(-2, 3):
-                for b in range(-2, 3):
-                    pt = (h[0] + 2 * (a * u[0] + b * v[0]), h[1] + 2 * (a * u[1] + b * v[1]))
-                    assert mirror_midpoint_at(pres, pt) == reference_midpoint(pres, pt)
+            for s in (1, -1):
+                for a in range(-2, 3):
+                    for b in range(-2, 3):
+                        pt = (
+                            s * h[0] + 2 * (a * u[0] + b * v[0]),
+                            s * h[1] + 2 * (a * u[1] + b * v[1]),
+                        )
+                        assert mirror_midpoint_at(pres, pt) == reference_midpoint(pres, pt)
+
+
+def _marked(pres, pt):
+    """Whether a lattice point lies in L1 or in some +-h + 2*L1."""
+    if pres.lambda1.contains(pt):
+        return True
+    u, v = pres.lambda1.u, pres.lambda1.v
+    double = Basis2((2 * u[0], 2 * u[1]), (2 * v[0], 2 * v[1]))
+    return any(
+        double.contains(_sub(pt, (s * h[0], s * h[1])))
+        for h in pres.postcritical
+        for s in (1, -1)
+    )
+
+
+def _presentations_with_random_draws():
+    from test_pullback import random_presentation
+
+    randoms = [(f"random {seed}", random_presentation(seed)) for seed in range(12)]
+    return [*PRESENTATIONS.items(), *randoms]
+
+
+def test_plan_segments_meet_no_marked_lattice_point():
+    # The walk that makes a plan segment has already checked every lattice
+    # point of its open segment, so the kernel's lattice scan is skipped
+    # for it; the scan must indeed find nothing there, and the kernel
+    # must give the same answer with and without it.
+    checked = 0
+    for name, pres in _presentations_with_random_draws():
+        for v, w in _zigzag_segments(pres, 8):
+            g = gcd(w[0] - v[0], w[1] - v[1])
+            step = ((w[0] - v[0]) // g, (w[1] - v[1]) // g)
+            for i in range(1, g):
+                assert not _marked(pres, (v[0] + i * step[0], v[1] + i * step[1])), (name, v, w)
+            assert _check_degenerate_incidence(pres.context, v, w) == set()
+            assert _outcome(_kernel_midpoints, pres, v, w) == _outcome(
+                _walked_midpoints, pres, v, w
+            )
+            checked += 1
+    assert checked > 3000
+
+
+def _walked_midpoints(pres, v, w):
+    return [mid for _, mid in interior_crossings(pres, v, w, walked=True)]
+
+
+@pytest.mark.parametrize(
+    "v, w, error",
+    [
+        ((-4, 2), (4, -2), DegenerateIncidenceError),  # through (0, 0)
+        ((0, 0), (4, -2), NonTransverseError),         # through mirror 3's midpoint
+        ((0, 5), (4, 3), NonTransverseError),          # through mirror 4's midpoint
+    ],
+)
+def test_segments_that_are_not_walked_keep_the_scan(v, w, error):
+    # Segments of slope -1/2 between marked points of main that pass
+    # through a marked point: only the lattice scan sees it.  They are
+    # not plan segments, so they keep the scan even once the plan of
+    # their class holds its marked segments.
+    pres = PRESENTATIONS["main"]
+    assert list(segment_candidates(pres, Slope(-1, 2)))
+    with pytest.raises(error):
+        interior_crossings(pres, v, w)
+    with pytest.raises(error):
+        mirror_crossings(pres, v, w)
+
+
+def test_only_plan_segments_skip_the_scan(monkeypatch):
+    # The zigzag's segments come from plans and are never scanned; the
+    # same segments moved off their plan's start point are.
+    import netmap.geometry
+
+    scanned = []
+    scan = netmap.geometry._check_degenerate_incidence
+    monkeypatch.setattr(
+        netmap.geometry, "_check_degenerate_incidence",
+        lambda ctx, v, w: scanned.append((v, w)) or scan(ctx, v, w),
+    )
+    moved_checks = 0
+    for name, pres in PRESENTATIONS.items():
+        segments = _zigzag_segments(pres, 6)
+        for v, w in segments:
+            try:
+                mirror_crossings(pres, v, w)
+            except (NonTransverseError, DegenerateIncidenceError):
+                pass
+        assert scanned == [], name
+        if not segments:  # double: no slope of height <= 6 is essential
+            continue
+        (ux, uy), (v, w) = pres.lambda1.u, segments[0]
+        moved = ((v[0] + 2 * ux, v[1] + 2 * uy), (w[0] + 2 * ux, w[1] + 2 * uy))
+        try:
+            mirror_crossings(pres, *moved)
+        except (NonTransverseError, DegenerateIncidenceError):
+            pass
+        assert scanned == [moved], name
+        scanned.clear()
+        moved_checks += 1
+    assert moved_checks == 4

@@ -11,6 +11,7 @@ from netmap.errors import (
     DegenerateIncidenceError,
     NonEssentialError,
     NonTransverseError,
+    ZigzagError,
 )
 from netmap.geometry import interior_crossings, point_on_any_mirror
 from netmap.pullback import analyze_slope
@@ -272,3 +273,43 @@ def test_graph_rows_follow_value_order(main_pres, monkeypatch):
         rows = slopefn.slope_graph_rows(main_pres, qmax)
         by_value = sorted(enumerate_slopes(qmax)[1:], key=Slope.value)
         assert [row[0] for row in rows] == [str(s) for s in by_value]
+
+
+class TestLongSegmentOracle:
+    def test_agrees_with_zigzag_on_random_presentations(self):
+        # Seeds 10, 19, 21, 35, 42 and 57 gave the oracle no start point
+        # when it tried one h and offsets across the line only.
+        from test_pullback import random_presentation
+
+        for seed in range(60):
+            pres = random_presentation(seed)
+            for s in enumerate_slopes(8):
+                assert pullback_slope_long_segment(pres, s) == pullback_slope(pres, s), (seed, s)
+
+    @pytest.mark.parametrize(
+        "name, slope, eps, reason",
+        [
+            ("bent", "0", Fraction(1, 2),
+             "segment from (7/3, -1/2): segment passes through a mirror endpoint or midpoint"),
+            ("bent", "-2/5", Fraction(1, 2), "start point (13/6, -1/6) lies on a mirror"),
+            ("main", "-1", Fraction(1),
+             "no start point lies between the lines of coset numbers c2 and c3"),
+        ],
+    )
+    def test_give_up_names_the_last_check(self, name, slope, eps, reason):
+        from test_geometry import PRESENTATIONS
+
+        with pytest.raises(ZigzagError) as err:
+            pullback_slope_long_segment(PRESENTATIONS[name], Slope.parse(slope), offsets=(eps,))
+        assert str(err.value) == (
+            f"no transverse long segment found for slope {slope}; {reason}"
+        )
+
+
+@pytest.mark.parametrize("p, q", [(2, 4), (-3, 6), (1, -2), (2, 0), (0, 2)])
+def test_unreduced_slope_is_refused_by_the_oracles(main_pres, p, q):
+    message = f"slope {p}/{q} is not in lowest terms with q >= 0"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pullback_slope_long_segment(main_pres, Slope(p, q))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pullback_slope_via_residues(Slope(p, q))
