@@ -47,8 +47,8 @@ def main() -> int:
         except ImportError:
             print("matplotlib not available; skipping plot", file=sys.stderr)
             return 0
-        xs = [float(v) for _, v, img, w in rows if w is not None]
-        ys = [float(w) for _, v, img, w in rows if w is not None]
+        xs = [v[0] / v[1] for _, v, img, w in rows if w is not None]
+        ys = [w[0] / w[1] for _, v, img, w in rows if w is not None]
         fig, ax = plt.subplots(figsize=(7, 7))
         ax.scatter(xs, ys, s=1.5, linewidths=0, color="#1f355e")
         lo, hi = -args.qmax, args.qmax

@@ -10,9 +10,12 @@ Subcommands operate on presentation files:
     netmap nonsep M,N (--check "(h1);(h2);(h3);(h4)" | --search | --refute)
 
 Exit codes: 0 success, 2 input or validation error (also a segment that
-still meets a degenerate mirror point after retries), 3 geometric failure
-(non-transverse segments after retries, or no usable zigzag segment or an
-inconsistent zigzag sum), 4 unsupported affine symmetry.
+still meets a degenerate mirror point after retries, a presentation whose
+mirror contact check would walk more than 100,000 lines of translates,
+and a zigzag segment expected to cross more than 10^6 mirrors, refused
+before it starts), 3 geometric failure (non-transverse segments after
+retries, or no usable zigzag segment or an inconsistent zigzag sum),
+4 unsupported affine symmetry.
 """
 from __future__ import annotations
 

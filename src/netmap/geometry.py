@@ -63,6 +63,9 @@ Point = tuple[Fraction, Fraction]
 # arithmetic progressions; on shorter ones a loop of Python steps is
 # faster (the two break even at about 8 crossings a line).
 _SHORT_LINE = 8
+# Validation refuses a pair of mirrors whose contact check would walk
+# more lines of 2*L1 translates than this (see check_mirror_disjointness).
+_MAX_TRANSLATE_LINES = 100_000
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,7 @@ class PresentationContext:
     # times scale, with the two collinear middle edges as one.
     edges: tuple[tuple[Vec, Vec, Vec, Vec | None], ...]
     midpoint_keys: frozenset[Vec]    # class keys of the non-degenerate midpoints
+    edge_length: int                 # sum of |dx| + |dy| over the edges, times scale
     summaries: dict = field(default_factory=dict)  # slope -> PullbackSummary
     plans: dict = field(default_factory=dict)      # class mod 2N -> pullback.ClassPlan
     images: dict = field(default_factory=dict)     # slope -> pullback_slope value
@@ -158,6 +162,7 @@ def build_context(pres: NetMapPresentation) -> PresentationContext:
         midpoint_offsets=midpoint_offsets,
         edges=tuple(edges),
         midpoint_keys=frozenset(e[3] for e in edges if e[3] is not None),
+        edge_length=sum(abs(b[0] - a[0]) + abs(b[1] - a[1]) for _, a, b, _ in edges),
     )
 
 
@@ -204,6 +209,14 @@ def _parallelogram_candidates(u2: Vec, v2: Vec, ab: tuple[Vec, Vec], cd: tuple[V
             continue
         for beta in range(-((-lo_n) // (lo_d * d)), hi_n // (hi_d * d) + 1):
             yield alpha, beta
+
+
+def _alpha_lines(u2: Vec, v2: Vec, ab: tuple[Vec, Vec], cd: tuple[Vec, Vec]) -> int:
+    """How many lines of alpha ``_parallelogram_candidates`` walks for ab
+    and cd: its alpha range, from the spans of the two segments."""
+    d = abs(det := cross(u2, v2))
+    (lo1, hi1), (lo2, hi2) = (sorted(cross(p, v2) * det // d for p in s) for s in (ab, cd))
+    return (hi1 - lo2) // d + (hi2 - lo1) // d + 1
 
 
 def mirror_midpoint_at(pres: NetMapPresentation, point: Vec) -> Vec:
@@ -523,13 +536,22 @@ def check_mirror_disjointness(pres: NetMapPresentation) -> None:
     A degenerate mirror is its midpoint, a segment of length zero, whose
     translates are the lattice points of its class.  For the first
     offending pair of mirrors the least touching (alpha, beta) is
-    reported.
+    reported.  First, before any translate is walked, a pair of mirrors
+    whose walk would take more than ``_MAX_TRANSLATE_LINES`` lines of
+    translates is refused: the walk grows with a mirror's extent.
     """
     ctx = pres.context
     u2, v2 = ctx.u2, ctx.v2
     segments = [
         list(zip(m.chain, m.chain[1:])) or [(m.chain[0], m.chain[0])] for m in ctx.mirrors
     ]
+    for i in range(4):
+        for j in range(i, 4):
+            lines = sum(_alpha_lines(u2, v2, ab, cd) for ab in segments[i] for cd in segments[j])
+            if lines > _MAX_TRANSLATE_LINES:
+                raise ValidationError("mirror-extent", f"checking mirrors {i + 1} and {j + 1} for "
+                                      f"contact would walk {lines} lines of 2*lambda1 translates, "
+                                      f"above the limit of {_MAX_TRANSLATE_LINES}")
     for i in range(4):
         for j in range(i, 4):
             least = None

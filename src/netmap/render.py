@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import csv
 import io
-from fractions import Fraction
 
 from .halfspace import HalfSpace, Kind
+
+Pair = tuple[int, int]
 
 _SVG_HEADER = '<?xml version="1.0" encoding="UTF-8"?>'
 
@@ -79,8 +80,12 @@ def halfspaces_svg(spaces: list[HalfSpace], width: int = 800, height: int = 420)
     return "\n".join(parts) + "\n"
 
 
-def slope_graph_csv(rows: list[tuple[str, Fraction | None, str, Fraction | None]]) -> str:
-    """CSV with exact slope strings alongside decimal approximations."""
+def slope_graph_csv(rows: list[tuple[str, Pair | None, str, Pair | None]]) -> str:
+    """CSV with exact slope strings alongside decimal approximations.
+
+    A value p/q comes as the integer pair (p, q); repr(p / q) prints the
+    float nearest to it, as repr(float(Fraction(p, q))) would.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["slope", "slope_value", "image", "image_value"])
@@ -88,9 +93,9 @@ def slope_graph_csv(rows: list[tuple[str, Fraction | None, str, Fraction | None]
         writer.writerow(
             [
                 slope,
-                "" if value is None else repr(float(value)),
+                "" if value is None else repr(value[0] / value[1]),
                 image,
-                "" if image_value is None else repr(float(image_value)),
+                "" if image_value is None else repr(image_value[0] / image_value[1]),
             ]
         )
     return buf.getvalue()

@@ -7,6 +7,17 @@ crossed mirror midpoints is read off in the correspondence basis of the
 sublattice.  The slope of that alternating sum is the image slope; when
 the pullback has no essential component the map returns the
 inessential symbol instead.
+
+The segment of p/q is about as long as its height, so ``pullback_slope``
+does not walk it when it would cross more than ``_DESCENT_CROSSINGS``
+(1,000) mirrors, an estimate read off the class plan's segment.  It
+first descends by Dehn twists: a twist power about infinity, 0 or a
+continued-fraction convergent of p/q that lifts through the map takes
+p/q to a slope of smaller height, and the twist equation gives the
+image of p/q from the images of the lower slope and of the centre.  The
+zigzag answers what the descent cannot lower, and refuses a segment
+expected to cross more than ``_ZIGZAG_CROSSINGS`` (10^6) mirrors with
+BudgetExceededError before it starts.
 """
 from __future__ import annotations
 
@@ -17,6 +28,7 @@ from math import gcd
 from operator import itemgetter
 
 from .errors import (
+    BudgetExceededError,
     DegenerateIncidenceError,
     NonEssentialError,
     NonTransverseError,
@@ -34,6 +46,13 @@ from .pullback import analyze_slope, class_plan, coset_number
 from .slope import INESSENTIAL, Inessential, Slope, enumerate_slopes
 
 SlopeOrInessential = Slope | Inessential
+
+# A slope whose zigzag segment would cross more mirrors than this takes a
+# twist step first; below it the step's extra zigzags cost more than
+# they save.
+_DESCENT_CROSSINGS = 1_000
+# A zigzag segment that would cross more mirrors than this is refused.
+_ZIGZAG_CROSSINGS = 10**6
 
 
 @dataclass(frozen=True)
@@ -146,12 +165,34 @@ def _alternating_sum(midpoints: list[Vec]) -> Vec:
     return (2 * ix - fx + sign * lx, 2 * iy - fy + sign * ly)
 
 
+def _crossing_estimate(pres: NetMapPresentation, dx: int, dy: int) -> int:
+    """About how many mirror translates a segment (dx, dy) long crosses.
+
+    Against a mirror edge e the segment sweeps an area |cross((dx, dy),
+    e)|, and the 2*L1 translates of e fall one per covolume 4N of 2*L1,
+    so the swept areas over 4N count the crossings to be expected.
+    Edges are stored times scale.
+    """
+    ctx = pres.context
+    swept = 0
+    for _, a, b, _ in ctx.edges:
+        swept += abs(dx * (b[1] - a[1]) - dy * (b[0] - a[0]))
+    return swept // (2 * ctx.table.modulus * ctx.scale)
+
+
 def zigzag_trace(pres: NetMapPresentation, slope: Slope) -> ZigzagTrace | None:
-    """Full zigzag data for an essential slope; None when inessential."""
+    """Full zigzag data for an essential slope; None when inessential.
+
+    A segment expected to cross more than ``_ZIGZAG_CROSSINGS`` mirrors
+    is refused with BudgetExceededError before any crossing is found.
+    """
     if class_plan(pres, slope).summary.essential == 0:
         return None
     failure: Exception | None = None
     for v, w in segment_candidates(pres, slope):
+        if (estimate := _crossing_estimate(pres, w[0] - v[0], w[1] - v[1])) > _ZIGZAG_CROSSINGS:
+            raise BudgetExceededError(f"slope {slope}: its zigzag segment would cross about "
+                                      f"{estimate} mirrors, above the limit of {_ZIGZAG_CROSSINGS}")
         try:
             midpoints = mirror_crossings(pres, v, w)
         except (NonTransverseError, DegenerateIncidenceError) as exc:
@@ -183,30 +224,99 @@ def zigzag_trace(pres: NetMapPresentation, slope: Slope) -> ZigzagTrace | None:
     raise ZigzagError(f"no usable segment for slope {slope}")
 
 
+def _centres(x: Slope):
+    """inf, 0 and the continued-fraction convergents of x, as (p, q)."""
+    (p0, q0), (p1, q1), a, b = (0, 1), (1, 0), x.p, x.q
+    yield from ((1, 0), (0, 1))
+    while b:
+        n, (a, b) = a // b, (b, a % b)
+        (p0, q0), (p1, q1) = (p1, q1), (n * p1 + p0, n * q1 + q0)
+        yield p1, q1
+
+
+def _twist_step(pres: NetMapPresentation, x: Slope):
+    """(y, c, n) with sigma(x) = T_sigma(c)^n sigma(y) and y lower than x,
+    or None.
+
+    T_c is the twist about c, with the slope action (a, b) -> (a - 2kp,
+    b - 2kq) for c = p/q and k = q*a - p*b.  T_c^d lifts to T_sigma(c)^e,
+    with d the covering degree of c's pullback and e its number of
+    essential components: sigma(T_c^(d*j) y) = T_sigma(c)^(e*j) sigma(y),
+    and n = e*j.  Over the centres c of ``_centres`` the step takes the y
+    = (a + m*p)/(b + m*q) = T_c^(-d*j) x, m in 2*d*k*Z, of least height;
+    the least max(|a + m*p|, |b + m*q|) sits next to a kink of this
+    convex function of m.  None when x is inessential, when its zigzag
+    segment would cross at most ``_DESCENT_CROSSINGS`` mirrors, or when
+    no centre lowers its height.
+    """
+    # |t| <= 2d <= 2N and |cross((q, p), e)| <= height * (|ex| + |ey|) bound the estimate.
+    if x.height() * pres.context.edge_length <= 2 * pres.context.scale * _DESCENT_CROSSINGS:
+        return None
+    plan = class_plan(pres, x)
+    if plan.summary.essential and plan.segments is None:  # the first candidate walks the class
+        next(segment_candidates(pres, x), None)
+    a, b = x.p, x.q
+    t = plan.segments[0][1] if plan.segments else 0  # an inessential class has no segments
+    if _crossing_estimate(pres, t * b, t * a) <= _DESCENT_CROSSINGS:
+        return None
+    best = (x.height(), None, None, 0, 0)
+    for p, q in _centres(x):
+        k = q * a - p * b  # 0 for x itself, whose g = 0 leaves y = x
+        summary = class_plan(pres, Slope(p, q)).summary
+        g = 2 * summary.d * abs(k)
+        for n, d in ((-a, p), (-b, q), (b - a, p - q), (-a - b, p + q)):
+            floor = n // (g * d) if g * d else 0
+            for i in (floor, floor + 1):
+                height = max(abs(a + g * i * p), abs(b + g * i * q))
+                if height < best[0]:
+                    best = (height, p, q, g * i, summary.essential * (i if k > 0 else -i))
+    _, p, q, m, n = best
+    return None if p is None else (Slope.of(a + m * p, b + m * q), Slope(p, q), n)
+
+
 def pullback_slope(pres: NetMapPresentation, slope: Slope) -> SlopeOrInessential:
-    """Slope of an essential pullback component, or INESSENTIAL."""
-    memo = pres.context.images
-    if slope in memo:
-        return memo[slope]
-    trace = zigzag_trace(pres, slope)
-    memo[slope] = image = INESSENTIAL if trace is None else trace.result
+    """Slope of an essential pullback component, or INESSENTIAL.
+
+    A slope whose zigzag would be long first takes twist steps down to
+    lower slopes (``_twist_step``), as long as they lower it, and the
+    last slope reached is answered by the zigzag.  Back up the steps,
+    each image is the twist about the image of the step's centre, which
+    this function computes, applied to the image below it;
+    INESSENTIAL stays INESSENTIAL.  Every image is memoised.
+    """
+    memo, steps, x = pres.context.images, [], slope
+    while x not in memo:
+        if (step := _twist_step(pres, x)) is None:
+            trace = zigzag_trace(pres, x)
+            memo[x] = INESSENTIAL if trace is None else trace.result
+            break
+        steps.append((x, *step))
+        x = step[0]
+    image = memo[x]
+    for x, _, c, n in reversed(steps):
+        if image is not INESSENTIAL and n:
+            centre = pullback_slope(pres, c)
+            k = centre.q * image.p - centre.p * image.q
+            image = Slope.of(image.p - 2 * n * k * centre.p, image.q - 2 * n * k * centre.q)
+        memo[x] = image
     return image
 
 
 def slope_graph_rows(pres: NetMapPresentation, qmax: int) -> list[tuple]:
     """The graph of the slope map over the finite slopes of height <= qmax.
 
-    Rows (slope, value, image, image value) in order of value; the image
-    value is None for infinity and the inessential symbol.  Two slopes
-    of height <= qmax differ by at least 1/qmax^2, so the integer
-    floor(p * qmax^2 / q) orders them as their values do.
+    Rows (slope, value, image, image value) in order of value, a value
+    p/q as the pair (p, q); the image value is None for infinity and the
+    inessential symbol.  Two slopes of height <= qmax differ by at least
+    1/qmax^2, so the integer floor(p * qmax^2 / q) orders them as their
+    values do.
     """
     rows = []
     square = qmax * qmax
     for s in sorted(enumerate_slopes(qmax)[1:], key=lambda s: s.p * square // s.q):
         image = pullback_slope(pres, s)
-        image_value = None if image is INESSENTIAL or image.is_infinity else image.value()
-        rows.append((str(s), s.value(), str(image), image_value))
+        image_value = None if image is INESSENTIAL or image.is_infinity else (image.p, image.q)
+        rows.append((str(s), (s.p, s.q), str(image), image_value))
     return rows
 
 

@@ -125,6 +125,33 @@ class TestSlope:
         code, _, err = run(capsys, "slope", main_path, "1/4")
         assert code == 3 and "no usable segment for slope 1/4" in err
 
+    def test_target_slope_answers(self, capsys, main_path):
+        assert run(capsys, "slope", main_path, "99999999/100000000") == (
+            0, "59999999/90000000\n", ""
+        )
+
+    def test_stalled_slope_exits_2_with_one_line(self, capsys, main_path):
+        code, out, err = run(
+            capsys, "slope", main_path, "--", "-8099826797693086328/80841919002507010799"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: slope -361933068/3300554533: its zigzag segment ")
+        assert err.endswith(" mirrors, above the limit of 1000000\n")
+        assert err.count("\n") == 1
+
+    def test_overlong_mirror_exits_2_with_one_line(self, capsys, tmp_path, main_path):
+        text = open(main_path, encoding="utf-8").read().replace(
+            "mirror 3 = (2,-1) : (2,0)", "mirror 3 = (2,-1) : (3,1) (4000002,68000010)"
+        )
+        path = tmp_path / "long.net"
+        path.write_text(text)
+        code, out, err = run(capsys, "slope", str(path), "1/2")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: mirror-extent: checking mirrors 1 and 3 for contact would walk 2000000 "
+            "lines of 2*lambda1 translates, above the limit of 100000\n"
+        )
+
 
 class TestObstructions:
     def test_auto_report(self, capsys, main_path):

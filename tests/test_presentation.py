@@ -122,6 +122,25 @@ class TestValidationErrors:
             parse(text)
         assert err.value.invariant == "mirror-disjoint"
 
+    @pytest.mark.parametrize("k, invariant", [
+        (10, "mirror-disjoint"), (1000, "mirror-disjoint"),
+        (10**4, "mirror-extent"), (10**6, "mirror-extent"),
+    ])
+    def test_mirror_extent_is_refused_before_the_translate_walk(self, k, invariant, monkeypatch):
+        # Mirror 3 bent out to (2 + 4k, 68k + 10) meets its own
+        # translates; from k = 10^4 on, counting the lines of translates
+        # to walk refuses it before any is walked.
+        from netmap import geometry
+
+        text = MAIN_TEXT.replace(
+            "mirror 3 = (2,-1) : (2,0)", f"mirror 3 = (2,-1) : (3,1) ({2 + 4 * k},{68 * k + 10})"
+        )
+        if invariant == "mirror-extent":
+            monkeypatch.setattr(geometry, "_parallelogram_candidates", None)
+        with pytest.raises(ValidationError) as err:
+            parse(text)
+        assert err.value.invariant == invariant
+
     def test_syntax_errors(self):
         with pytest.raises(PresentationSyntaxError):
             parse("name main\n")

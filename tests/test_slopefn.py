@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import netmap.slopefn as slopefn
+from netmap import bundled_presentation
 from netmap.errors import (
+    BudgetExceededError,
     DegenerateIncidenceError,
     NonEssentialError,
     NonTransverseError,
@@ -313,3 +315,139 @@ def test_unreduced_slope_is_refused_by_the_oracles(main_pres, p, q):
         pullback_slope_long_segment(main_pres, Slope(p, q))
     with pytest.raises(ValueError, match=f"^{message}$"):
         pullback_slope_via_residues(Slope(p, q))
+
+
+def _zigzag_image(pres, s):
+    try:
+        trace = zigzag_trace(pres, s)
+    except (NonTransverseError, DegenerateIncidenceError, ZigzagError) as exc:
+        return type(exc)
+    return INESSENTIAL if trace is None else trace.result
+
+
+def _descent_image(pres, s):
+    try:
+        return pullback_slope(pres, s)
+    except (NonTransverseError, DegenerateIncidenceError, ZigzagError) as exc:
+        return type(exc)
+
+
+class TestTwistDescent:
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """Descend wherever a segment crosses a mirror; count the steps taken."""
+        taken = []
+        step = slopefn._twist_step
+
+        def counting(pres, x):
+            result = step(pres, x)
+            taken.append(result is not None)
+            return result
+
+        monkeypatch.setattr(slopefn, "_DESCENT_CROSSINGS", 0)
+        monkeypatch.setattr(slopefn, "_twist_step", counting)
+        return taken
+
+    def test_equals_zigzag_on_the_geometry_presentations(self, steps):
+        from test_geometry import PRESENTATIONS
+
+        for name, pres in PRESENTATIONS.items():
+            zigzag, descent = dataclasses.replace(pres), dataclasses.replace(pres)
+            for s in enumerate_slopes(40):
+                assert _descent_image(descent, s) == _zigzag_image(zigzag, s), (name, s)
+        assert sum(steps) > 1000
+
+    def test_equals_zigzag_on_random_presentations(self, steps):
+        from test_pullback import random_presentation
+
+        for seed in range(20):
+            pres = random_presentation(seed)
+            zigzag, descent = dataclasses.replace(pres), dataclasses.replace(pres)
+            for s in enumerate_slopes(12):
+                assert _descent_image(descent, s) == _zigzag_image(zigzag, s), (seed, s)
+        assert sum(steps) > 100
+
+    def test_deep_pool_slopes_give_their_pinned_images(self):
+        from pathlib import Path
+
+        pool = Path(__file__).resolve().parent.parent / "bench" / "expected" / "deep_pool.txt"
+        pres = dataclasses.replace(bundled_presentation("main"))
+        for line in pool.read_text(encoding="utf-8").splitlines():
+            _, _, slope, image = line.split()
+            assert str(pullback_slope(pres, Slope.parse(slope))) == image, slope
+
+    def test_target_slope_takes_two_zigzags_of_height_one(self, monkeypatch):
+        zigzags = []
+        trace = slopefn.zigzag_trace
+
+        def counting(pres, s):
+            zigzags.append(s)
+            return trace(pres, s)
+
+        monkeypatch.setattr(slopefn, "zigzag_trace", counting)
+        pres = dataclasses.replace(bundled_presentation("main"))
+        assert pullback_slope(pres, Slope(99999999, 100000000)) == Slope(59999999, 90000000)
+        assert len(zigzags) <= 2 and all(s.height() <= 1 for s in zigzags)
+
+    def test_below_the_gate_only_the_zigzag_runs(self, main_pres, monkeypatch):
+        monkeypatch.setattr(slopefn, "_centres", None)  # a descent would call it
+        pres = dataclasses.replace(main_pres)
+        for s in enumerate_slopes(20):
+            assert pullback_slope(pres, s) == pullback_slope(main_pres, s)
+
+    def test_crossing_estimate_tracks_the_crossings(self, main_pres):
+        # On long segments the swept area over the covolume of 2*L1 is
+        # within a few percent of the true count.
+        for s in (Slope(3, 892), Slope(-4001, 4000), Slope(2999, 7919), Slope(1, 10007)):
+            trace = zigzag_trace(main_pres, s)
+            crossings = len(trace.midpoints) - 2
+            estimate = slopefn._crossing_estimate(
+                main_pres, trace.w[0] - trace.v[0], trace.w[1] - trace.v[1]
+            )
+            assert crossings > 200 and 0.8 * crossings <= estimate <= 1.2 * crossings, s
+
+
+STALLED = "-8099826797693086328/80841919002507010799"
+
+
+class TestZigzagCap:
+    def test_stalled_slope_is_refused_before_any_crossing(self, monkeypatch):
+        def no_crossings(*args):
+            raise AssertionError("crossings enumerated")
+
+        monkeypatch.setattr(slopefn, "mirror_crossings", no_crossings)
+        pres = dataclasses.replace(bundled_presentation("main"))
+        with pytest.raises(BudgetExceededError) as err:
+            pullback_slope(pres, Slope.parse(STALLED))
+        assert str(err.value).startswith(
+            "slope -361933068/3300554533: its zigzag segment would cross about "
+        )
+        assert str(err.value).endswith(" mirrors, above the limit of 1000000")
+
+    def test_cap_counts_each_segment(self, main_pres, monkeypatch):
+        s = Slope(3, 892)
+        estimate = slopefn._crossing_estimate(main_pres, 892 * 5, 3 * 5)  # t = 5
+        monkeypatch.setattr(slopefn, "_ZIGZAG_CROSSINGS", estimate)
+        assert find_segment(main_pres, s) == ((0, 0), (892 * 5, 3 * 5))
+        assert zigzag_trace(main_pres, s).result == Slope(1, 42)
+        monkeypatch.setattr(slopefn, "_ZIGZAG_CROSSINGS", estimate - 1)
+        with pytest.raises(BudgetExceededError, match=f"about {estimate} mirrors"):
+            zigzag_trace(main_pres, s)
+
+    def test_long_segment_oracle_is_not_capped(self, main_pres, monkeypatch):
+        monkeypatch.setattr(slopefn, "_ZIGZAG_CROSSINGS", 0)
+        assert pullback_slope_long_segment(main_pres, Slope(3, 892)) == Slope(1, 42)
+
+
+def test_graph_csv_values_are_the_floats_of_the_fractions(main_pres):
+    from netmap.render import slope_graph_csv
+
+    rows = slopefn.slope_graph_rows(main_pres, 30)
+    lines = slope_graph_csv(rows).splitlines()[1:]
+    for line, (slope, value, image, image_value) in zip(lines, rows):
+        exact = Slope.parse(slope).value()
+        assert value == (exact.numerator, exact.denominator)
+        fields = line.split(",")
+        assert fields[1] == repr(float(exact))
+        if image_value is not None:
+            assert fields[3] == repr(float(Fraction(*image_value)))
