@@ -12,7 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import ZeroVectorError
+from .errors import BudgetExceededError, ZeroVectorError
+
+# enumerate_slopes refuses a height whose bound 4*H^2 on the count is above this.
+_ENUMERATION_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -97,10 +100,15 @@ def enumerate_slopes(height: int) -> list[Slope]:
 
     Deterministic order: infinity first, then by (max(|p|, |q|), value).
     The slopes of height h >= 2 run -h/q, p/h, h/q in increasing value,
-    with q and |p| below h and prime to it.
+    with q and |p| below h and prime to it.  A height whose count bound
+    4*H^2 exceeds ``_ENUMERATION_LIMIT`` is refused with
+    BudgetExceededError before any slope is built.
     """
     if height < 1:
         raise ValueError("height must be a positive integer")
+    if 4 * height * height > _ENUMERATION_LIMIT:
+        raise BudgetExceededError(f"height {height}: up to {4 * height * height} slopes, "
+                                  f"above the limit of {_ENUMERATION_LIMIT}")
     slopes = [INFINITY, Slope(-1, 1), Slope(0, 1), Slope(1, 1)]
     for h in range(2, height + 1):
         prime = [q for q in range(1, h) if gcd(h, q) == 1]

@@ -8,19 +8,30 @@ sublattice.  The slope of that alternating sum is the image slope; when
 the pullback has no essential component the map returns the
 inessential symbol instead.
 
-The segment of p/q is about as long as its height, so ``pullback_slope``
-does not walk it when it would cross more than ``_DESCENT_CROSSINGS``
-(1,000) mirrors, an estimate read off the class plan's segment.  It
-first descends by Dehn twists: a twist power about infinity, 0 or a
-continued-fraction convergent of p/q that lifts through the map takes
-p/q to a slope of smaller height, and the twist equation gives the
-image of p/q from the images of the lower slope and of the centre.  The
-zigzag answers what the descent cannot lower, and refuses a segment
-expected to cross more than ``_ZIGZAG_CROSSINGS`` (10^6) mirrors with
+``pullback_slope`` walks the zigzag only where no Dehn twist lowers
+the slope.  A twist power about infinity, 0 or a continued-fraction
+convergent of p/q that lifts through the map takes p/q to a slope of
+smaller height, and the twist equation gives the image of p/q from the
+images of the lower slope and of the centre.  It takes such a step for
+one of two reasons:
+
+- the segment of p/q is about as long as its height, and an estimate
+  read off the class plan's segment says it would cross more than
+  ``_DESCENT_CROSSINGS`` (1,000) mirrors.  Then p/q descends through
+  the lower slopes of least height, scanning at most
+  ``_DESCENT_CENTRES`` (5,000) centres in all before BudgetExceededError.
+- the lower slope and the centre of a step both have memoised images.
+  A batch walked in the order of ``enumerate_slopes`` (the graph, the
+  fixed-slope scan) finds such a step for most slopes, at the cost of
+  one twist.
+
+The zigzag answers what no twist lowers, and refuses a segment expected
+to cross more than ``_ZIGZAG_CROSSINGS`` (10^6) mirrors with
 BudgetExceededError before it starts.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -30,6 +41,7 @@ from operator import itemgetter
 from .errors import (
     BudgetExceededError,
     DegenerateIncidenceError,
+    NetMapError,
     NonEssentialError,
     NonTransverseError,
     ZigzagError,
@@ -51,6 +63,8 @@ SlopeOrInessential = Slope | Inessential
 # twist step first; below it the step's extra zigzags cost more than
 # they save.
 _DESCENT_CROSSINGS = 1_000
+# The centres one pullback_slope call may scan for the steps of long slopes.
+_DESCENT_CENTRES = 5_000
 # A zigzag segment that would cross more mirrors than this is refused.
 _ZIGZAG_CROSSINGS = 10**6
 
@@ -224,43 +238,58 @@ def zigzag_trace(pres: NetMapPresentation, slope: Slope) -> ZigzagTrace | None:
     raise ZigzagError(f"no usable segment for slope {slope}")
 
 
-def _centres(x: Slope):
-    """inf, 0 and the continued-fraction convergents of x, as (p, q)."""
+def _convergents(x: Slope):
+    """The continued-fraction convergents of x as (p, q), x itself last."""
     (p0, q0), (p1, q1), a, b = (0, 1), (1, 0), x.p, x.q
-    yield from ((1, 0), (0, 1))
     while b:
         n, (a, b) = a // b, (b, a % b)
         (p0, q0), (p1, q1) = (p1, q1), (n * p1 + p0, n * q1 + q0)
         yield p1, q1
 
 
-def _twist_step(pres: NetMapPresentation, x: Slope):
+def _centres(x: Slope) -> list[tuple[int, int]]:
+    """inf, 0 and the continued-fraction convergents of x, as (p, q)."""
+    return [(1, 0), (0, 1), *_convergents(x)]
+
+
+def _segment_is_long(pres: NetMapPresentation, x: Slope) -> bool:
+    """Whether the zigzag segment of the essential slope x would cross
+    more than ``_DESCENT_CROSSINGS`` mirrors, by ``_crossing_estimate``."""
+    # |t| <= 2d <= 2N and |cross((q, p), e)| <= height * (|ex| + |ey|) bound the estimate.
+    if x.height() * pres.context.edge_length <= 2 * pres.context.scale * _DESCENT_CROSSINGS:
+        return False
+    plan = class_plan(pres, x)
+    if plan.segments is None:  # the first candidate walks the class
+        next(segment_candidates(pres, x), None)
+    t = plan.segments[0][1] if plan.segments else 0
+    return _crossing_estimate(pres, t * x.q, t * x.p) > _DESCENT_CROSSINGS
+
+
+def _twisted(pres: NetMapPresentation, image: Slope, centre: Slope, n: int) -> Slope:
+    """T_centre^n image, for the twist action of ``_twist_step``, read in
+    the coordinates of the correspondence basis: when that basis reverses
+    orientation, a twist there is the inverse twist in these coordinates."""
+    n = n if cross(pres.correspondence.u, pres.correspondence.v) > 0 else -n
+    k = centre.q * image.p - centre.p * image.q
+    return Slope.of(image.p - 2 * n * k * centre.p, image.q - 2 * n * k * centre.q)
+
+
+def _twist_step(pres: NetMapPresentation, x: Slope, centres: list[tuple[int, int]]):
     """(y, c, n) with sigma(x) = T_sigma(c)^n sigma(y) and y lower than x,
-    or None.
+    or None when no centre lowers x.
 
     T_c is the twist about c, with the slope action (a, b) -> (a - 2kp,
     b - 2kq) for c = p/q and k = q*a - p*b.  T_c^d lifts to T_sigma(c)^e,
     with d the covering degree of c's pullback and e its number of
     essential components: sigma(T_c^(d*j) y) = T_sigma(c)^(e*j) sigma(y),
-    and n = e*j.  Over the centres c of ``_centres`` the step takes the y
-    = (a + m*p)/(b + m*q) = T_c^(-d*j) x, m in 2*d*k*Z, of least height;
-    the least max(|a + m*p|, |b + m*q|) sits next to a kink of this
-    convex function of m.  None when x is inessential, when its zigzag
-    segment would cross at most ``_DESCENT_CROSSINGS`` mirrors, or when
-    no centre lowers its height.
+    and n = e*j, applied by ``_twisted``.  Over the given centres c
+    (``_centres`` of x) the step takes the y = (a + m*p)/(b + m*q) =
+    T_c^(-d*j) x, m in 2*d*k*Z, of least height; the least max(|a + m*p|,
+    |b + m*q|) sits next to a kink of this convex function of m.
     """
-    # |t| <= 2d <= 2N and |cross((q, p), e)| <= height * (|ex| + |ey|) bound the estimate.
-    if x.height() * pres.context.edge_length <= 2 * pres.context.scale * _DESCENT_CROSSINGS:
-        return None
-    plan = class_plan(pres, x)
-    if plan.summary.essential and plan.segments is None:  # the first candidate walks the class
-        next(segment_candidates(pres, x), None)
     a, b = x.p, x.q
-    t = plan.segments[0][1] if plan.segments else 0  # an inessential class has no segments
-    if _crossing_estimate(pres, t * b, t * a) <= _DESCENT_CROSSINGS:
-        return None
     best = (x.height(), None, None, 0, 0)
-    for p, q in _centres(x):
+    for p, q in centres:
         k = q * a - p * b  # 0 for x itself, whose g = 0 leaves y = x
         summary = class_plan(pres, Slope(p, q)).summary
         g = 2 * summary.d * abs(k)
@@ -274,30 +303,81 @@ def _twist_step(pres: NetMapPresentation, x: Slope):
     return None if p is None else (Slope.of(a + m * p, b + m * q), Slope(p, q), n)
 
 
+def _memoised_twist(pres: NetMapPresentation, x: Slope) -> SlopeOrInessential | None:
+    """sigma(x) by one twist step whose lower slope and centre both have
+    memoised images, or None.
+
+    The centres are the convergents of x from the penultimate outward,
+    then 0 and infinity, all lower than x.  Walked in the order of
+    ``enumerate_slopes``, every lower slope that can be answered is
+    memoised, so the scan stops at the first centre that is not.  The
+    first centre whose twist power T_c^(+-d) lowers x to a memoised
+    slope answers (``_twist_step``'s step with j = +-1).  Since
+    max(|a + m*p|, |b + m*q|) is convex in m and equals the height at
+    m = 0, a centre lowers x for some m in 2*d*k*Z exactly when it does
+    for m = +-2*d*k.
+    """
+    memo, a, b, h = pres.context.images, x.p, x.q, x.height()
+    for p, q in (*reversed([*_convergents(x)][:-1]), (0, 1), (1, 0)):
+        if (centre := memo.get(c := Slope(p, q))) is None:
+            return None
+        k = q * a - p * b
+        summary = class_plan(pres, c).summary
+        g = 2 * summary.d * abs(k)
+        for i in (1, -1):
+            if max(abs(a + g * i * p), abs(b + g * i * q)) < h:
+                image = memo.get(Slope.of(a + g * i * p, b + g * i * q))
+                n = summary.essential * (i if k > 0 else -i)
+                if image is not None and (image is INESSENTIAL or not n):
+                    return image
+                if image is not None:
+                    return _twisted(pres, image, centre, n)
+    return None
+
+
 def pullback_slope(pres: NetMapPresentation, slope: Slope) -> SlopeOrInessential:
     """Slope of an essential pullback component, or INESSENTIAL.
 
-    A slope whose zigzag would be long first takes twist steps down to
-    lower slopes (``_twist_step``), as long as they lower it, and the
-    last slope reached is answered by the zigzag.  Back up the steps,
+    A twist step moves a slope x to a lower slope y about a centre c, and
+    sigma(x) is a twist about sigma(c) of sigma(y).  An inessential class,
+    read off its plan, takes no step.  Otherwise there are two reasons to
+    take one:
+
+    - a slope whose zigzag would be long (``_segment_is_long``) steps to
+      the lower slope of least height (``_twist_step``), as long as one
+      lowers it.  The steps of one call scan at most
+      ``_DESCENT_CENTRES`` centres in all; a step that would pass this
+      budget is refused with BudgetExceededError before its scan starts.
+    - a short slope takes one step whose lower slope and centre both
+      have memoised images (``_memoised_twist``).  A batch walked in the
+      order of ``enumerate_slopes`` finds one for most slopes.
+
+    The zigzag answers the slope where the steps end.  Back up the steps,
     each image is the twist about the image of the step's centre, which
-    this function computes, applied to the image below it;
-    INESSENTIAL stays INESSENTIAL.  Every image is memoised.
+    this function computes, applied to the image below it; INESSENTIAL
+    stays INESSENTIAL.  Every image is memoised.
     """
-    memo, steps, x = pres.context.images, [], slope
+    memo, steps, x, scanned = pres.context.images, [], slope, 0
     while x not in memo:
-        if (step := _twist_step(pres, x)) is None:
-            trace = zigzag_trace(pres, x)
-            memo[x] = INESSENTIAL if trace is None else trace.result
-            break
-        steps.append((x, *step))
-        x = step[0]
+        image = None
+        if class_plan(pres, x).summary.essential == 0:
+            image = INESSENTIAL
+        elif _segment_is_long(pres, x):
+            if (scanned := scanned + len(centres := _centres(x))) > _DESCENT_CENTRES:
+                raise BudgetExceededError(f"slope {slope}: its twist descent would scan more "
+                                          f"than {_DESCENT_CENTRES} centres")
+            if (step := _twist_step(pres, x, centres)) is not None:
+                steps.append((x, step))
+                x = step[0]
+                continue
+        else:
+            image = _memoised_twist(pres, x)
+        memo[x] = zigzag_trace(pres, x).result if image is None else image
+        break
     image = memo[x]
-    for x, _, c, n in reversed(steps):
+    for x, (_, c, n) in reversed(steps):
         if image is not INESSENTIAL and n:
-            centre = pullback_slope(pres, c)
-            k = centre.q * image.p - centre.p * image.q
-            image = Slope.of(image.p - 2 * n * k * centre.p, image.q - 2 * n * k * centre.q)
+            image = _twisted(pres, image, pullback_slope(pres, c), n)
         memo[x] = image
     return image
 
@@ -307,16 +387,20 @@ def slope_graph_rows(pres: NetMapPresentation, qmax: int) -> list[tuple]:
 
     Rows (slope, value, image, image value) in order of value, a value
     p/q as the pair (p, q); the image value is None for infinity and the
-    inessential symbol.  Two slopes of height <= qmax differ by at least
-    1/qmax^2, so the integer floor(p * qmax^2 / q) orders them as their
-    values do.
+    inessential symbol.  The images are computed in the order of
+    ``enumerate_slopes``, lower heights first, so that most slopes take
+    a twist step from memoised images.  Two slopes of height <= qmax
+    differ by at least 1/qmax^2, so the integer floor(p * qmax^2 / q)
+    orders them as their values do.
     """
-    rows = []
-    square = qmax * qmax
-    for s in sorted(enumerate_slopes(qmax)[1:], key=lambda s: s.p * square // s.q):
+    slopes, rows = enumerate_slopes(qmax), []
+    with suppress(NetMapError):  # infinity has no row, but may serve as a centre
+        pullback_slope(pres, slopes[0])
+    for s in slopes[1:]:
         image = pullback_slope(pres, s)
         image_value = None if image is INESSENTIAL or image.is_infinity else (image.p, image.q)
         rows.append((str(s), (s.p, s.q), str(image), image_value))
+    rows.sort(key=lambda row: row[1][0] * qmax * qmax // row[1][1])
     return rows
 
 

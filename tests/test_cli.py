@@ -9,6 +9,7 @@ import netmap.cli as cli
 import netmap.slopefn as slopefn
 from netmap.errors import NonTransverseError
 from netmap.presentation import NetMapPresentation
+from netmap.slope import Slope
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +139,31 @@ class TestSlope:
         assert err.startswith("error: slope -361933068/3300554533: its zigzag segment ")
         assert err.endswith(" mirrors, above the limit of 1000000\n")
         assert err.count("\n") == 1
+
+    def test_thousand_digit_slope_exits_2_with_one_line(self, capsys, main_path, monkeypatch):
+        scanned = []
+        step = slopefn._twist_step
+
+        def counting(pres, x, centres):
+            scanned.append(len(centres))
+            return step(pres, x, centres)
+
+        monkeypatch.setattr(slopefn, "_twist_step", counting)
+        rng = random.Random(7)
+        slope = f"{rng.randrange(10**999, 10**1000)}/{rng.randrange(10**999, 10**1000)}"
+        code, out, err = run(capsys, "slope", main_path, slope)
+        assert (code, out) == (2, "")
+        reduced = Slope.parse(slope)
+        assert err == f"error: slope {reduced}: its twist descent would scan more than 5000 centres\n"
+        assert 0 < sum(scanned) <= 5000  # refused before the scan that would pass the budget
+
+    @pytest.mark.parametrize("command, flag", [("slope", "--graph"), ("obstructions", "--height")])
+    def test_huge_height_exits_2_with_one_line(self, capsys, main_path, command, flag):
+        code, out, err = run(capsys, command, main_path, flag, "100000")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: height 100000: up to 40000000000 slopes, above the limit of 1000000\n"
+        )
 
     def test_overlong_mirror_exits_2_with_one_line(self, capsys, tmp_path, main_path):
         text = open(main_path, encoding="utf-8").read().replace(
@@ -442,3 +468,26 @@ def test_plain_parse_agrees_with_argparse_on_random_command_lines():
         plain += 1
         assert got == cli.build_parser().parse_args(argv), argv
     assert plain > 100
+
+
+# sha256 of the outputs of the commit before batches took twist steps from
+# memoised images; the images are exact, so the outputs must not move.
+PINNED_SHA256 = {
+    ("main", "slope"): "e43cfe6096f40021e47dd19d9f97ffec98811325f4f7f5c5f1696120c16948d0",
+    ("main", "obstructions"): "feb99d34efd3d1470b5023344a22ceea5ebbe8d31eac8301d7f82e9217ce208a",
+    ("double", "slope"): "4eb3dfdb15188182cd4540c52d7c722b8bc8af2b6ae83047f68205d8eec789dd",
+    ("double", "obstructions"): "ddb9bc47513dc5e9ac3eb67a4b215ef8ba6f21920ec032683e3f6aa49c29b3bf",
+    ("euclidean", "slope"): "5dd0b20ab9a6c086261dea1a9d7258c2a249da74fd2747027104dc9b4fb08437",
+    ("euclidean", "obstructions"): "65c8158d5edb51f0fdf87d232b767c4aaa8d9f65cc7fcf03029ba117adbdbd59",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(PINNED_SHA256))
+def test_graph_40_and_height_20_outputs_are_pinned(capsys, request, name, command):
+    import hashlib
+
+    path = request.getfixturevalue(f"{name}_path")
+    flag = ("--graph", "40") if command == "slope" else ("--height", "20")
+    code, out, err = run(capsys, command, path, *flag)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[name, command]

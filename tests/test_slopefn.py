@@ -339,8 +339,8 @@ class TestTwistDescent:
         taken = []
         step = slopefn._twist_step
 
-        def counting(pres, x):
-            result = step(pres, x)
+        def counting(pres, x, centres):
+            result = step(pres, x, centres)
             taken.append(result is not None)
             return result
 
@@ -437,6 +437,111 @@ class TestZigzagCap:
     def test_long_segment_oracle_is_not_capped(self, main_pres, monkeypatch):
         monkeypatch.setattr(slopefn, "_ZIGZAG_CROSSINGS", 0)
         assert pullback_slope_long_segment(main_pres, Slope(3, 892)) == Slope(1, 42)
+
+
+def test_descent_budget_counts_the_centres_scanned(monkeypatch):
+    scanned = []
+    step = slopefn._twist_step
+
+    def counting(pres, x, centres):
+        scanned.append(len(centres))
+        return step(pres, x, centres)
+
+    def stalled():
+        pres = dataclasses.replace(bundled_presentation("main"))
+        with pytest.raises(BudgetExceededError) as err:
+            pullback_slope(pres, Slope.parse(STALLED))
+        return str(err.value)
+
+    monkeypatch.setattr(slopefn, "_twist_step", counting)
+    assert "its zigzag segment would cross" in stalled()
+    total = sum(scanned)
+    monkeypatch.setattr(slopefn, "_DESCENT_CENTRES", total)
+    assert "its zigzag segment would cross" in stalled()
+    monkeypatch.setattr(slopefn, "_DESCENT_CENTRES", total - 1)
+    assert stalled() == (
+        f"slope {STALLED}: its twist descent would scan more than {total - 1} centres"
+    )
+
+
+class TestMemoisedTwist:
+    def test_batches_zigzag_only_what_no_twist_lowers(self, monkeypatch):
+        from netmap.obstruction import obstruction_report
+
+        zigzags = []
+        trace = slopefn.zigzag_trace
+
+        def counting(pres, s):
+            zigzags.append(s)
+            return trace(pres, s)
+
+        monkeypatch.setattr(slopefn, "zigzag_trace", counting)
+        main = bundled_presentation("main")
+        assert len(slopefn.slope_graph_rows(dataclasses.replace(main), 60)) == 4407
+        assert len(zigzags) <= 1300
+        zigzags.clear()
+        obstruction_report(dataclasses.replace(main), 40)
+        assert len(zigzags) <= 750
+        zigzags.clear()
+        slopefn.slope_graph_rows(dataclasses.replace(bundled_presentation("double")), 20)
+        assert zigzags == []  # every class of double is inessential
+
+    @pytest.fixture
+    def answered(self, monkeypatch):
+        """Count the slopes that a memoised twist answers."""
+        found = []
+        twist = slopefn._memoised_twist
+
+        def counting(pres, x):
+            result = twist(pres, x)
+            found.append(result is not None)
+            return result
+
+        monkeypatch.setattr(slopefn, "_memoised_twist", counting)
+        return found
+
+    def test_equals_zigzag_on_the_geometry_presentations(self, answered):
+        from test_geometry import PRESENTATIONS
+
+        for name, pres in PRESENTATIONS.items():
+            zigzag, batch = dataclasses.replace(pres), dataclasses.replace(pres)
+            for s in enumerate_slopes(40):
+                assert _descent_image(batch, s) == _zigzag_image(zigzag, s), (name, s)
+        assert sum(answered) > 2000
+
+    def test_equals_zigzag_on_random_presentations(self, answered):
+        from test_pullback import random_presentation
+
+        for seed in range(20):
+            pres = random_presentation(seed)
+            zigzag, batch = dataclasses.replace(pres), dataclasses.replace(pres)
+            for s in enumerate_slopes(12):
+                assert _descent_image(batch, s) == _zigzag_image(zigzag, s), (seed, s)
+        assert sum(answered) > 300
+
+    @pytest.mark.parametrize("gate", [0, 1000])
+    def test_orientation_reversing_correspondence(self, main_pres, monkeypatch, gate):
+        # In a basis of the other orientation a twist reads as its inverse.
+        from netmap.lattice import Basis2
+
+        monkeypatch.setattr(slopefn, "_DESCENT_CROSSINGS", gate)
+        u, v = main_pres.correspondence.u, main_pres.correspondence.v
+        swapped = dataclasses.replace(main_pres, correspondence=Basis2(v, u))
+        zigzag, batch = dataclasses.replace(swapped), dataclasses.replace(swapped)
+        for s in enumerate_slopes(20):
+            assert pullback_slope(batch, s) == _zigzag_image(zigzag, s), s
+
+
+def test_enumeration_is_refused_before_it_builds(monkeypatch):
+    import netmap.slope
+
+    with pytest.raises(BudgetExceededError, match="^height 501: up to 1004004 slopes, "
+                                                  "above the limit of 1000000$"):
+        enumerate_slopes(501)
+    monkeypatch.setattr(netmap.slope, "_ENUMERATION_LIMIT", 4 * 20 * 20)
+    assert len(enumerate_slopes(20)) == 512  # 511 graph rows and infinity
+    with pytest.raises(BudgetExceededError, match="^height 21: up to 1764 slopes"):
+        enumerate_slopes(21)
 
 
 def test_graph_csv_values_are_the_floats_of_the_fractions(main_pres):
