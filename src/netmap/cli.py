@@ -3,11 +3,12 @@
 Subcommands operate on presentation files:
 
     netmap analyze FILE (--slope P/Q | --table) [--format text|csv]
-    netmap slope FILE (SLOPE | --graph QMAX) [--out PATH]
+    netmap slope FILE (SLOPE | --graph QMAX [--out PATH])
     netmap obstructions FILE ([--height N] [--budget B] | --slopes LIST)
                              [--svg PATH]
     netmap equations FILE (SLOPE | --affine "a,b;c,d;tx,ty") [--check N]
-    netmap nonsep M,N (--check "(h1);(h2);(h3);(h4)" | --search | --refute)
+    netmap nonsep M,N (--check "(h1);(h2);(h3);(h4)" | --search [--budget B]
+                       | --refute)
 
 Exit codes: 0 success, 2 input or validation error (also a segment that
 still meets a degenerate mirror point after retries, a presentation whose
@@ -59,14 +60,10 @@ def _summary_text(summary) -> str:
 
 
 def cmd_analyze(args) -> int:
+    if args.table == bool(args.slope):
+        raise ValueError("analyze takes one of --slope and --table")
     pres = _load(args.file)
-    if args.table:
-        slopes = [Slope.parse(s) for s in MAIN_TABLE_SLOPES]
-    elif args.slope:
-        slopes = [Slope.parse(args.slope)]
-    else:
-        print("analyze needs --slope or --table", file=sys.stderr)
-        return 2
+    slopes = [Slope.parse(s) for s in (MAIN_TABLE_SLOPES if args.table else [args.slope])]
     if args.format == "csv":
         header = ["slope", "d", "d_prime", "c1", "c2", "c3", "c4",
                   "essential", "peripheral", "null", "delta"]
@@ -86,6 +83,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_slope(args) -> int:
+    if args.graph is not None and args.value is not None:
+        raise ValueError("slope takes a SLOPE or --graph, not both")
+    if args.out and args.graph is None:
+        raise ValueError("slope --out needs --graph")
     pres = _load(args.file)
     if args.graph is not None:
         rows = slope_graph_rows(pres, args.graph)
@@ -219,7 +220,13 @@ def _parse_subset(text: str) -> tuple:
 
 
 def cmd_nonsep(args) -> int:
+    if sum(map(bool, (args.check, args.search, args.refute))) != 1:
+        raise ValueError("nonsep takes one of --check, --search and --refute")
+    if args.budget is not None and not args.search:
+        raise ValueError("nonsep --budget needs --search")
     group = _parse_group(args.group)
+    if args.refute and (group.m, group.n) != (4, 2):
+        raise ValueError("nonsep --refute is the report for the group 4,2")
     if args.check:
         subset = ns.SymmetricFour(_parse_subset(args.check))
         pair = ns.separating_pair(group, subset)
@@ -230,7 +237,8 @@ def cmd_nonsep(args) -> int:
             print(f"SEPARATING B=<{pair.subgroup_generator}> a={pair.generator} c={cs}")
         return 0
     if args.search:
-        found = ns.search_nonseparating(group, budget=args.budget)
+        budget = 100_000 if args.budget is None else args.budget
+        found = ns.search_nonseparating(group, budget=budget)
         lines = sorted(
             " ".join(f"({x},{y})" for x, y in f.canonical(group)) for f in found
         )
@@ -238,18 +246,15 @@ def cmd_nonsep(args) -> int:
             print(line)
         print(f"{len(found)} nonseparating subsets in Z/{group.m} + Z/{group.n}")
         return 0
-    if args.refute:
-        report = ns.degree2_refutation()
-        for e in report.entries:
-            canon = " ".join(f"({x},{y})" for x, y in e.subset.canonical(ns.FinAbGroup(4, 2)))
-            print(
-                f"{canon} order-4-classes={'yes' if e.contains_order_four else 'no'} "
-                f"exactly-one-doubled={'yes' if e.exactly_one_doubled else 'no'}"
-            )
-        print(f"realizable candidates: {len(report.realizable)}")
-        return 0
-    print("nonsep needs --check, --search or --refute", file=sys.stderr)
-    return 2
+    report = ns.degree2_refutation()
+    for e in report.entries:
+        canon = " ".join(f"({x},{y})" for x, y in e.subset.canonical(ns.FinAbGroup(4, 2)))
+        print(
+            f"{canon} order-4-classes={'yes' if e.contains_order_four else 'no'} "
+            f"exactly-one-doubled={'yes' if e.exactly_one_doubled else 'no'}"
+        )
+    print(f"realizable candidates: {len(report.realizable)}")
+    return 0
 
 
 # Each subcommand's help and arguments, as the names and keyword arguments
@@ -289,7 +294,7 @@ _COMMANDS = {
         ("--check", {"help": 'four elements "(x1,y1);...;(x4,y4)"'}),
         ("--search", {"action": "store_true"}),
         ("--refute", {"action": "store_true", "help": "degree-2 refutation report (group 4,2)"}),
-        ("--budget", {"type": int, "default": 100_000}),
+        ("--budget", {"type": int, "help": "search budget (default 100000)"}),
     )),
 }
 

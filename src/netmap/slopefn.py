@@ -12,18 +12,20 @@ inessential symbol instead.
 the slope.  A twist power about infinity, 0 or a continued-fraction
 convergent of p/q that lifts through the map takes p/q to a slope of
 smaller height, and the twist equation gives the image of p/q from the
-images of the lower slope and of the centre.  It takes such a step for
-one of two reasons:
+images of the lower slope and of the centre.  One scan finds the step
+(``_twist_step``): the first centre, from the penultimate convergent
+outward, that lowers p/q, to the least height it reaches.  The step is
+taken for one of two reasons:
 
 - the segment of p/q is about as long as its height, and an estimate
   read off the class plan's segment says it would cross more than
-  ``_DESCENT_CROSSINGS`` (1,000) mirrors.  Then p/q descends through
-  the lower slopes of least height, scanning at most
-  ``_DESCENT_CENTRES`` (5,000) centres in all before BudgetExceededError.
-- the lower slope and the centre of a step both have memoised images.
-  A batch walked in the order of ``enumerate_slopes`` (the graph, the
-  fixed-slope scan) finds such a step for most slopes, at the cost of
-  one twist.
+  ``_DESCENT_CROSSINGS`` (1,000) mirrors.  Then p/q descends step by
+  step, scanning at most ``_DESCENT_CENTRES`` (5,000) centres in all
+  before BudgetExceededError.
+- the lower slope and the centre of the step both have memoised
+  images.  A batch walked in the order of ``enumerate_slopes`` (the
+  graph, the fixed-slope scan) finds such a step for most slopes, at
+  the cost of one twist.
 
 The zigzag answers what no twist lowers, and refuses a segment expected
 to cross more than ``_ZIGZAG_CROSSINGS`` (10^6) mirrors with
@@ -247,11 +249,6 @@ def _convergents(x: Slope):
         yield p1, q1
 
 
-def _centres(x: Slope) -> list[tuple[int, int]]:
-    """inf, 0 and the continued-fraction convergents of x, as (p, q)."""
-    return [(1, 0), (0, 1), *_convergents(x)]
-
-
 def _segment_is_long(pres: NetMapPresentation, x: Slope) -> bool:
     """Whether the zigzag segment of the essential slope x would cross
     more than ``_DESCENT_CROSSINGS`` mirrors, by ``_crossing_estimate``."""
@@ -274,7 +271,7 @@ def _twisted(pres: NetMapPresentation, image: Slope, centre: Slope, n: int) -> S
     return Slope.of(image.p - 2 * n * k * centre.p, image.q - 2 * n * k * centre.q)
 
 
-def _twist_step(pres: NetMapPresentation, x: Slope, centres: list[tuple[int, int]]):
+def _twist_step(pres: NetMapPresentation, x: Slope, convergents: list[tuple[int, int]]):
     """(y, c, n) with sigma(x) = T_sigma(c)^n sigma(y) and y lower than x,
     or None when no centre lowers x.
 
@@ -282,75 +279,51 @@ def _twist_step(pres: NetMapPresentation, x: Slope, centres: list[tuple[int, int
     b - 2kq) for c = p/q and k = q*a - p*b.  T_c^d lifts to T_sigma(c)^e,
     with d the covering degree of c's pullback and e its number of
     essential components: sigma(T_c^(d*j) y) = T_sigma(c)^(e*j) sigma(y),
-    and n = e*j, applied by ``_twisted``.  Over the given centres c
-    (``_centres`` of x) the step takes the y = (a + m*p)/(b + m*q) =
-    T_c^(-d*j) x, m in 2*d*k*Z, of least height; the least max(|a + m*p|,
-    |b + m*q|) sits next to a kink of this convex function of m.
+    and n = e*j, applied by ``_twisted``.  The centres are the given
+    convergents of x other than x (``_convergents``) from the
+    penultimate outward, then 0 and infinity, all lower than x; walked
+    in the order of ``enumerate_slopes``, the early ones are the
+    likeliest to be memoised.  The first centre that lowers x gives the
+    step: y = (a + m*p)/(b + m*q) = T_c^(-d*j) x with m = 2*d*k*j.
+    Since max(|a + m*p|, |b + m*q|) is convex in m and equals the height
+    of x at m = 0, a centre lowers x for some j exactly when it does for
+    j = +-1.  Only when j = +-2 lowers x further is the least height
+    over j looked for, next to the real minimum of that function: where
+    a + m*p = -(b + m*q) for p/q > 0, where a + m*p = b + m*q for p/q <
+    0, and where the term that is not constant is 0 for 0 and infinity.
     """
-    a, b = x.p, x.q
-    best = (x.height(), None, None, 0, 0)
-    for p, q in centres:
-        k = q * a - p * b  # 0 for x itself, whose g = 0 leaves y = x
-        summary = class_plan(pres, Slope(p, q)).summary
-        g = 2 * summary.d * abs(k)
-        for n, d in ((-a, p), (-b, q), (b - a, p - q), (-a - b, p + q)):
-            floor = n // (g * d) if g * d else 0
-            for i in (floor, floor + 1):
-                height = max(abs(a + g * i * p), abs(b + g * i * q))
-                if height < best[0]:
-                    best = (height, p, q, g * i, summary.essential * (i if k > 0 else -i))
-    _, p, q, m, n = best
-    return None if p is None else (Slope.of(a + m * p, b + m * q), Slope(p, q), n)
-
-
-def _memoised_twist(pres: NetMapPresentation, x: Slope) -> SlopeOrInessential | None:
-    """sigma(x) by one twist step whose lower slope and centre both have
-    memoised images, or None.
-
-    The centres are the convergents of x from the penultimate outward,
-    then 0 and infinity, all lower than x.  Walked in the order of
-    ``enumerate_slopes``, every lower slope that can be answered is
-    memoised, so the scan stops at the first centre that is not.  The
-    first centre whose twist power T_c^(+-d) lowers x to a memoised
-    slope answers (``_twist_step``'s step with j = +-1).  Since
-    max(|a + m*p|, |b + m*q|) is convex in m and equals the height at
-    m = 0, a centre lowers x for some m in 2*d*k*Z exactly when it does
-    for m = +-2*d*k.
-    """
-    memo, a, b, h = pres.context.images, x.p, x.q, x.height()
-    for p, q in (*reversed([*_convergents(x)][:-1]), (0, 1), (1, 0)):
-        if (centre := memo.get(c := Slope(p, q))) is None:
-            return None
+    a, b, h = x.p, x.q, x.height()
+    for p, q in (*reversed(convergents), (0, 1), (1, 0)):
         k = q * a - p * b
-        summary = class_plan(pres, c).summary
+        summary = class_plan(pres, c := Slope(p, q)).summary
         g = 2 * summary.d * abs(k)
-        for i in (1, -1):
-            if max(abs(a + g * i * p), abs(b + g * i * q)) < h:
-                image = memo.get(Slope.of(a + g * i * p, b + g * i * q))
-                n = summary.essential * (i if k > 0 else -i)
-                if image is not None and (image is INESSENTIAL or not n):
-                    return image
-                if image is not None:
-                    return _twisted(pres, image, centre, n)
+        for j in (1, -1):
+            if (lower := max(abs(a + g * j * p), abs(b + g * j * q))) < h:
+                if max(abs(a + 2 * g * j * p), abs(b + 2 * g * j * q)) < lower:
+                    num, den = ((-b, q) if p == 0 else (-a, p) if q == 0
+                                else (-a - b, p + q) if p * q > 0 else (b - a, p - q))
+                    f = num // (g * den)
+                    j = min((f, f + 1), key=lambda i: max(abs(a + g * i * p), abs(b + g * i * q)))
+                n = summary.essential * (j if k > 0 else -j)
+                return Slope.of(a + g * j * p, b + g * j * q), c, n
     return None
 
 
 def pullback_slope(pres: NetMapPresentation, slope: Slope) -> SlopeOrInessential:
     """Slope of an essential pullback component, or INESSENTIAL.
 
-    A twist step moves a slope x to a lower slope y about a centre c, and
-    sigma(x) is a twist about sigma(c) of sigma(y).  An inessential class,
-    read off its plan, takes no step.  Otherwise there are two reasons to
-    take one:
+    A twist step (``_twist_step``) moves a slope x to a lower slope y
+    about a centre c, and sigma(x) is a twist about sigma(c) of sigma(y).
+    An inessential class is answered from its plan.  Otherwise x takes
+    the step, when one lowers it, in one of two cases:
 
-    - a slope whose zigzag would be long (``_segment_is_long``) steps to
-      the lower slope of least height (``_twist_step``), as long as one
-      lowers it.  The steps of one call scan at most
-      ``_DESCENT_CENTRES`` centres in all; a step that would pass this
-      budget is refused with BudgetExceededError before its scan starts.
-    - a short slope takes one step whose lower slope and centre both
-      have memoised images (``_memoised_twist``).  A batch walked in the
-      order of ``enumerate_slopes`` finds one for most slopes.
+    - its zigzag would be long (``_segment_is_long``).  Then x descends
+      step by step; before each scan the step's centres are charged to a
+      budget of ``_DESCENT_CENTRES`` for the whole call, and a scan that
+      would pass it is refused with BudgetExceededError.
+    - sigma(y) and sigma(c) are both memoised.  Then x is answered by one
+      twist.  A batch walked in the order of ``enumerate_slopes`` finds
+      such a step for most slopes.
 
     The zigzag answers the slope where the steps end.  Back up the steps,
     each image is the twist about the image of the step's centre, which
@@ -358,23 +331,28 @@ def pullback_slope(pres: NetMapPresentation, slope: Slope) -> SlopeOrInessential
     stays INESSENTIAL.  Every image is memoised.
     """
     memo, steps, x, scanned = pres.context.images, [], slope, 0
-    while x not in memo:
-        image = None
+    while (image := memo.get(x)) is None:
         if class_plan(pres, x).summary.essential == 0:
-            image = INESSENTIAL
-        elif _segment_is_long(pres, x):
-            if (scanned := scanned + len(centres := _centres(x))) > _DESCENT_CENTRES:
+            memo[x] = image = INESSENTIAL
+            break
+        convergents = [*_convergents(x)][:-1]
+        if long := _segment_is_long(pres, x):
+            if (scanned := scanned + len(convergents) + 2) > _DESCENT_CENTRES:
                 raise BudgetExceededError(f"slope {slope}: its twist descent would scan more "
                                           f"than {_DESCENT_CENTRES} centres")
-            if (step := _twist_step(pres, x, centres)) is not None:
-                steps.append((x, step))
-                x = step[0]
-                continue
-        else:
-            image = _memoised_twist(pres, x)
-        memo[x] = zigzag_trace(pres, x).result if image is None else image
+        step = _twist_step(pres, x, convergents)
+        if step is not None and long:
+            steps.append((x, step))
+            x = step[0]
+            continue
+        y, c, n = step or (None, None, 0)
+        image, centre = memo.get(y), memo.get(c)
+        if image is None or centre is None:
+            image = zigzag_trace(pres, x).result
+        elif image is not INESSENTIAL and n:
+            image = _twisted(pres, image, centre, n)
+        memo[x] = image
         break
-    image = memo[x]
     for x, (_, c, n) in reversed(steps):
         if image is not INESSENTIAL and n:
             image = _twisted(pres, image, pullback_slope(pres, c), n)

@@ -144,9 +144,9 @@ class TestSlope:
         scanned = []
         step = slopefn._twist_step
 
-        def counting(pres, x, centres):
-            scanned.append(len(centres))
-            return step(pres, x, centres)
+        def counting(pres, x, convergents):
+            scanned.append(len(convergents) + 2)  # and 0 and infinity
+            return step(pres, x, convergents)
 
         monkeypatch.setattr(slopefn, "_twist_step", counting)
         rng = random.Random(7)
@@ -367,6 +367,82 @@ class TestNonsep:
     def test_bad_group_spec_exits_2(self, capsys):
         code, _, _ = run(capsys, "nonsep", "four", "--search")
         assert code == 2
+
+
+ANALYZE_MODES = "analyze takes one of --slope and --table"
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work done for a refused command line")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["slope", "FILE", "1/2", "--graph", "2"], "slope takes a SLOPE or --graph, not both"),
+        (["slope", "FILE", "1/2", "--graph=2"], "slope takes a SLOPE or --graph, not both"),
+        (["slope", "FILE", "1/2", "--out", "OUT"], "slope --out needs --graph"),
+        (["slope", "FILE", "1/2", "--out=OUT"], "slope --out needs --graph"),
+        (["analyze", "FILE", "--slope", "1/2", "--table"], ANALYZE_MODES),
+        (["analyze", "FILE", "--slope=1/2", "--table"], ANALYZE_MODES),
+        (["analyze", "FILE"], ANALYZE_MODES),
+        (["analyze", "FILE", "--format=csv"], ANALYZE_MODES),
+    ],
+)
+def test_ignored_file_options_exit_2_before_any_work(
+    capsys, main_path, tmp_path, monkeypatch, argv, message
+):
+    out = tmp_path / "out.csv"
+    argv = [{"FILE": main_path, "OUT": str(out)}.get(a, a) for a in argv]
+    argv = [a.replace("=OUT", f"={out}") for a in argv]
+    assert (cli._parse_plain(argv) is None) == any("=" in a for a in argv)  # both parsers
+    monkeypatch.setattr(cli, "_load", _no_work)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+SUBSET = "(0,0);(1,0);(2,0);(1,1)"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--check", SUBSET, "--search"], "nonsep takes one of --check, --search and --refute"),
+        (["--search", "--refute"], "nonsep takes one of --check, --search and --refute"),
+        ([], "nonsep takes one of --check, --search and --refute"),
+        ([f"--check={SUBSET}", "--refute"],
+         "nonsep takes one of --check, --search and --refute"),
+        (["--check", SUBSET, "--budget", "7"], "nonsep --budget needs --search"),
+        (["--check", SUBSET, "--budget=7"], "nonsep --budget needs --search"),
+        (["--refute", "--budget", "7"], "nonsep --budget needs --search"),
+    ],
+)
+def test_ignored_nonsep_options_exit_2_before_any_work(capsys, monkeypatch, argv, message):
+    argv = ["nonsep", "4,2", *argv]
+    assert (cli._parse_plain(argv) is None) == any("=" in a for a in argv)  # both parsers
+    for name in ("separating_pair", "search_nonseparating", "degree2_refutation"):
+        monkeypatch.setattr(cli.ns, name, _no_work)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["2,4", "--refute"], ["8,2", "--ref"], ["--refute", "3,3"]]
+)
+def test_refute_of_another_group_exits_2(capsys, monkeypatch, argv):
+    argv = ["nonsep", *argv]
+    assert (cli._parse_plain(argv) is None) == ("--ref" in argv)  # both parsers
+    monkeypatch.setattr(cli.ns, "degree2_refutation", _no_work)
+    message = "error: nonsep --refute is the report for the group 4,2\n"
+    assert run(capsys, *argv) == (2, "", message)
+
+
+def test_nonsep_budget_default_is_100000(capsys, monkeypatch):
+    budgets = []
+    monkeypatch.setattr(cli.ns, "search_nonseparating",
+                        lambda group, budget: budgets.append(budget) or [])
+    for argv in (["4,2", "--search"], ["4,2", "--search", "--budget", "7"]):
+        assert run(capsys, "nonsep", *argv)[0] == 0
+    assert budgets == [100_000, 7]
 
 
 def _parse_outcome(capsys, parse, argv):

@@ -339,8 +339,8 @@ class TestTwistDescent:
         taken = []
         step = slopefn._twist_step
 
-        def counting(pres, x, centres):
-            result = step(pres, x, centres)
+        def counting(pres, x, convergents):
+            result = step(pres, x, convergents)
             taken.append(result is not None)
             return result
 
@@ -390,10 +390,26 @@ class TestTwistDescent:
         assert len(zigzags) <= 2 and all(s.height() <= 1 for s in zigzags)
 
     def test_below_the_gate_only_the_zigzag_runs(self, main_pres, monkeypatch):
-        monkeypatch.setattr(slopefn, "_centres", None)  # a descent would call it
+        monkeypatch.setattr(slopefn, "_DESCENT_CENTRES", 0)  # a descent would be refused
         pres = dataclasses.replace(main_pres)
         for s in enumerate_slopes(20):
             assert pullback_slope(pres, s) == pullback_slope(main_pres, s)
+
+    def test_a_fresh_context_zigzags_only_the_slope_itself(self, monkeypatch):
+        # Below the gate a step needs memoised images, and a fresh context has none.
+        zigzags = []
+        trace = slopefn.zigzag_trace
+
+        def counting(pres, s):
+            zigzags.append(s)
+            return trace(pres, s)
+
+        monkeypatch.setattr(slopefn, "zigzag_trace", counting)
+        main = bundled_presentation("main")
+        for s in enumerate_slopes(20):
+            zigzags.clear()
+            pullback_slope(dataclasses.replace(main), s)
+            assert zigzags == [s]
 
     def test_crossing_estimate_tracks_the_crossings(self, main_pres):
         # On long segments the swept area over the covolume of 2*L1 is
@@ -443,9 +459,9 @@ def test_descent_budget_counts_the_centres_scanned(monkeypatch):
     scanned = []
     step = slopefn._twist_step
 
-    def counting(pres, x, centres):
-        scanned.append(len(centres))
-        return step(pres, x, centres)
+    def counting(pres, x, convergents):
+        scanned.append(len(convergents) + 2)  # and 0 and infinity
+        return step(pres, x, convergents)
 
     def stalled():
         pres = dataclasses.replace(bundled_presentation("main"))
@@ -488,16 +504,17 @@ class TestMemoisedTwist:
 
     @pytest.fixture
     def answered(self, monkeypatch):
-        """Count the slopes that a memoised twist answers."""
+        """Count the slopes that one twist of memoised images answers."""
         found = []
-        twist = slopefn._memoised_twist
+        step = slopefn._twist_step
 
-        def counting(pres, x):
-            result = twist(pres, x)
-            found.append(result is not None)
+        def counting(pres, x, convergents):
+            result = step(pres, x, convergents)
+            memo = pres.context.images
+            found.append(result is not None and result[0] in memo and result[1] in memo)
             return result
 
-        monkeypatch.setattr(slopefn, "_memoised_twist", counting)
+        monkeypatch.setattr(slopefn, "_twist_step", counting)
         return found
 
     def test_equals_zigzag_on_the_geometry_presentations(self, answered):
@@ -530,6 +547,38 @@ class TestMemoisedTwist:
         zigzag, batch = dataclasses.replace(swapped), dataclasses.replace(swapped)
         for s in enumerate_slopes(20):
             assert pullback_slope(batch, s) == _zigzag_image(zigzag, s), s
+
+
+ORBIT_SURVEY_40 = """\
+1960 slopes up to height 40
+inessential terminations: 0, unresolved: 0
+cycles reached (cycle: orbit count):
+  {0}: 1542
+  {2/3, 4/15, 4/9}: 397
+  {inf}: 21
+transient length distribution:
+  0: 5
+  1: 307
+  2: 543
+  3: 507
+  4: 397
+  5: 164
+  6: 27
+  7: 7
+  8: 3
+"""
+
+
+def test_orbit_survey_of_main_is_pinned():
+    # Orbits visit slopes in an order that mixes memoised twists, descents and zigzags.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "orbit_survey.py"
+    done = subprocess.run([sys.executable, str(script), "--height", "40"],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == ORBIT_SURVEY_40
 
 
 def test_enumeration_is_refused_before_it_builds(monkeypatch):
