@@ -99,7 +99,6 @@ class PresentationContext:
     edges: tuple[tuple[Vec, Vec, Vec, Vec | None], ...]
     midpoint_keys: frozenset[Vec]    # class keys of the non-degenerate midpoints
     edge_length: int                 # sum of |dx| + |dy| over the edges, times scale
-    summaries: dict = field(default_factory=dict)  # slope -> PullbackSummary
     plans: dict = field(default_factory=dict)      # class mod 2N -> pullback.ClassPlan
     images: dict = field(default_factory=dict)     # slope -> pullback_slope value
 

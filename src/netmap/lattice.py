@@ -8,6 +8,7 @@ as Z/m + Z/n with stored coordinate transforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import ValidationError
 
@@ -102,29 +103,15 @@ class Basis2:
         return (n1 // d, n2 // d)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def order_in_quotient(w: Vec, sublattice: Basis2) -> int:
     """Order of the image of w in Z^2 / sublattice.
 
-    This is the smallest d >= 1 with d*w in the sublattice; it always
-    divides the index of the sublattice.
+    This is the smallest d >= 1 with d*w in the sublattice.  With
+    (n1, n2) = det * (coordinates of w), d*w lies in the sublattice
+    exactly when det divides d*n1 and d*n2, that is when
+    det / gcd(det, n1, n2) divides d; so the order divides the index.
     """
-    for d in _divisors(sublattice.index):
-        if sublattice.contains(vscale(d, w)):
-            return d
-    raise AssertionError("order must divide the sublattice index")
+    return sublattice.index // gcd(sublattice.det, *sublattice.adjugate_coords(w))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -22,7 +22,7 @@ number of h is min(phi(h), k - phi(h)), as in ``pullback.coset_number``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .errors import BudgetExceededError
 from .lattice import quotient_presentation
@@ -59,11 +59,7 @@ class FinAbGroup:
         return (0, 0)
 
     def order_of(self, a: El) -> int:
-        k, x = 1, a
-        while x != (0, 0):
-            x = self.add(x, a)
-            k += 1
-        return k
+        return lcm(self.m // gcd(self.m, a[0]), self.n // gcd(self.n, a[1]))
 
 
 @dataclass(frozen=True)
@@ -240,19 +236,22 @@ def search_nonseparating(
     """All nonseparating subsets, by exhaustive search over classes.
 
     The budget bounds the number of 4-subsets of inversion classes
-    examined; exceeding it raises BudgetExceededError.  Under one value
-    map, with a <= b <= c the values of three classes, a fourth value d
-    keeps c2 == c3 exactly when (d >= b or a == b) and (d <= b or
-    b == c).  These are bitmasks over class indices: the fourth classes
-    of a triple are the bits left after intersecting them over every
-    map, and subsets come out in ``itertools.combinations`` order.
+    examined; exceeding it raises BudgetExceededError before any class
+    is listed.  Under one value map, with a <= b <= c the values of
+    three classes, a fourth value d keeps c2 == c3 exactly when
+    (d >= b or a == b) and (d <= b or b == c).  These are bitmasks over
+    class indices: the fourth classes of a triple are the bits left
+    after intersecting them over every map, and subsets come out in
+    ``itertools.combinations`` order.
     """
-    classes = inversion_classes(group)
-    total = comb(len(classes), 4)
+    # A class is {h, -h}: a pair, or one element of order at most 2.
+    m, n = group.m, group.n
+    total = comb((m * n + gcd(2, m) * gcd(2, n)) // 2, 4)
     if total > budget:
         raise BudgetExceededError(
             f"{total} candidate subsets exceed the budget of {budget}"
         )
+    classes = inversion_classes(group)
     # Maps with many distinct values pin d down most often; trying them
     # first empties the masks soonest.
     maps = sorted(_value_maps(group, classes), key=lambda v: len(set(v)), reverse=True)

@@ -135,7 +135,7 @@ def check_certificate(pres: NetMapPresentation, cert: Certificate) -> bool:
     Rebuilds every half-space from its source slope, recomputes the
     cover verdict, and re-checks the leftover dispositions, all on an
     equal presentation with a fresh context, so the check shares no
-    memoised images or summaries with the code that built ``cert``.
+    memoised images or class plans with the code that built ``cert``.
     """
     pres = replace(pres)
     rebuilt = [exclusion_halfspace(pres, h.slope) for h in cert.halfspaces]

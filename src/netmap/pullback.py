@@ -19,7 +19,15 @@ from .slope import Slope
 
 @dataclass(frozen=True)
 class PullbackSummary:
-    slope: Slope
+    """The pullback data of a class mod 2N (see :class:`ClassPlan`).
+
+    One object is shared by every slope of the class, so it names no
+    slope: ``d`` is the degree on each component of the preimage,
+    ``d_prime`` = N/d, ``coset_numbers`` the sorted coset numbers of the
+    four postcritical classes, then the component counts and the
+    multiplier delta = essential/d that Thurston's criterion tests.
+    """
+
     d: int
     d_prime: int
     coset_numbers: tuple[int, int, int, int]
@@ -60,9 +68,11 @@ class ClassPlan:
     crossing kernel skips its lattice scan for these segments, which
     ``slopefn.mirror_crossings`` knows by their (h, t) in ``segments``;
     the zigzag reads ``essential`` from the plan's summary.
+
+    The summary is the class's, the same object for each of its slopes.
     """
 
-    summary: PullbackSummary  # of the first slope of the class seen
+    summary: PullbackSummary
     # (h_k, t) best first, set by slopefn.segment_candidates on first use.
     segments: tuple[tuple[Vec, int], ...] | None = None
 
@@ -82,7 +92,6 @@ def class_plan(pres: NetMapPresentation, slope: Slope) -> ClassPlan:
     essential = cs[2] - cs[1]
     ctx.plans[key] = plan = ClassPlan(
         PullbackSummary(
-            slope=slope,
             d=d,
             d_prime=d_prime,
             coset_numbers=cs,
@@ -96,16 +105,12 @@ def class_plan(pres: NetMapPresentation, slope: Slope) -> ClassPlan:
 
 
 def analyze_slope(pres: NetMapPresentation, slope: Slope) -> PullbackSummary:
-    """Degrees, coset numbers and component counts for one slope."""
-    memo = pres.context.summaries
-    if slope in memo:
-        return memo[slope]
-    s = class_plan(pres, slope).summary
-    if s.slope != slope:
-        s = PullbackSummary(slope, s.d, s.d_prime, s.coset_numbers, s.essential,
-                            s.peripheral, s.null_homotopic, s.multiplier)
-    memo[slope] = s
-    return s
+    """Degrees, coset numbers and component counts for one slope.
+
+    This is the summary of the slope's class plan, shared by every slope
+    of its class mod 2N.
+    """
+    return class_plan(pres, slope).summary
 
 
 def multiplier(pres: NetMapPresentation, slope: Slope) -> Fraction:

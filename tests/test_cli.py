@@ -51,17 +51,31 @@ class TestAnalyze:
     def test_table_has_eight_rows(self, capsys, main_path):
         code, out, _ = run(capsys, "analyze", main_path, "--table")
         assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 8
-        assert lines[3].endswith("d=5 d'=2 c=(0,0,2,2) ess=2 per=0 null=0 delta=2/5")
-        assert lines[7].endswith("d=1 d'=10 c=(0,0,2,2) ess=2 per=0 null=8 delta=2")
+        assert out.splitlines() == [
+            "1: d=10 d'=1 c=(0,0,1,1) ess=1 per=0 null=0 delta=1/10",
+            "2: d=2 d'=5 c=(0,1,4,5) ess=3 per=2 null=0 delta=3/2",
+            "1/3: d=2 d'=5 c=(0,2,3,5) ess=1 per=4 null=0 delta=1/2",
+            "1/4: d=5 d'=2 c=(0,0,2,2) ess=2 per=0 null=0 delta=2/5",
+            "-1/2: d=1 d'=10 c=(0,2,8,10) ess=6 per=4 null=0 delta=6",
+            "3/4: d=1 d'=10 c=(0,0,6,6) ess=6 per=0 null=4 delta=6",
+            "7/6: d=1 d'=10 c=(0,4,6,10) ess=2 per=8 null=0 delta=2",
+            "1/8: d=1 d'=10 c=(0,0,2,2) ess=2 per=0 null=8 delta=2",
+        ]
 
     def test_csv_format(self, capsys, main_path):
         code, out, _ = run(capsys, "analyze", main_path, "--table", "--format", "csv")
         assert code == 0
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0][0] == "slope"
-        assert len(rows) == 9
+        assert out == "".join(row + "\r\n" for row in [
+            "slope,d,d_prime,c1,c2,c3,c4,essential,peripheral,null,delta",
+            "1,10,1,0,0,1,1,1,0,0,1/10",
+            "2,2,5,0,1,4,5,3,2,0,3/2",
+            "1/3,2,5,0,2,3,5,1,4,0,1/2",
+            "1/4,5,2,0,0,2,2,2,0,0,2/5",
+            "-1/2,1,10,0,2,8,10,6,4,0,6",
+            "3/4,1,10,0,0,6,6,6,0,4,6",
+            "7/6,1,10,0,4,6,10,2,8,0,2",
+            "1/8,1,10,0,0,2,2,2,0,8,2",
+        ])
 
     def test_invalid_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.net"
@@ -367,6 +381,14 @@ class TestNonsep:
     def test_bad_group_spec_exits_2(self, capsys):
         code, _, _ = run(capsys, "nonsep", "four", "--search")
         assert code == 2
+
+    def test_huge_search_exits_2_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.ns, "inversion_classes", _no_work)
+        monkeypatch.setattr(cli.ns.FinAbGroup, "elements", _no_work)
+        code, out, err = run(capsys, "nonsep", "100000,100000", "--search")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and err.endswith(" exceed the budget of 100000\n")
 
 
 ANALYZE_MODES = "analyze takes one of --slope and --table"

@@ -66,8 +66,7 @@ class TestOrderInQuotient:
         d = order_in_quotient(v, basis)
         assert basis.index % d == 0
         assert basis.contains((d * v[0], d * v[1]))
-        if d > 1:
-            assert not basis.contains(((d - 1) * v[0], (d - 1) * v[1]))
+        assert not any(basis.contains((e * v[0], e * v[1])) for e in range(1, d))
 
 
 class TestSmithNormalForm:

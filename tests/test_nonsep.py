@@ -4,6 +4,7 @@ import subprocess
 import sys
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,37 @@ class TestSearch:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             search_nonseparating(FinAbGroup(6, 6), budget=10)
+
+    def test_huge_group_is_refused_before_any_element_is_listed(self, monkeypatch):
+        def listed(*_):
+            raise AssertionError("the search listed the group before its budget check")
+
+        monkeypatch.setattr(nonsep, "inversion_classes", listed)
+        monkeypatch.setattr(FinAbGroup, "elements", listed)
+        with pytest.raises(BudgetExceededError, match="exceed the budget of 100000"):
+            search_nonseparating(FinAbGroup(100_000, 100_000))
+
+
+class TestGroupFormulas:
+    def test_order_of_equals_repeated_addition(self):
+        for m in range(1, 13):
+            for n in range(1, 13):
+                group = FinAbGroup(m, n)
+                for a in group.elements():
+                    k, x = 1, a
+                    while x != (0, 0):
+                        x, k = group.add(x, a), k + 1
+                    assert group.order_of(a) == k, (m, n, a)
+
+    def test_class_count_equals_listed_classes(self):
+        # The budget check counts the classes as (|A| + |A[2]|) / 2 before
+        # listing them; A[2], the elements of order <= 2, has
+        # gcd(2, m) * gcd(2, n) of them.
+        for m in range(1, 41):
+            for n in range(1, 41):
+                group = FinAbGroup(m, n)
+                count = (m * n + gcd(2, m) * gcd(2, n)) // 2
+                assert count == len(inversion_classes(group)), (m, n)
 
 
 def _groups(max_order):

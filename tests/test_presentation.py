@@ -157,7 +157,7 @@ def test_separate_parses_share_no_memo():
     assert repr(first) == repr(second)
     assert first.context is not second.context
     assert Slope(1, 4) in first.context.images
-    assert not second.context.images and not second.context.summaries
+    assert not second.context.images and not second.context.plans
 
 
 class TestPreimageCosetTable:

@@ -143,7 +143,7 @@ def reference_summary(pres, slope):
     d_prime = pres.lambda1.index // d
     cs = tuple(sorted(coset_number(h, slope, d_prime) for h in pres.postcritical))
     return PullbackSummary(
-        slope, d, d_prime, cs, cs[2] - cs[1], cs[1] - cs[0] + cs[3] - cs[2],
+        d, d_prime, cs, cs[2] - cs[1], cs[1] - cs[0] + cs[3] - cs[2],
         cs[0] - cs[3] + d_prime, Fraction(cs[2] - cs[1], d),
     )
 

@@ -315,6 +315,16 @@ class TestConsistencySuite:
         report = consistency_suite(main_pres, [(((1, 0), (0, 1)), (0, 0))], 6)
         assert report.passed
 
+    def test_non_symmetry_refused(self, main_pres):
+        with pytest.raises(ValueError, match="is not an affine symmetry"):
+            consistency_suite(main_pres, [(((2, 0), (0, 1)), (0, 0))], 6)
+
+    def test_mirror_moving_symmetry_refused(self, double_pres):
+        # A member of the group that moves the mirrors, as in
+        # test_mirror_moving_symmetry_unsupported.
+        with pytest.raises(MirrorsNotStabilizedError):
+            consistency_suite(double_pres, [(((1, 0), (0, 1)), (2, 0))], 6)
+
     def test_corrupted_correspondence_detected(self, main_pres):
         # A basis change transforms the slope map and the domain action
         # covariantly, so the suite itself still passes on a swapped
