@@ -129,86 +129,60 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _clear(x: int, y: int) -> Mat2:
+    """Unimodular W with W*(x, y) = (g, 0).
+
+    When x divides y an elementary step suffices and keeps g = x;
+    otherwise the gcd transform gives g = gcd(x, y), strictly smaller
+    than |x|, which is what guarantees termination in
+    ``smith_normal_form``.
+    """
+    if x != 0 and y % x == 0:
+        return ((1, 0), (-(y // x), 1))
+    g, s, t = _xgcd(x, y)
+    return ((s, t), (-(y // g), x // g))
+
+
 def smith_normal_form(m: Mat2) -> tuple[Mat2, Mat2, Mat2]:
     """(U, D, V) with U*m*V = D = diag(d1, d2), d1 | d2, d1, d2 > 0.
 
-    U and V are unimodular.  Requires det(m) != 0.
+    U and V are unimodular.  Requires det(m) != 0.  Every step is one
+    unimodular matrix, applied with ``mat_mul`` on the left of A and U
+    (a row step) or on the right of A and V (a column step): ``_clear``
+    for the off-diagonal entries, its transpose for the column, the
+    fold ((1, 0), (1, 1)) of column 1 into column 0, and the sign fixes
+    diag(-1, 1) and diag(1, -1).
     """
-    a = [list(m[0]), list(m[1])]
-    u = [[1, 0], [0, 1]]
-    v = [[1, 0], [0, 1]]
-
-    def row_reduce():
-        # Clear a[1][0].  When the pivot divides the entry an elementary
-        # step suffices and leaves the pivot row untouched; otherwise a
-        # unimodular gcd transform strictly shrinks the pivot, which is
-        # what guarantees termination of the reduction loop.
-        if a[0][0] != 0 and a[1][0] % a[0][0] == 0:
-            k = a[1][0] // a[0][0]
-            a[1] = [a[1][0] - k * a[0][0], a[1][1] - k * a[0][1]]
-            u[1] = [u[1][0] - k * u[0][0], u[1][1] - k * u[0][1]]
-            return
-        g, x, y = _xgcd(a[0][0], a[1][0])
-        p, q = a[0][0] // g, a[1][0] // g
-        r0 = [x * a[0][0] + y * a[1][0], x * a[0][1] + y * a[1][1]]
-        r1 = [-q * a[0][0] + p * a[1][0], -q * a[0][1] + p * a[1][1]]
-        a[0], a[1] = r0, r1
-        u0 = [x * u[0][0] + y * u[1][0], x * u[0][1] + y * u[1][1]]
-        u1 = [-q * u[0][0] + p * u[1][0], -q * u[0][1] + p * u[1][1]]
-        u[0], u[1] = u0, u1
-
-    def col_reduce():
-        # Clear a[0][1]; same structure as row_reduce.
-        if a[0][0] != 0 and a[0][1] % a[0][0] == 0:
-            k = a[0][1] // a[0][0]
-            a[0][1] -= k * a[0][0]
-            a[1][1] -= k * a[1][0]
-            v[0][1] -= k * v[0][0]
-            v[1][1] -= k * v[1][0]
-            return
-        g, x, y = _xgcd(a[0][0], a[0][1])
-        p, q = a[0][0] // g, a[0][1] // g
-        c0 = [x * a[0][0] + y * a[0][1], x * a[1][0] + y * a[1][1]]
-        c1 = [-q * a[0][0] + p * a[0][1], -q * a[1][0] + p * a[1][1]]
-        a[0][0], a[1][0] = c0
-        a[0][1], a[1][1] = c1
-        v0 = [x * v[0][0] + y * v[0][1], x * v[1][0] + y * v[1][1]]
-        v1 = [-q * v[0][0] + p * v[0][1], -q * v[1][0] + p * v[1][1]]
-        v[0][0], v[1][0] = v0
-        v[0][1], v[1][1] = v1
-
     if mat_det(m) == 0:
         raise ValueError("singular matrix has no Smith normal form here")
-    if a[0][0] == 0:
-        a[0], a[1] = a[1], a[0]
-        u[0], u[1] = u[1], u[0]
+    u, a, v = IDENTITY, m, IDENTITY
 
+    def row(w: Mat2) -> None:
+        nonlocal u, a
+        u, a = mat_mul(w, u), mat_mul(w, a)
+
+    def col(w: Mat2) -> None:
+        nonlocal a, v
+        a, v = mat_mul(a, w), mat_mul(v, w)
+
+    if a[0][0] == 0:
+        row(((0, 1), (1, 0)))
     while True:
         while a[1][0] != 0 or a[0][1] != 0:
             if a[1][0] != 0:
-                row_reduce()
+                row(_clear(a[0][0], a[1][0]))
             if a[0][1] != 0:
-                col_reduce()
+                col(tuple(zip(*_clear(a[0][0], a[0][1]))))
         if a[1][1] % a[0][0] == 0:
             break
-        # Fold column 1 into column 0 so the next pass replaces the
-        # leading entry by gcd(d1, d2); |d1| strictly decreases.
-        a[0][0] += a[0][1]
-        a[1][0] += a[1][1]
-        v[0][0] += v[0][1]
-        v[1][0] += v[1][1]
-
-    # Positive diagonal.
+        # The next pass replaces the leading entry by gcd(d1, d2), so
+        # |d1| strictly decreases.
+        col(((1, 0), (1, 1)))
     if a[0][0] < 0:
-        a[0] = [-a[0][0], -a[0][1]]
-        u[0] = [-u[0][0], -u[0][1]]
+        row(((-1, 0), (0, 1)))
     if a[1][1] < 0:
-        a[1][1] = -a[1][1]
-        v[0][1] = -v[0][1]
-        v[1][1] = -v[1][1]
-
-    to_mat = lambda x: ((x[0][0], x[0][1]), (x[1][0], x[1][1]))
-    return to_mat(u), to_mat(a), to_mat(v)
+        col(((1, 0), (0, -1)))
+    return u, a, v
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,9 @@ from .presentation import NetMapPresentation
 
 El = tuple[int, int]
 
+# separating_pair refuses a set walk over more elements than this.
+_WALK_LIMIT = 1024
+
 
 @dataclass(frozen=True)
 class FinAbGroup:
@@ -177,9 +180,17 @@ def separating_pair(
     """The first cyclic pair whose sorted coset numbers have c2 != c3.
 
     Returns None when there is none.  ``elements`` is passed on to
-    ``cyclic_pairs``.
+    ``cyclic_pairs``.  The set walk costs about |A|^2 for the walked
+    set A (the whole group, or the given elements), so a walk over more
+    than ``_WALK_LIMIT`` elements is refused with BudgetExceededError
+    before any element is listed.
     """
     _check_symmetric_four(group, subset)
+    size = group.order if elements is None else len(elements)
+    if size > _WALK_LIMIT:
+        raise BudgetExceededError(
+            f"a set walk over {size} elements is above the limit of {_WALK_LIMIT}"
+        )
     for pair in cyclic_pairs(group, elements):
         cs = coset_numbers(group, subset, pair)
         if cs[1] != cs[2]:

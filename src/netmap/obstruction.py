@@ -17,7 +17,6 @@ from .halfspace import (
     INFINITY_POINT,
     CoverVerdict,
     HalfSpace,
-    LeftoverPoint,
     _reach,
     boundary_interval,
     cover_certificate,
@@ -26,7 +25,7 @@ from .halfspace import (
 from .presentation import NetMapPresentation
 from .pullback import analyze_slope
 from .quadext import QuadExt
-from .slope import Slope, enumerate_slopes
+from .slope import INFINITY, Slope, boundary_point, enumerate_slopes
 from .slopefn import pullback_slope
 
 
@@ -73,15 +72,6 @@ class ObstructionReport:
     diagnostics: str = ""
 
 
-def _slope_of_boundary_point(point: LeftoverPoint) -> Slope:
-    """The slope whose boundary point -q/p equals the given rational."""
-    if point.value == INFINITY_POINT:
-        return Slope(0, 1)
-    x = point.value.as_fraction()
-    # -q/p = x  =>  slope p/q with p = denominator, q = -numerator.
-    return Slope.of(x.denominator, -x.numerator)
-
-
 def _dispose_leftovers(
     pres: NetMapPresentation, verdict: CoverVerdict
 ) -> tuple[tuple[Disposition, ...], tuple[Slope, Fraction] | None]:
@@ -91,7 +81,10 @@ def _dispose_leftovers(
         if not point.rational:
             dispositions.append(Disposition(str(point), "irrational"))
             continue
-        s = _slope_of_boundary_point(point)
+        x = point.value
+        s = boundary_point(
+            INFINITY if x == INFINITY_POINT else Slope.of(*x.as_fraction().as_integer_ratio())
+        )
         if pullback_slope(pres, s) != s:
             dispositions.append(Disposition(str(point), "not-fixed", s))
             continue

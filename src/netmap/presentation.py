@@ -34,6 +34,8 @@ Point = tuple[Fraction, Fraction]
 _VEC_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 _POINT_RE = re.compile(r"\(\s*(-?\d+(?:/\d+)?)\s*,\s*(-?\d+(?:/\d+)?)\s*\)")
 _MIRROR_RE = re.compile(r"^mirror\s+([1-4])$")
+# The vector-list fields of the format, each with its vector count.
+_VECTOR_FIELDS = {"lambda1": 2, "postcritical": 4, "correspondence": 2}
 
 
 @dataclass(frozen=True)
@@ -171,10 +173,7 @@ def _parse_point_list(text: str) -> list[Point]:
 
 def parse(text: str) -> NetMapPresentation:
     """Parse and validate a presentation file."""
-    name = None
-    lambda1 = None
-    postcritical = None
-    correspondence = None
+    fields: dict[str, object] = {}
     mirrors: dict[int, MirrorArc] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -186,22 +185,13 @@ def parse(text: str) -> NetMapPresentation:
         key, value = (part.strip() for part in line.split("=", 1))
         try:
             if key == "name":
-                name = value
-            elif key == "lambda1":
+                fields[key] = value
+            elif key in _VECTOR_FIELDS:
                 vecs = _parse_vec_list(value)
-                if len(vecs) != 2:
-                    raise PresentationSyntaxError("lambda1 needs two vectors")
-                lambda1 = vecs
-            elif key == "postcritical":
-                vecs = _parse_vec_list(value)
-                if len(vecs) != 4:
-                    raise PresentationSyntaxError("postcritical needs four vectors")
-                postcritical = vecs
-            elif key == "correspondence":
-                vecs = _parse_vec_list(value)
-                if len(vecs) != 2:
-                    raise PresentationSyntaxError("correspondence needs two vectors")
-                correspondence = vecs
+                if len(vecs) != _VECTOR_FIELDS[key]:
+                    count = {2: "two", 4: "four"}[_VECTOR_FIELDS[key]]
+                    raise PresentationSyntaxError(f"{key} needs {count} vectors")
+                fields[key] = vecs
             elif (m := _MIRROR_RE.fullmatch(key)):
                 k = int(m.group(1))
                 if ":" not in value:
@@ -220,31 +210,22 @@ def parse(text: str) -> NetMapPresentation:
         except PresentationSyntaxError as exc:
             raise PresentationSyntaxError(f"line {lineno}: {exc}") from None
 
-    missing = [
-        label
-        for label, val in (
-            ("name", name),
-            ("lambda1", lambda1),
-            ("postcritical", postcritical),
-            ("correspondence", correspondence),
-        )
-        if val is None
-    ]
+    missing = [label for label in ("name", *_VECTOR_FIELDS) if label not in fields]
     if sorted(mirrors) != [1, 2, 3, 4]:
         missing.append("mirror 1..4")
     if missing:
         raise PresentationSyntaxError(f"missing fields: {', '.join(missing)}")
 
     try:
-        basis = Basis2(lambda1[0], lambda1[1])
-        corr = Basis2(correspondence[0], correspondence[1])
+        basis = Basis2(*fields["lambda1"])
+        corr = Basis2(*fields["correspondence"])
     except ValidationError as exc:
         raise ValidationError("basis", str(exc)) from None
 
     pres = NetMapPresentation(
-        name=name,
+        name=fields["name"],
         lambda1=basis,
-        postcritical=tuple(postcritical),
+        postcritical=tuple(fields["postcritical"]),
         mirrors=tuple(mirrors[k] for k in (1, 2, 3, 4)),
         correspondence=corr,
     )

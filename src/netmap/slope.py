@@ -95,6 +95,13 @@ class Slope:
 INFINITY = Slope(1, 0)
 
 
+def boundary_point(s: Slope) -> Slope:
+    """-q/p, the boundary point fixed by the twist about p/q, as an
+    extended rational.  The map is its own inverse, so it also takes a
+    boundary point back to its slope."""
+    return Slope.of(-s.q, s.p)
+
+
 def enumerate_slopes(height: int) -> list[Slope]:
     """All reduced slopes with |p|, |q| <= height, plus infinity.
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .errors import HypothesisFailedError, MirrorsNotStabilizedError
 from .geometry import affine_preserves_mirrors
 from .lattice import (
+    Basis2,
     Mat2,
     Vec,
     cross,
@@ -21,13 +22,12 @@ from .lattice import (
     mat_vec,
     order_in_quotient,
     vadd,
-    vneg,
     vscale,
     vsub,
 )
 from .presentation import NetMapPresentation
 from .pullback import analyze_slope
-from .slope import INESSENTIAL, Slope, apply_matrix, enumerate_slopes
+from .slope import INESSENTIAL, Slope, apply_matrix, boundary_point, enumerate_slopes
 from .slopefn import pullback_slope
 
 
@@ -58,6 +58,9 @@ class Mobius:
         return Mobius(m[0][0], m[0][1], m[1][0], m[1][1])
 
     def power(self, n: int) -> "Mobius":
+        """The n-th power; a negative n is a power of the inverse."""
+        if n < 0:
+            return self.inverse().power(-n)
         result = Mobius(1, 0, 0, 1)
         for _ in range(n):
             result = result.compose(self)
@@ -118,14 +121,19 @@ def twist_equation(pres: NetMapPresentation, slope: Slope) -> FunctionalEquation
 
     The inner power is the covering degree on each component, the outer
     power the count of essential components; with no essential
-    component the outer factor is trivial.
+    component the outer factor is trivial.  The outer twist is about
+    the image slope, read in the coordinates of the correspondence
+    basis: when that basis reverses orientation it is the inverse
+    twist, as in ``slopefn._twisted``.
     """
     summary = analyze_slope(pres, slope)
     inner = twist_matrix(slope)
     if summary.essential == 0:
         return FunctionalEquation(inner, summary.d, IDENTITY_MOBIUS, 0)
-    image = pullback_slope(pres, slope)
-    return FunctionalEquation(inner, summary.d, twist_matrix(image), summary.essential)
+    outer = twist_matrix(pullback_slope(pres, slope))
+    if cross(pres.correspondence.u, pres.correspondence.v) < 0:
+        outer = outer.inverse()
+    return FunctionalEquation(inner, summary.d, outer, summary.essential)
 
 
 @dataclass(frozen=True)
@@ -140,9 +148,14 @@ class ReflectionPair:
     image_endpoints: tuple[Slope, Slope]
 
 
-def _boundary_point(slope: Slope) -> Slope:
-    """-q/p as an extended rational."""
-    return Slope.of(-slope.q, slope.p)
+def _marked_pair(pres: NetMapPresentation, w: Vec) -> int | None:
+    """The k with w in the class of h_k or -h_k mod 2*lambda1, or None.
+
+    Read off the context's class lookup; validation keeps the four
+    pairs of classes disjoint.
+    """
+    entry = pres.context.lookup.get(pres.context.table.key(w))
+    return entry[1] if entry is not None and entry[0] == "P2" else None
 
 
 def reflection_equation(
@@ -178,24 +191,16 @@ def reflection_equation(
         )
     # The reflection x*lam + y*mu -> (2d - x)*lam + y*mu reduces to
     # -x*lam + y*mu mod 2*lambda1 because 2d*lam lies in 2*lambda1.
-    table = pres.context.table
-    marked = set()
     for h in pres.postcritical:
-        marked.add(table.key(h))
-        marked.add(table.key(vneg(h)))
-    det = cross(lam, mu)
-    for h in pres.postcritical:
-        x = cross(h, mu) // det
-        y = cross(lam, h) // det
-        image = vsub(vscale(y, mu), vscale(x, lam))
-        if table.key(image) not in marked:
+        x, y = Basis2(lam, mu).integer_coords(h)
+        if _marked_pair(pres, vsub(vscale(y, mu), vscale(x, lam))) is None:
             raise HypothesisFailedError(
                 "ClassSetNotInvariant",
                 f"reflection moves the class of {h} off the marked set",
             )
     return ReflectionPair(
-        domain_endpoints=(_boundary_point(s1), _boundary_point(s2)),
-        image_endpoints=(_boundary_point(img1), _boundary_point(img2)),
+        domain_endpoints=(boundary_point(s1), boundary_point(s2)),
+        image_endpoints=(boundary_point(img1), boundary_point(img2)),
     )
 
 
@@ -213,17 +218,8 @@ def aff_membership(pres: NetMapPresentation, linear: Mat2, translation: Vec) -> 
         return False
     if not pres.lambda1.contains(translation):
         return False
-    table = pres.context.table
-    classes = [frozenset({table.key(h), table.key(vneg(h))}) for h in pres.postcritical]
-    matched = set()
-    for h in pres.postcritical:
-        image = vadd(mat_vec(linear, h), translation)
-        key = table.key(image)
-        hits = [i for i, cls in enumerate(classes) if key in cls]
-        if not hits:
-            return False
-        matched.add(hits[0])
-    return matched == {0, 1, 2, 3}
+    images = (vadd(mat_vec(linear, h), translation) for h in pres.postcritical)
+    return {_marked_pair(pres, w) for w in images} == {0, 1, 2, 3}
 
 
 def _mobius_from_basis_matrix(m: Mat2) -> Mobius:

@@ -390,6 +390,16 @@ class TestNonsep:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and err.endswith(" exceed the budget of 100000\n")
 
+    def test_huge_check_exits_2_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.ns.FinAbGroup, "elements", _no_work)
+        code, out, err = run(
+            capsys, "nonsep", "100000,100000", "--check", "(0,0);(1,0);(0,1);(1,1)"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a set walk over 10000000000 elements is above the limit of 1024\n"
+        )
+
 
 ANALYZE_MODES = "analyze takes one of --slope and --table"
 

@@ -1,3 +1,6 @@
+import hashlib
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -76,6 +79,19 @@ class TestSmithNormalForm:
         u, d, v = smith_normal_form(((-6, -6), (0, -6)))
         assert d == ((6, 0), (0, 6))
         assert abs(mat_det(u)) == 1 and abs(mat_det(v)) == 1
+
+    def test_pinned_on_small_matrices(self):
+        # Every nonsingular matrix with entries in [-4, 4], and the repr
+        # of its (U, D, V), hashed: this pins U and V, which the
+        # property test below leaves free, and on which the coordinates
+        # of quotient_presentation depend.
+        entries = product(range(-4, 5), repeat=4)
+        mats = [((a, b), (c, d)) for a, b, c, d in entries if a * d != b * c]
+        text = "\n".join(repr(smith_normal_form(m)) for m in mats)
+        assert len(mats) == 6016
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f3f7dc6bc25de7e1a7a0fc267cf5da7722bf3e5da8628e3ae289c5df581c45fb"
+        )
 
     @given(nonsingular_bases())
     def test_decomposition(self, basis):

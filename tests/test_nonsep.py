@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from netmap import nonsep
 from netmap.errors import BudgetExceededError
+from netmap.lattice import quotient_presentation
 from netmap.nonsep import (
     FinAbGroup,
     SymmetricFour,
@@ -150,6 +152,29 @@ class TestIsNonseparating:
         for check in (is_nonseparating, separating_pair):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 check(G42, subset)
+
+    def test_set_walk_is_capped(self, monkeypatch):
+        # Z/32 + Z/32 is the largest square group under the cap; Z/33 +
+        # Z/33, Z/100000 + Z/100000 and the subgroup 2*(Z/66 + Z/66) of
+        # 1,089 elements are refused before any element is listed or
+        # any cyclic pair is built.
+        subset = SymmetricFour(((0, 0), (16, 0), (0, 16), (16, 16)))
+        pair = separating_pair(FinAbGroup(32, 32), subset)
+        assert (pair.subgroup_generator, pair.generator) == ((0, 1), (1, 0))
+
+        def listed(*_):
+            raise AssertionError("the set walk started before its cap was checked")
+
+        monkeypatch.setattr(nonsep, "cyclic_pairs", listed)
+        monkeypatch.setattr(FinAbGroup, "elements", listed)
+        doubles = frozenset((2 * x, 2 * y) for x in range(33) for y in range(33))
+        for check in (
+            lambda: separating_pair(FinAbGroup(33, 33), subset),
+            lambda: is_nonseparating(FinAbGroup(100_000, 100_000), subset),
+            lambda: is_nonseparating_in_subgroup(FinAbGroup(66, 66), doubles, subset),
+        ):
+            with pytest.raises(BudgetExceededError, match="above the limit of 1024$"):
+                check()
 
     def test_separating_pair(self):
         assert separating_pair(G42, H42) is None
@@ -416,6 +441,20 @@ class TestConstantTeichmueller:
 
     def test_euclidean_presentation_not_constant(self, euclidean_pres):
         assert not constant_teich_check(euclidean_pres)
+
+    def test_pinned_on_random_presentations(self):
+        # The invariant factors, both coordinate transforms and the
+        # verdict on 300 seeded presentations, hashed; a different
+        # Smith form U would move the transforms.
+        from test_pullback import random_presentation
+
+        lines = []
+        for seed in range(300):
+            pres = random_presentation(seed)
+            q = quotient_presentation(pres.lambda1, 2)
+            lines.append(repr((q.m, q.n, q.to_mat, q.from_mat, constant_teich_check(pres))))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "b128eb745982d131197e4213f608a7f28245aabebd56ef65759346e460ddc4de"
 
     @pytest.mark.parametrize("height", [12])
     def test_cross_module_equivalence(self, main_pres, double_pres, height):

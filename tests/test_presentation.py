@@ -150,6 +150,33 @@ class TestValidationErrors:
             parse("name = x\nlambda1 = (2,-1) (0,5)\n")  # missing fields
 
 
+class TestVectorFieldMessages:
+    FIELDS = [("lambda1", 3, "two"), ("postcritical", 4, "four"), ("correspondence", 5, "two")]
+
+    @pytest.mark.parametrize("field, lineno, count", FIELDS)
+    def test_missing_field(self, field, lineno, count):
+        text = MAIN_TEXT.replace(MAIN_TEXT.splitlines()[lineno - 1] + "\n", "")
+        with pytest.raises(PresentationSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == f"missing fields: {field}"
+
+    @pytest.mark.parametrize("field, lineno, count", FIELDS)
+    @pytest.mark.parametrize("change", ["one more", "one fewer"])
+    def test_wrong_vector_count(self, field, lineno, count, change):
+        line = MAIN_TEXT.splitlines()[lineno - 1]
+        wrong = line + " (1,1)" if change == "one more" else line.rsplit(" ", 1)[0]
+        with pytest.raises(PresentationSyntaxError) as err:
+            parse(MAIN_TEXT.replace(line, wrong))
+        assert str(err.value) == f"line {lineno}: {field} needs {count} vectors"
+
+    def test_every_field_missing(self):
+        with pytest.raises(PresentationSyntaxError) as err:
+            parse("# nothing here\n")
+        assert str(err.value) == (
+            "missing fields: name, lambda1, postcritical, correspondence, mirror 1..4"
+        )
+
+
 def test_separate_parses_share_no_memo():
     first, second = parse(MAIN_TEXT), parse(MAIN_TEXT)
     assert pullback_slope(first, Slope(1, 4)) == Slope(1, 2)

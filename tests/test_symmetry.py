@@ -101,6 +101,14 @@ class TestMobius:
         assert IDENTITY_MOBIUS.is_identity()
         assert IDENTITY_MOBIUS.power(3) == IDENTITY_MOBIUS
 
+    @pytest.mark.parametrize("slope", [Slope(1, 0), Slope(0, 1), Slope(-3, 4)])
+    def test_negative_power_is_power_of_inverse(self, slope):
+        m = twist_matrix(slope)
+        assert m.power(-1) == m.inverse()
+        assert m.power(-2).compose(m.power(2)).is_identity()
+        assert m.power(2).compose(m.power(-2)).is_identity()
+        assert not m.power(-2).is_identity()
+
     def test_group_structure(self, main_pres):
         for linear in (SHEAR, ((2, 1), (1, 1))):
             m = induced_map_range(linear)
@@ -254,23 +262,21 @@ class TestAffinePreservesMirrors:
 
 
 class TestTwistEquationShadows:
-    def test_boundary_shadows_hold(self, main_pres):
-        # Every twist functional equation has a slope-level shadow:
-        # conjugating the boundary actions of inner^d and outer^c by the
-        # slope <-> boundary-point correspondence must intertwine the
-        # slope map.  This ties the zigzag, the pullback counts and the
-        # twist matrices together through an independent relation.
+    # Every twist functional equation has a slope-level shadow:
+    # conjugating the boundary actions of inner^d and outer^c by the
+    # slope <-> boundary-point correspondence must intertwine the slope
+    # map.  This ties the zigzag, the pullback counts and the twist
+    # matrices together through an independent relation.
+
+    @staticmethod
+    def check_shadows(pres):
         from math import gcd
 
-        from netmap.slope import INESSENTIAL
+        from netmap.slope import INESSENTIAL, boundary_point
         from netmap.slopefn import pullback_slope
 
-        def boundary(s):
-            return Slope.of(-s.q, s.p)
-
         def act(m, s):
-            y = m.apply_to_boundary(boundary(s))
-            return Slope.of(y.q, -y.p)
+            return boundary_point(m.apply_to_boundary(boundary_point(s)))
 
         sources = [Slope(1, 0), Slope(0, 1), Slope(1, 2), Slope(-1, 2), Slope(3, 4)]
         xs = [Slope(1, 0)] + [
@@ -280,16 +286,30 @@ class TestTwistEquationShadows:
             if gcd(p, q) == 1
         ]
         for s in sources:
-            eq = twist_equation(main_pres, s)
+            eq = twist_equation(pres, s)
             inner = eq.inner.power(eq.inner_power)
             outer = eq.outer.power(eq.outer_power)
             assert act(eq.inner, s) == s  # the twist fixes its own slope
             for x in xs:
-                lhs = pullback_slope(main_pres, act(inner, x))
-                rhs = pullback_slope(main_pres, x)
+                lhs = pullback_slope(pres, act(inner, x))
+                rhs = pullback_slope(pres, x)
                 if rhs is not INESSENTIAL:
                     rhs = act(outer, rhs)
                 assert lhs == rhs
+
+    def test_boundary_shadows_hold(self, main_pres):
+        self.check_shadows(main_pres)
+
+    def test_boundary_shadows_hold_when_the_correspondence_reverses_orientation(
+        self, main_pres
+    ):
+        # The swapped basis has cross(u, v) < 0, so the outer factor is
+        # the inverse twist about the image slope: infinity maps to 0
+        # here, and the twist about 0 is [[1,2],[0,1]].
+        swapped = dataclasses.replace(main_pres, correspondence=Basis2((0, 5), (2, -1)))
+        eq = twist_equation(swapped, Slope(1, 0))
+        assert eq.render() == "Sigma_f . [[1,0],[-2,1]]^5 = [[1,-2],[0,1]]^2 . Sigma_f"
+        self.check_shadows(swapped)
 
 
 class TestConsistencySuite:
