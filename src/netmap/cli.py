@@ -50,35 +50,26 @@ def _load(path: str) -> NetMapPresentation:
     return parse(Path(path).read_text(encoding="utf-8"))
 
 
-def _summary_text(summary) -> str:
-    c = ",".join(str(x) for x in summary.coset_numbers)
-    return (
-        f"d={summary.d} d'={summary.d_prime} c=({c}) "
-        f"ess={summary.essential} per={summary.peripheral} "
-        f"null={summary.null_homotopic} delta={summary.multiplier}"
-    )
-
-
 def cmd_analyze(args) -> int:
     if args.table == bool(args.slope):
         raise ValueError("analyze takes one of --slope and --table")
     pres = _load(args.file)
     slopes = [Slope.parse(s) for s in (MAIN_TABLE_SLOPES if args.table else [args.slope])]
+    rows = []
+    for s in slopes:
+        m = analyze_slope(pres, s)
+        rows.append([str(s), str(m.d), str(m.d_prime), *map(str, m.coset_numbers),
+                     str(m.essential), str(m.peripheral), str(m.null_homotopic),
+                     str(m.multiplier)])
     if args.format == "csv":
         header = ["slope", "d", "d_prime", "c1", "c2", "c3", "c4",
                   "essential", "peripheral", "null", "delta"]
-        rows = []
-        for s in slopes:
-            m = analyze_slope(pres, s)
-            rows.append([str(s), str(m.d), str(m.d_prime), *map(str, m.coset_numbers),
-                         str(m.essential), str(m.peripheral), str(m.null_homotopic),
-                         str(m.multiplier)])
         sys.stdout.write(render.table_csv(header, rows))
-    else:
-        for s in slopes:
-            m = analyze_slope(pres, s)
-            prefix = f"{s}: " if args.table else ""
-            print(prefix + _summary_text(m))
+        return 0
+    for s, d, d_prime, *c, ess, per, null, delta in rows:
+        prefix = f"{s}: " if args.table else ""
+        print(f"{prefix}d={d} d'={d_prime} c=({','.join(c)}) "
+              f"ess={ess} per={per} null={null} delta={delta}")
     return 0
 
 
@@ -98,8 +89,7 @@ def cmd_slope(args) -> int:
             sys.stdout.write(text)
         return 0
     if args.value is None:
-        print("slope needs a SLOPE or --graph", file=sys.stderr)
-        return 2
+        raise ValueError("slope needs a SLOPE or --graph")
     image = pullback_slope(pres, Slope.parse(args.value))
     print(image)
     return 0
@@ -172,8 +162,7 @@ def cmd_equations(args) -> int:
             raise ValueError("height must be a positive integer")
         linear, translation = _parse_affine(args.affine)
         if not sy.aff_membership(pres, linear, translation):
-            print("not an affine symmetry of the presentation", file=sys.stderr)
-            return 2
+            raise ValueError("not an affine symmetry of the presentation")
         range_action = sy.induced_map_range(linear)
         domain_action = sy.induced_map_domain(pres, linear, translation)
         print(f"Sigma_f . {range_action.render()} = {domain_action.render()} . Sigma_f")
@@ -188,8 +177,7 @@ def cmd_equations(args) -> int:
                 return 2
         return 0
     if args.value is None:
-        print("equations needs a SLOPE or --affine", file=sys.stderr)
-        return 2
+        raise ValueError("equations needs a SLOPE or --affine")
     eq = sy.twist_equation(pres, Slope.parse(args.value))
     print(eq.render())
     return 0
@@ -376,7 +364,7 @@ def main(argv=None) -> int:
     args = _parse_plain(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PresentationSyntaxError, ValidationError, FileNotFoundError, ValueError) as exc:
+    except (PresentationSyntaxError, ValidationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonTransverseError, ZigzagError) as exc:

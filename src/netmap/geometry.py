@@ -68,13 +68,6 @@ _SHORT_LINE = 8
 _MAX_TRANSLATE_LINES = 100_000
 
 
-@dataclass(frozen=True)
-class ScaledMirror:
-    degenerate: bool
-    midpoint: Vec           # unscaled
-    chain: tuple[Vec, ...]  # full polyline, times scale
-
-
 @dataclass(frozen=True, eq=False)
 class PresentationContext:
     """Data derived from one presentation, and its per-slope memos.
@@ -84,7 +77,9 @@ class PresentationContext:
     """
 
     scale: int
-    mirrors: tuple[ScaledMirror, ...]  # in the order of pres.mirrors
+    # Each mirror's full polyline, times scale, in the order of pres.mirrors;
+    # a degenerate mirror's is its one point.
+    chains: tuple[tuple[Vec, ...], ...]
     u2: Vec                 # 2 * lambda1 basis, times scale
     v2: Vec
     table: ClassTable
@@ -111,20 +106,14 @@ def build_context(pres: NetMapPresentation) -> PresentationContext:
             denoms.append(p[1].denominator)
     scale = lcm(*denoms)
     table = ClassTable(basis=pres.lambda1, modulus=2 * pres.lambda1.index)
-    mirrors = []
+    chains = []
     # Validation puts the ends of mirror k in the classes of h_k and -h_k
     # (a degenerate mirror, with h_k in L1, is its own end), and keeps the
     # ends of distinct mirrors in distinct classes.
     midpoint_offsets = {}
     for mirror in pres.mirrors:
         poly = mirror.full_polyline()
-        mirrors.append(
-            ScaledMirror(
-                degenerate=mirror.degenerate,
-                midpoint=mirror.midpoint,
-                chain=tuple((int(p[0] * scale), int(p[1] * scale)) for p in poly),
-            )
-        )
+        chains.append(tuple((int(p[0] * scale), int(p[1] * scale)) for p in poly))
         for x, y in (poly[0], poly[-1]):
             end = (int(x), int(y))
             midpoint_offsets[table.key(end)] = vsub(mirror.midpoint, end)
@@ -145,14 +134,14 @@ def build_context(pres: NetMapPresentation) -> PresentationContext:
     # side of it are collinear: they become one edge, and the lattice
     # scan of interior_crossings finds a segment through the midpoint.
     edges = []
-    for m in mirrors:
-        half = len(m.chain) // 2
-        chain = m.chain[:half] + m.chain[half + 1:]
+    for mirror, full in zip(pres.mirrors, chains):
+        mid, half = mirror.midpoint, len(full) // 2
+        chain = full[:half] + full[half + 1:]
         for i, (a, b) in enumerate(zip(chain, chain[1:])):
-            edges.append((m.midpoint, a, b, table.key(m.midpoint) if i == half - 1 else None))
+            edges.append((mid, a, b, table.key(mid) if i == half - 1 else None))
     return PresentationContext(
         scale=scale,
-        mirrors=tuple(mirrors),
+        chains=tuple(chains),
         u2=vscale(2 * scale, u),
         v2=vscale(2 * scale, v),
         table=table,
@@ -204,8 +193,6 @@ def _parallelogram_candidates(u2: Vec, v2: Vec, ab: tuple[Vec, Vec], cd: tuple[V
                 lo_n, lo_d = num, den
             if num * hi_d > hi_n * den:
                 hi_n, hi_d = num, den
-        if lo_n is None:
-            continue
         for beta in range(-((-lo_n) // (lo_d * d)), hi_n // (hi_d * d) + 1):
             yield alpha, beta
 
@@ -497,7 +484,7 @@ def affine_preserves_mirrors(pres: NetMapPresentation, linear: Mat2, translation
             vsub(c, o) == shift for c, o in zip(image, other)
         )
 
-    chains = [mirror.chain for mirror in ctx.mirrors if not mirror.degenerate]
+    chains = [chain for chain in ctx.chains if len(chain) > 1]
     for chain in chains:
         image = tuple(vadd(mat_vec(linear, c), ts) for c in chain)
         if not any(
@@ -541,9 +528,7 @@ def check_mirror_disjointness(pres: NetMapPresentation) -> None:
     """
     ctx = pres.context
     u2, v2 = ctx.u2, ctx.v2
-    segments = [
-        list(zip(m.chain, m.chain[1:])) or [(m.chain[0], m.chain[0])] for m in ctx.mirrors
-    ]
+    segments = [list(zip(chain, chain[1:])) or [(chain[0], chain[0])] for chain in ctx.chains]
     for i in range(4):
         for j in range(i, 4):
             lines = sum(_alpha_lines(u2, v2, ab, cd) for ab in segments[i] for cd in segments[j])

@@ -13,7 +13,8 @@ classes with a configurable budget.
 
 ``is_nonseparating`` walks cosets as element sets (``cyclic_pairs``,
 ``coset_numbers``, ``separating_pair``), independently of
-``search_nonseparating``, which reads coset numbers off characters.
+``search_nonseparating`` and ``constant_teich_check``, which read
+coset numbers off characters; so the set walk checks both.
 A cyclic subgroup with cyclic quotient Z/k and a quotient generator are
 one onto character phi(x, y) = (s*x + t*y) mod k with cyclic kernel,
 where k | lcm(m, n), k/gcd(k, m) | s and k/gcd(k, n) | t; the coset
@@ -364,12 +365,14 @@ def constant_teich_check(pres: NetMapPresentation) -> bool:
     """Whether the induced map on Teichmueller space is constant.
 
     Reduces the four postcritical representatives into the quotient by
-    twice the sublattice and tests the nonseparating property there.
+    twice the sublattice and tests the nonseparating property there on
+    the characters ``search_nonseparating`` uses: c2 == c3 under every
+    coset-number map.  Validation keeps the four inverse pairs disjoint.
     """
     quotient = quotient_presentation(pres.lambda1, scale=2)
     group = FinAbGroup(quotient.m, quotient.n)
-    reps = tuple(quotient.reduce(h) for h in pres.postcritical)
-    return is_nonseparating(group, SymmetricFour(reps))
+    reps = [quotient.reduce(h) for h in pres.postcritical]
+    return all(cs[1] == cs[2] for cs in map(sorted, _value_maps(group, reps)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ from .lattice import Basis2, Vec, vadd, vneg
 Point = tuple[Fraction, Fraction]
 
 _VEC_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
-_POINT_RE = re.compile(r"\(\s*(-?\d+(?:/\d+)?)\s*,\s*(-?\d+(?:/\d+)?)\s*\)")
+# A denominator of zero does not match, so it is left over as junk.
+_POINT_RE = re.compile(r"\(\s*(-?\d+(?:/0*[1-9]\d*)?)\s*,\s*(-?\d+(?:/0*[1-9]\d*)?)\s*\)")
 _MIRROR_RE = re.compile(r"^mirror\s+([1-4])$")
 # The vector-list fields of the format, each with its vector count.
 _VECTOR_FIELDS = {"lambda1": 2, "postcritical": 4, "correspondence": 2}
@@ -106,13 +107,9 @@ class ClassTable:
         return (n1 % self.modulus, n2 % self.modulus)
 
 
-def in_sublattice(pres: NetMapPresentation, w: Vec) -> bool:
-    return pres.lambda1.contains(w)
-
-
 def is_euclidean(pres: NetMapPresentation) -> bool:
     """True when the postcritical classes are exactly the L1/2L1 classes."""
-    if not all(in_sublattice(pres, h) for h in pres.postcritical):
+    if not all(pres.lambda1.contains(h) for h in pres.postcritical):
         return False
     table = pres.context.table
     keys = {table.key(h) for h in pres.postcritical}
@@ -130,7 +127,7 @@ def preimage_coset_table(pres: NetMapPresentation) -> list[tuple[Vec, str]]:
     rows: list[tuple[Vec, str]] = []
     hit_p1_keys = set()
     for h in pres.postcritical:
-        if in_sublattice(pres, h):
+        if pres.lambda1.contains(h):
             rows.append((h, "P1&P2"))
             hit_p1_keys.add(table.key(h))
     u, v = pres.lambda1.u, pres.lambda1.v
@@ -138,7 +135,7 @@ def preimage_coset_table(pres: NetMapPresentation) -> list[tuple[Vec, str]]:
         if table.key(rep) not in hit_p1_keys:
             rows.append((rep, "P1-P2"))
     for h in pres.postcritical:
-        if not in_sublattice(pres, h):
+        if not pres.lambda1.contains(h):
             rows.append((h, "P2-P1"))
             rows.append((vneg(h), "P2-P1"))
     return rows
@@ -155,20 +152,13 @@ def _parse_vec(tok: str) -> Vec:
     return (int(m.group(1)), int(m.group(2)))
 
 
-def _parse_vec_list(text: str) -> list[Vec]:
-    out = [(int(a), int(b)) for a, b in _VEC_RE.findall(text)]
-    stripped = _VEC_RE.sub("", text).strip()
+def _parse_list(text: str, pattern: re.Pattern, kind: str, coord) -> list:
+    """Every ``pattern`` match in text as a pair of ``coord`` values;
+    anything else in text is a syntax error naming the ``kind`` of list."""
+    stripped = pattern.sub("", text).strip()
     if stripped:
-        raise PresentationSyntaxError(f"trailing junk in vector list: {stripped!r}")
-    return out
-
-
-def _parse_point_list(text: str) -> list[Point]:
-    out = [(Fraction(a), Fraction(b)) for a, b in _POINT_RE.findall(text)]
-    stripped = _POINT_RE.sub("", text).strip()
-    if stripped:
-        raise PresentationSyntaxError(f"trailing junk in point list: {stripped!r}")
-    return out
+        raise PresentationSyntaxError(f"trailing junk in {kind} list: {stripped!r}")
+    return [(coord(a), coord(b)) for a, b in pattern.findall(text)]
 
 
 def parse(text: str) -> NetMapPresentation:
@@ -187,7 +177,7 @@ def parse(text: str) -> NetMapPresentation:
             if key == "name":
                 fields[key] = value
             elif key in _VECTOR_FIELDS:
-                vecs = _parse_vec_list(value)
+                vecs = _parse_list(value, _VEC_RE, "vector", int)
                 if len(vecs) != _VECTOR_FIELDS[key]:
                     count = {2: "two", 4: "four"}[_VECTOR_FIELDS[key]]
                     raise PresentationSyntaxError(f"{key} needs {count} vectors")
@@ -201,7 +191,7 @@ def parse(text: str) -> NetMapPresentation:
                 if path_text == "degenerate":
                     mirrors[k] = MirrorArc(midpoint)
                 else:
-                    pts = _parse_point_list(path_text)
+                    pts = _parse_list(path_text, _POINT_RE, "point", Fraction)
                     if not pts:
                         raise PresentationSyntaxError("empty mirror path")
                     mirrors[k] = MirrorArc(midpoint, tuple(pts))
@@ -285,9 +275,8 @@ def validate(pres: NetMapPresentation) -> None:
             raise ValidationError(
                 "correspondence", f"{label} correspondence vector {w} is not in lambda1"
             )
-    cu = pres.lambda1.integer_coords(pres.correspondence.u)
-    cv = pres.lambda1.integer_coords(pres.correspondence.v)
-    if abs(cu[0] * cv[1] - cu[1] * cv[0]) != 1:
+    # Two vectors of lambda1 span it exactly when they span a lattice of its index.
+    if pres.correspondence.index != pres.lambda1.index:
         raise ValidationError(
             "correspondence", "correspondence vectors do not form a basis of lambda1"
         )
@@ -298,7 +287,7 @@ def validate(pres: NetMapPresentation) -> None:
                 "mirror-midpoint", f"mirror {k} midpoint {mirror.midpoint} not in lambda1"
             )
         if mirror.degenerate:
-            if not in_sublattice(pres, h):
+            if not pres.lambda1.contains(h):
                 raise ValidationError(
                     "mirror-degenerate",
                     f"mirror {k} is degenerate but h{k} = {h} is not in lambda1",

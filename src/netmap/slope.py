@@ -65,14 +65,10 @@ class Slope:
             raise ZeroVectorError("infinity has no finite value")
         return Fraction(self.p, self.q)
 
-    def sort_key(self):
-        # Every rational is less than infinity.
-        if self.q == 0:
-            return (1, Fraction(0))
-        return (0, Fraction(self.p, self.q))
-
     def __lt__(self, other: "Slope") -> bool:
-        return self.sort_key() < other.sort_key()
+        # Every rational is less than infinity; with q >= 0 the cross
+        # products compare two rationals.
+        return self.q != 0 and (other.q == 0 or self.p * other.q < other.p * self.q)
 
     def height(self) -> int:
         return max(abs(self.p), abs(self.q))

@@ -250,6 +250,19 @@ def sublattice_matrix(pres: NetMapPresentation, linear: Mat2) -> Mat2:
     return ((iu[0], iv[0]), (iu[1], iv[1]))
 
 
+def _stabilizing_matrix(pres: NetMapPresentation, linear: Mat2, translation: Vec) -> Mat2:
+    """``sublattice_matrix`` of an affine symmetry that stabilizes the
+    mirror system; any other map is refused."""
+    if not aff_membership(pres, linear, translation):
+        raise ValueError("map is not an affine symmetry of the presentation")
+    if not affine_preserves_mirrors(pres, linear, translation):
+        raise MirrorsNotStabilizedError(
+            "affine symmetry moves the mirror system; its domain action "
+            "needs the full covering identification"
+        )
+    return sublattice_matrix(pres, linear)
+
+
 def induced_map_domain(
     pres: NetMapPresentation, linear: Mat2, translation: Vec
 ) -> Mobius:
@@ -259,14 +272,7 @@ def induced_map_domain(
     where the boundary action is read off from the matrix of the linear
     part in the correspondence basis.
     """
-    if not aff_membership(pres, linear, translation):
-        raise ValueError("map is not an affine symmetry of the presentation")
-    if not affine_preserves_mirrors(pres, linear, translation):
-        raise MirrorsNotStabilizedError(
-            "affine symmetry moves the mirror system; its domain action "
-            "needs the full covering identification"
-        )
-    return _mobius_from_basis_matrix(sublattice_matrix(pres, linear))
+    return _mobius_from_basis_matrix(_stabilizing_matrix(pres, linear, translation))
 
 
 @dataclass(frozen=True)
@@ -301,13 +307,7 @@ def consistency_suite(
     violations = []
     checked = 0
     for linear, translation in affines:
-        if not aff_membership(pres, linear, translation):
-            raise ValueError(f"({linear}, {translation}) is not an affine symmetry")
-        if not affine_preserves_mirrors(pres, linear, translation):
-            raise MirrorsNotStabilizedError(
-                "consistency suite needs mirror-stabilizing symmetries"
-            )
-        m1 = sublattice_matrix(pres, linear)
+        m1 = _stabilizing_matrix(pres, linear, translation)
         for s in enumerate_slopes(height):
             checked += 1
             lhs = pullback_slope(pres, apply_matrix(linear, s))

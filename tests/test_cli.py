@@ -2,6 +2,7 @@ import csv
 import io
 import random
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +93,21 @@ class TestAnalyze:
         assert "inverse-pairs" in err
 
 
+class TestUnreadableInput:
+    def test_zero_denominator_exits_2_with_one_line(self, capsys, tmp_path, main_path):
+        text = open(main_path).read().replace("(2,-1) : (2,0)", "(2,-1) : (2/0,0)")
+        bad = tmp_path / "zero.net"
+        bad.write_text(text)
+        code, out, err = run(capsys, "slope", str(bad), "1/2")
+        assert (code, out) == (2, "")
+        assert err == "error: line 12: trailing junk in point list: '(2/0,0)'\n"
+
+    def test_directory_exits_2_with_one_line(self, capsys, tmp_path):
+        code, out, err = run(capsys, "slope", str(tmp_path), "1/2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestSlope:
     def test_single_values(self, capsys, main_path):
         assert run(capsys, "slope", main_path, "1/4")[1].strip() == "1/2"
@@ -119,7 +135,13 @@ class TestSlope:
     def test_missing_slope_exits_2(self, capsys, main_path):
         code, out, err = run(capsys, "slope", main_path)
         assert (code, out) == (2, "")
-        assert err == "slope needs a SLOPE or --graph\n"
+        assert err == "error: slope needs a SLOPE or --graph\n"
+
+    def test_graph_out_writes_what_stdout_shows(self, capsys, main_path, tmp_path):
+        path = tmp_path / "graph.csv"
+        code, out, _ = run(capsys, "slope", main_path, "--graph", "20", "--out", str(path))
+        assert (code, out) == (0, f"wrote 511 rows to {path}\n")
+        assert path.read_bytes() == run(capsys, "slope", main_path, "--graph", "20")[1].encode()
 
     def test_graph_below_one_exits_2(self, capsys, main_path):
         code, out, err = run(capsys, "slope", main_path, "--graph", "0")
@@ -216,6 +238,30 @@ class TestObstructions:
         svg = svg_path.read_text()
         assert svg.count("<circle") + svg.count("<line") == 8
 
+    def test_slopes_that_do_not_cover(self, capsys, main_path):
+        code, out, _ = run(capsys, "obstructions", main_path, "--slopes=1/2,1/3")
+        assert (code, out) == (0, "INCONCLUSIVE (given half-spaces do not cover)\n")
+
+    def test_leftover_points_are_listed(self, capsys):
+        # random_presentation(11) of test_pullback: its certificate leaves
+        # two boundary points, neither of whose slopes is fixed.
+        path = Path(__file__).parent / "data" / "seed11.net"
+        code, out, _ = run(capsys, "obstructions", str(path), "--height", "20", "--budget", "12")
+        assert code == 0
+        assert out.splitlines() == [
+            "UNOBSTRUCTED (8 half-spaces)",
+            "  slope -1 -> -3 delta=1/3 outside-circle C=0 R=1/3*sqrt(3)",
+            "  slope 7 -> -4 delta=1 inside-circle C=-1/3 R=1/3",
+            "  slope -5 -> -4 delta=1 inside-circle C=1/9 R=1/9",
+            "  slope -4 -> -3 delta=1/6 inside-circle C=7/29 R=1/87*sqrt(6)",
+            "  slope -11/3 -> -5 delta=1/3 inside-circle C=47/169 R=2/169*sqrt(3)",
+            "  slope -7/2 -> -4 delta=1 inside-circle C=10/33 R=1/33",
+            "  slope -11/4 -> -4 delta=1 inside-circle C=8/21 R=1/21",
+            "  slope -2 -> -3 delta=1/2 outside-circle C=-1 R=sqrt(2)",
+            "  leftover 0: not-fixed",
+            "  leftover 1/3: not-fixed",
+        ]
+
     def test_budget_one_inconclusive(self, capsys, main_path):
         code, out, _ = run(capsys, "obstructions", main_path, "--budget", "1")
         assert code == 0 and out.startswith("INCONCLUSIVE")
@@ -276,6 +322,26 @@ class TestEquations:
         code, _, err = run(capsys, "equations", double_path, "--affine", "1,0;0,1;2,0")
         assert code == 4 and "unsupported" in err
 
+    def test_malformed_affine_exits_2_with_one_line(self, capsys, main_path):
+        code, out, err = run(capsys, "equations", main_path, "--affine", "1,0;5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad affine spec '1,0;5'") and err.count("\n") == 1
+
+    def test_failed_consistency_check_exits_2(self, capsys, main_path, monkeypatch):
+        import netmap.symmetry as symmetry
+
+        real = symmetry.pullback_slope
+        monkeypatch.setattr(symmetry, "pullback_slope", lambda pres, s: (
+            Slope(7, 1) if s == Slope(1, 4) else real(pres, s)))
+        code, out, _ = run(capsys, "equations", main_path, "--affine", "1,0;5,1;0,0",
+                           "--check", "12")
+        assert code == 2
+        assert out.splitlines() == [
+            "Sigma_f . [[1,0],[5,1]] = [[1,0],[2,1]] . Sigma_f",
+            "consistency check FAILED: 1 violations",
+            "  slope 1/4: 5/2 != 9",
+        ]
+
     def test_non_member_exits_2(self, capsys, main_path):
         code, _, _ = run(capsys, "equations", main_path, "--affine", "1,0;0,1;1,0")
         assert code == 2
@@ -303,7 +369,7 @@ class TestEquations:
     def test_missing_slope_exits_2(self, capsys, main_path):
         code, out, err = run(capsys, "equations", main_path)
         assert (code, out) == (2, "")
-        assert err == "equations needs a SLOPE or --affine\n"
+        assert err == "error: equations needs a SLOPE or --affine\n"
 
 
 @pytest.mark.parametrize(
@@ -362,6 +428,10 @@ class TestNonsep:
             f"error: bad subset element {element!r}; "
             "expected (x,y) with integers x and y\n"
         )
+
+    def test_check_of_three_elements_exits_2(self, capsys):
+        code, out, err = run(capsys, "nonsep", "4,2", "--check", "(0,0);(1,0);(2,0)")
+        assert (code, out, err) == (2, "", "error: subset check needs four elements\n")
 
     def test_search_lists_published_subset(self, capsys):
         code, out, _ = run(capsys, "nonsep", "4,2", "--search")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from netmap import nonsep
 from netmap.errors import BudgetExceededError
-from netmap.lattice import quotient_presentation
+from netmap.lattice import Basis2, quotient_presentation
 from netmap.nonsep import (
     FinAbGroup,
     SymmetricFour,
@@ -30,6 +30,7 @@ from netmap.nonsep import (
     translate_by_involution,
     verify_nonexistence,
 )
+from netmap.presentation import MirrorArc, NetMapPresentation, validate
 from netmap.pullback import analyze_slope
 from netmap.slope import Slope
 
@@ -441,6 +442,42 @@ class TestConstantTeichmueller:
 
     def test_euclidean_presentation_not_constant(self, euclidean_pres):
         assert not constant_teich_check(euclidean_pres)
+
+    @staticmethod
+    def set_walk(pres):
+        q = quotient_presentation(pres.lambda1, 2)
+        reps = tuple(q.reduce(h) for h in pres.postcritical)
+        return is_nonseparating(FinAbGroup(q.m, q.n), SymmetricFour(reps))
+
+    @staticmethod
+    def lattice_classes(u, v):
+        """The presentation whose four marked points are the L1/2L1
+        classes 0, u, v and u + v, each a degenerate mirror."""
+        basis = Basis2(u, v)
+        hs = ((0, 0), u, v, (u[0] + v[0], u[1] + v[1]))
+        pres = NetMapPresentation("classes", basis, hs, tuple(map(MirrorArc, hs)), basis)
+        validate(pres)
+        return pres
+
+    def test_agrees_with_set_walk_on_random_presentations(self):
+        from test_pullback import random_presentation
+
+        for seed in range(300):
+            pres = random_presentation(seed)
+            assert constant_teich_check(pres) == self.set_walk(pres), seed
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_agrees_with_set_walk_on_lattice_classes(self, k):
+        for u, v in (((k, 0), (0, k)), ((k, 0), (1, k)), ((2 * k, 0), (k, 1))):
+            pres = self.lattice_classes(u, v)
+            assert constant_teich_check(pres) == self.set_walk(pres)
+
+    def test_index_289_is_answered(self):
+        # Z^2/2L1 has 1,156 elements, more than a set walk may take.
+        pres = self.lattice_classes((17, 0), (0, 17))
+        with pytest.raises(BudgetExceededError):
+            self.set_walk(pres)
+        assert constant_teich_check(pres) is False
 
     def test_pinned_on_random_presentations(self):
         # The invariant factors, both coordinate transforms and the

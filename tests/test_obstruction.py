@@ -1,14 +1,17 @@
 import dataclasses
 from fractions import Fraction
 from math import gcd, inf
+from pathlib import Path
 
 import pytest
 
 from netmap import bundled_presentation
 from netmap.cli import _render_halfspace
-from netmap.halfspace import HalfSpace, Kind
+from netmap.halfspace import INFINITY_POINT, CoverVerdict, HalfSpace, Kind, LeftoverPoint
 from netmap.obstruction import (
+    Disposition,
     Status,
+    _dispose_leftovers,
     _greedy_cover,
     certificate_for_slopes,
     check_certificate,
@@ -16,6 +19,7 @@ from netmap.obstruction import (
     find_fixed_slopes,
     obstruction_report,
 )
+from netmap.presentation import parse
 from netmap.pullback import analyze_slope
 from netmap.quadext import QuadExt, _sign_triple
 from netmap.slope import Slope
@@ -112,6 +116,34 @@ class TestCertificates:
         )
         tampered = dataclasses.replace(cert, halfspaces=bad_halfspaces)
         assert not check_certificate(main_pres, tampered)
+
+    def test_certificate_with_a_gap_rejected(self):
+        # The certificate of random_presentation(11) of test_pullback less
+        # its last half-space leaves the gap from 3/7 to sqrt(3)/3.
+        pres = parse((Path(__file__).parent / "data" / "seed11.net").read_text())
+        cert = obstruction_report(pres, height=20, budget=12).certificate
+        assert check_certificate(pres, cert)
+        assert not check_certificate(
+            pres, dataclasses.replace(cert, halfspaces=cert.halfspaces[:-1]))
+
+
+class TestLeftoverDispositions:
+    @staticmethod
+    def dispose(pres, value, rational=True):
+        return _dispose_leftovers(pres, CoverVerdict(False, (LeftoverPoint(value, rational),), ()))
+
+    def test_fixed_slope_with_small_multiplier(self, main_pres):
+        # The boundary point 0 is that of infinity, fixed with multiplier 2/5.
+        assert self.dispose(main_pres, QuadExt(0)) == (
+            (Disposition("0", "multiplier-below-one", Slope(1, 0), Fraction(2, 5)),), None)
+
+    def test_irrational_point(self, main_pres):
+        assert self.dispose(main_pres, QuadExt.sqrt(2), rational=False) == (
+            (Disposition("sqrt(2)", "irrational"),), None)
+
+    def test_fixed_slope_with_multiplier_two_is_an_obstruction(self, euclidean_pres):
+        # Infinity is the boundary point of slope 0.
+        assert self.dispose(euclidean_pres, INFINITY_POINT) == ((), (Slope(0, 1), Fraction(2)))
 
 
 class TestObstructionReport:

@@ -150,6 +150,35 @@ class TestValidationErrors:
             parse("name = x\nlambda1 = (2,-1) (0,5)\n")  # missing fields
 
 
+class TestLineMessages:
+    @pytest.mark.parametrize("old, new, message", [
+        ("mirror 3 = (2,-1)", "mirror 3 = (2,x)",
+         "line 8: expected an integer vector, got '(2,x)'"),
+        ("(2,-1) : (2,0)", "(2,-1) : (2,0) (3,y)", "line 8: trailing junk in point list: '(3,y)'"),
+        ("(2,-1) : (2,0)", "(2,-1) : (2/0,0)", "line 8: trailing junk in point list: '(2/0,0)'"),
+        ("(2,-1) : (2,0)", "(2,-1) (2,0)", "line 8: mirror line needs ':'"),
+        ("(2,-1) : (2,0)", "(2,-1) :", "line 8: empty mirror path"),
+        ("name = main", "colour = red", "line 2: unknown key 'colour'"),
+    ])
+    def test_syntax_message(self, old, new, message):
+        with pytest.raises(PresentationSyntaxError) as err:
+            parse(MAIN_TEXT.replace(old, new))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("old, new, invariant, message", [
+        ("correspondence = (2,-1) (0,5)", "correspondence = (2,-1) (0,10)", "correspondence",
+         "correspondence vectors do not form a basis of lambda1"),
+        ("mirror 1 = (0,0) : degenerate", "mirror 1 = (0,5) : degenerate", "mirror-degenerate",
+         "mirror 1 midpoint is not in the class of h1"),
+        ("(2,-1) : (2,0)", "(2,-1) : (2,1/2)", "mirror-terminal", "mirror 3 terminal "
+         "(Fraction(2, 1), Fraction(1, 2)) is not a lattice point"),
+    ])
+    def test_validation_message(self, old, new, invariant, message):
+        with pytest.raises(ValidationError) as err:
+            parse(MAIN_TEXT.replace(old, new))
+        assert (err.value.invariant, str(err.value)) == (invariant, f"{invariant}: {message}")
+
+
 class TestVectorFieldMessages:
     FIELDS = [("lambda1", 3, "two"), ("postcritical", 4, "four"), ("correspondence", 5, "two")]
 

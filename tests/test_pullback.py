@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from netmap import bundled_presentation
 from netmap.errors import NonEssentialError, ValidationError
 from netmap.lattice import Basis2, order_in_quotient
-from netmap.presentation import MirrorArc, NetMapPresentation, validate
+from netmap.presentation import MirrorArc, NetMapPresentation, serialize, validate
 from netmap.pullback import PullbackSummary, analyze_slope, coset_number, multiplier
 from netmap.slope import Slope, enumerate_slopes
 from netmap.slopefn import segment_candidates
@@ -243,6 +244,12 @@ def random_presentation(seed):
         except ValidationError:
             continue
         return pres
+
+
+def test_seed_11_data_file():
+    # tests/data/seed11.net is random_presentation(11), written out.
+    path = Path(__file__).parent / "data" / "seed11.net"
+    assert path.read_text() == serialize(random_presentation(11))
 
 
 @settings(max_examples=25)

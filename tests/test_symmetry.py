@@ -13,6 +13,7 @@ from netmap.lattice import IDENTITY, Basis2, mat_det, mat_inverse_unimodular, ma
 from netmap.slope import Slope, apply_matrix
 from netmap.symmetry import (
     IDENTITY_MOBIUS,
+    ConsistencyViolation,
     Mobius,
     aff_membership,
     consistency_suite,
@@ -330,6 +331,17 @@ class TestConsistencySuite:
         for s in [Slope(0, 1), Slope(3, 2), Slope(-4, 7)]:
             assert apply_matrix(FLIP, s) == Slope.of(-(s.p + s.q), s.q)
             assert apply_matrix(m1f, s) == -s
+
+    def test_wrong_image_is_a_violation(self, main_pres, monkeypatch):
+        import netmap.symmetry as symmetry
+
+        real = symmetry.pullback_slope
+        monkeypatch.setattr(symmetry, "pullback_slope", lambda pres, s: (
+            Slope(7, 1) if s == Slope(1, 4) else real(pres, s)))
+        report = consistency_suite(main_pres, [(SHEAR, (0, 0))], 12)
+        # SHEAR takes -19/4, above height 12, to 1/4, so only s = 1/4 meets
+        # the wrong image.
+        assert report.violations == (ConsistencyViolation(Slope(1, 4), Slope(5, 2), Slope(9, 1)),)
 
     def test_identity_element_trivially_consistent(self, main_pres):
         report = consistency_suite(main_pres, [(((1, 0), (0, 1)), (0, 0))], 6)
