@@ -10,13 +10,9 @@ Subcommands operate on presentation files:
     netmap nonsep M,N (--check "(h1);(h2);(h3);(h4)" | --search [--budget B]
                        | --refute)
 
-Exit codes: 0 success, 2 input or validation error (also a segment that
-still meets a degenerate mirror point after retries, a presentation whose
-mirror contact check would walk more than 100,000 lines of translates,
-and a zigzag segment expected to cross more than 10^6 mirrors, refused
-before it starts), 3 geometric failure (non-transverse segments after
-retries, or no usable zigzag segment or an inconsistent zigzag sum),
-4 unsupported affine symmetry.
+Exit codes: 0 success, 2 for an unreadable file or a ValueError, and
+otherwise the ``exit_code`` that ``errors.py`` declares on the error
+type (2 unless the type says 3 or 4), printed after its ``label``.
 """
 from __future__ import annotations
 
@@ -28,14 +24,7 @@ from . import nonsep as ns
 from . import obstruction as ob
 from . import render
 from . import symmetry as sy
-from .errors import (
-    MirrorsNotStabilizedError,
-    NetMapError,
-    NonTransverseError,
-    PresentationSyntaxError,
-    ValidationError,
-    ZigzagError,
-)
+from .errors import NetMapError, PresentationSyntaxError
 from .presentation import NetMapPresentation, parse
 from .pullback import analyze_slope
 from .slope import Slope
@@ -140,15 +129,24 @@ def cmd_obstructions(args) -> int:
     return 0
 
 
-def _parse_affine(text: str):
+def _ints(text: str, count: int, message: str) -> tuple[int, ...]:
+    """``count`` comma-separated integers, in optional parentheses;
+    PresentationSyntaxError with ``message`` for anything else."""
     try:
-        row1, row2, trans = text.split(";")
-        a, b = (int(x) for x in row1.split(","))
-        c, d = (int(x) for x in row2.split(","))
-        tx, ty = (int(x) for x in trans.split(","))
-    except ValueError as exc:
-        raise PresentationSyntaxError(f"bad affine spec {text!r}: {exc}") from None
-    return ((a, b), (c, d)), (tx, ty)
+        values = tuple(int(t) for t in text.strip().strip("()").split(","))
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise PresentationSyntaxError(message)
+    return values
+
+
+def _parse_affine(text: str):
+    message = f"bad affine spec {text!r}; expected a,b;c,d;tx,ty"
+    pairs = [_ints(pair, 2, message) for pair in text.split(";")]
+    if len(pairs) != 3:
+        raise PresentationSyntaxError(message)
+    return (pairs[0], pairs[1]), pairs[2]
 
 
 def cmd_equations(args) -> int:
@@ -184,27 +182,17 @@ def cmd_equations(args) -> int:
 
 
 def _parse_group(spec: str) -> ns.FinAbGroup:
-    try:
-        m, n = (int(x) for x in spec.split(","))
-    except ValueError:
-        raise PresentationSyntaxError(f"bad group spec {spec!r}; expected m,n") from None
-    return ns.FinAbGroup(m, n)
+    return ns.FinAbGroup(*_ints(spec, 2, f"bad group spec {spec!r}; expected m,n"))
 
 
 def _parse_subset(text: str) -> tuple:
     parts = [p.strip() for p in text.split(";") if p.strip()]
     if len(parts) != 4:
         raise PresentationSyntaxError("subset check needs four elements")
-    out = []
-    for part in parts:
-        try:
-            x, y = (int(t) for t in part.strip("()").split(","))
-        except ValueError:
-            raise PresentationSyntaxError(
-                f"bad subset element {part!r}; expected (x,y) with integers x and y"
-            ) from None
-        out.append((x, y))
-    return tuple(out)
+    return tuple(
+        _ints(part, 2, f"bad subset element {part!r}; expected (x,y) with integers x and y")
+        for part in parts
+    )
 
 
 def cmd_nonsep(args) -> int:
@@ -364,16 +352,10 @@ def main(argv=None) -> int:
     args = _parse_plain(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PresentationSyntaxError, ValidationError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NonTransverseError, ZigzagError) as exc:
-        print(f"geometric failure: {exc}", file=sys.stderr)
-        return 3
-    except MirrorsNotStabilizedError as exc:
-        print(f"unsupported affine symmetry: {exc}", file=sys.stderr)
-        return 4
     except NetMapError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

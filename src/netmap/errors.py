@@ -2,7 +2,15 @@
 
 
 class NetMapError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``exit_code`` and ``label`` are what the command line returns and
+    prints before the message: 2 and "error" unless a subclass says
+    otherwise.
+    """
+
+    exit_code = 2
+    label = "error"
 
 
 class ZeroVectorError(NetMapError):
@@ -37,6 +45,9 @@ class NonTransverseError(NetMapError):
     with a different segment before giving up.
     """
 
+    exit_code = 3
+    label = "geometric failure"
+
 
 class DegenerateIncidenceError(NetMapError):
     """The interior of a test segment hits a degenerate mirror point."""
@@ -49,6 +60,9 @@ class ZigzagError(NetMapError):
     crossed midpoints give a vanishing alternating sum or one outside
     the sublattice, which means the presentation data is inconsistent.
     """
+
+    exit_code = 3
+    label = "geometric failure"
 
 
 class HypothesisFailedError(NetMapError):
@@ -66,6 +80,9 @@ class HypothesisFailedError(NetMapError):
 class MirrorsNotStabilizedError(NetMapError):
     """The affine map moves the mirror system, so its induced boundary
     action cannot be read off from the sublattice basis alone."""
+
+    exit_code = 4
+    label = "unsupported affine symmetry"
 
 
 class BudgetExceededError(NetMapError):

@@ -411,8 +411,6 @@ def _check_degenerate_incidence(ctx: PresentationContext, v, w) -> set[Vec]:
     The class key steps linearly from point to point.
     """
     met: set[Vec] = set()
-    if not (ctx.degenerate_keys or ctx.midpoint_keys):
-        return met
     first, step, count = _lattice_points_on_open_segment(v, w)
     if count <= 0:
         return met

@@ -205,16 +205,9 @@ def is_nonseparating(group: FinAbGroup, subset: SymmetricFour) -> bool:
 
 
 def inversion_classes(group: FinAbGroup) -> list[El]:
-    """Canonical representatives of the {h, -h} classes."""
-    reps = []
-    seen = set()
-    for el in group.elements():
-        if el in seen:
-            continue
-        seen.add(el)
-        seen.add(group.neg(el))
-        reps.append(el)
-    return reps
+    """Canonical representatives of the {h, -h} classes: the smaller
+    of h and -h, in element order."""
+    return [el for el in group.elements() if el <= group.neg(el)]
 
 
 def _value_maps(group: FinAbGroup, classes: list[El]) -> list[tuple[int, ...]]:

@@ -123,34 +123,26 @@ def certificate_for_slopes(
 
 
 def check_certificate(pres: NetMapPresentation, cert: Certificate) -> bool:
-    """Re-verify a certificate from scratch.
+    """Re-verify a certificate by rebuilding it from its source slopes.
 
-    Rebuilds every half-space from its source slope, recomputes the
-    cover verdict, and re-checks the leftover dispositions, all on an
-    equal presentation with a fresh context, so the check shares no
-    memoised images or class plans with the code that built ``cert``.
+    The rebuild runs on an equal presentation with a fresh context, so
+    it shares no memoised images or class plans with the code that
+    built ``cert``.  True exactly when it gives ``cert`` back: the same
+    half-spaces, cover verdict and leftover dispositions.  A slope that
+    yields no half-space, and a certificate with none, give False.
     """
-    pres = replace(pres)
-    rebuilt = [exclusion_halfspace(pres, h.slope) for h in cert.halfspaces]
-    if rebuilt != list(cert.halfspaces):
+    try:
+        rebuilt, _ = certificate_for_slopes(replace(pres), [h.slope for h in cert.halfspaces])
+    except ValueError:
         return False
-    verdict = cover_certificate(rebuilt)
-    if verdict.uncovered_intervals:
-        return False
-    dispositions, obstruction = _dispose_leftovers(pres, verdict)
-    if obstruction is not None:
-        return False
-    return {d.point for d in dispositions} == {
-        str(p) for p in verdict.leftover_points
-    }
+    return rebuilt == cert
 
 
 def _order(x: QuadExt | None, y: QuadExt | None) -> int:
-    """Sign of x - y for arc ends (``None`` is infinity), boxes first."""
+    """Sign of x - y for arc ends (``None`` is infinity)."""
     if x is None or y is None:
         return (x is None) - (y is None)
-    (x_lo, x_hi), (y_lo, y_hi) = x._bounds(), y._bounds()
-    return -1 if x_hi < y_lo else 1 if x_lo > y_hi else x._cmp(y)
+    return x._cmp(y)
 
 
 def _greedy_cover(candidates: list[HalfSpace], budget: int):
@@ -172,7 +164,7 @@ def _greedy_cover(candidates: list[HalfSpace], budget: int):
     boxes = [
         [None if e is None else e._bounds() for e in (arc.start, arc.end)] for arc in bounds
     ]
-    base = min(outs, key=lambda i: (candidates[i].radius.square(), i))
+    base = min(outs, key=lambda i: (candidates[i].radius, i))
     base_arc = bounds[base]
     selected = [base]
     cur = base_arc.end
@@ -207,8 +199,6 @@ def _greedy_cover(candidates: list[HalfSpace], budget: int):
         selected.append(best)
         if _order(best_end, base_arc.start) > 0:
             return [candidates[i] for i in selected]
-        if _order(best_end, cur) == 0:
-            return None
         cur = best_end
     return None
 

@@ -349,11 +349,9 @@ def segments_touch(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
         return True
     if o2 == 0 and _on_segment(p1, p2, q2):
         return True
-    if o3 == 0 and _on_segment(q1, q2, p1):
-        return True
-    if o4 == 0 and _on_segment(q1, q2, p2):
-        return True
-    return False
+    # p2 on a collinear q1q2 puts q1, q2 or p1 on the other segment,
+    # which the clauses above have found.
+    return o3 == 0 and _on_segment(q1, q2, p1)
 
 
 def _polyline_self_intersects(poly: tuple[Point, ...]) -> bool:

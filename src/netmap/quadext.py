@@ -14,6 +14,7 @@ across different radicands.  ``float()`` is the midpoint of the box.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from math import isqrt
 
 _Rat = (int, Fraction)
@@ -52,12 +53,9 @@ def _sign_pair(a: Fraction, b: Fraction, k: int) -> int:
     sa, sb = _sign_rat(a), _sign_rat(b)
     if sa == sb:
         return sa
-    # Opposite signs: compare a^2 with b^2 k and keep the larger side's sign.
-    d = a * a - b * b * k
-    if d == 0:
-        # Impossible for squarefree k >= 2 with rational a, b != 0.
-        return 0
-    return sa if d > 0 else sb
+    # Opposite signs: compare a^2 with b^2 k and keep the larger side's sign;
+    # they never tie, as a^2 = b^2 k has no rational solution for squarefree k >= 2.
+    return sa if a * a > b * b * k else sb
 
 
 def _sign_triple(s: Fraction, b: Fraction, j: int, d: Fraction, k: int) -> int:
@@ -68,19 +66,19 @@ def _sign_triple(s: Fraction, b: Fraction, j: int, d: Fraction, k: int) -> int:
         return _sign_pair(s, b, j)
     if j == k:
         return _sign_pair(s, b + d, j)
+    # s + b sqrt(j) is nonzero, and |s + b sqrt(j)| != |d| sqrt(k): the
+    # squared difference below vanishes only if s = 0 and b^2 j = d^2 k,
+    # impossible for distinct squarefree j and k.
     s1 = _sign_pair(s, b, j)
     s2 = _sign_rat(d)
-    if s1 == 0:
-        return s2
     if s1 != s2:
         # Compare |s + b sqrt(j)| with |d| sqrt(k) by squaring.
         dd = _sign_pair(s * s + b * b * j - d * d * k, 2 * s * b, j)
-        if dd == 0:
-            return 0
         return s1 if dd > 0 else s2
     return s1
 
 
+@total_ordering
 class QuadExt:
     """Exact value a + b*sqrt(k) with totally ordered comparisons."""
 
@@ -170,18 +168,6 @@ class QuadExt:
     def __lt__(self, other) -> bool:
         c = self._cmp(other)
         return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other) -> bool:
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other) -> bool:
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other) -> bool:
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
 
     def __hash__(self):
         if self.b == 0:

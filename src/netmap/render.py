@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterable
 
 from .halfspace import HalfSpace, Kind
 
@@ -86,22 +87,14 @@ def slope_graph_csv(rows: list[tuple[str, Pair | None, str, Pair | None]]) -> st
     A value p/q comes as the integer pair (p, q); repr(p / q) prints the
     float nearest to it, as repr(float(Fraction(p, q))) would.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["slope", "slope_value", "image", "image_value"])
-    for slope, value, image, image_value in rows:
-        writer.writerow(
-            [
-                slope,
-                "" if value is None else repr(value[0] / value[1]),
-                image,
-                "" if image_value is None else repr(image_value[0] / image_value[1]),
-            ]
-        )
-    return buf.getvalue()
+    return table_csv(["slope", "slope_value", "image", "image_value"], (
+        [slope, "" if value is None else repr(value[0] / value[1]),
+         image, "" if image_value is None else repr(image_value[0] / image_value[1])]
+        for slope, value, image, image_value in rows
+    ))
 
 
-def table_csv(header: list[str], rows: list[list[str]]) -> str:
+def table_csv(header: list[str], rows: Iterable[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)

@@ -50,10 +50,11 @@ class Slope:
         text = text.strip()
         if text in ("inf", "-inf", "oo"):
             return Slope(1, 0)
-        if "/" in text:
-            a, b = text.split("/", 1)
+        try:
+            a, b = text.split("/") if "/" in text else (text, 1)
             return Slope.of(int(a), int(b))
-        return Slope.of(int(text), 1)
+        except ValueError:
+            raise ValueError(f"bad slope {text!r}; expected p/q, p or inf") from None
 
     @property
     def is_infinity(self) -> bool:

@@ -37,7 +37,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import ceil, gcd
 from operator import itemgetter
 
 from .errors import (
@@ -418,10 +418,6 @@ def _require_reduced(slope: Slope) -> None:
         raise ValueError(f"slope {slope.p}/{slope.q} is not in lowest terms with q >= 0")
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def _residue_segment(slope: Slope) -> tuple[int, int]:
     """Base x-coordinate and step count from the residue tables.
 
@@ -461,7 +457,7 @@ def pullback_slope_via_residues(slope: Slope) -> Slope:
     def tens(x: int) -> tuple[int, Fraction]:
         # r = (1 + 2p/q) x - base * 2p/q = 10*Q + R; the ceiling puts R in (-5, 5].
         r = Fraction((q + 2 * p) * x - 2 * p * base, q)
-        quo = _ceil_frac((r - 5) / 10)
+        quo = ceil((r - 5) / 10)
         return quo, r - 10 * quo
 
     far = base + t * q

@@ -1,12 +1,14 @@
 import csv
 import io
 import random
+import re
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import netmap.cli as cli
+import netmap.errors as errors
 import netmap.slopefn as slopefn
 from netmap.errors import NonTransverseError
 from netmap.presentation import NetMapPresentation
@@ -137,6 +139,12 @@ class TestSlope:
         assert (code, out) == (2, "")
         assert err == "error: slope needs a SLOPE or --graph\n"
 
+    @pytest.mark.parametrize("text", ["abc", "1/2/3"])
+    def test_malformed_slope_exits_2_with_one_line(self, capsys, main_path, text):
+        code, out, err = run(capsys, "slope", main_path, text)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad slope {text!r}; expected p/q, p or inf\n"
+
     def test_graph_out_writes_what_stdout_shows(self, capsys, main_path, tmp_path):
         path = tmp_path / "graph.csv"
         code, out, _ = run(capsys, "slope", main_path, "--graph", "20", "--out", str(path))
@@ -242,6 +250,18 @@ class TestObstructions:
         code, out, _ = run(capsys, "obstructions", main_path, "--slopes=1/2,1/3")
         assert (code, out) == (0, "INCONCLUSIVE (given half-spaces do not cover)\n")
 
+    def test_slope_without_halfspace_exits_2(self, capsys, main_path):
+        code, out, err = run(capsys, "obstructions", main_path, "--slopes=0")
+        assert (code, out) == (2, "")
+        assert err == "error: slope 0 yields no half-space (fixed or inessential)\n"
+
+    def test_failed_reverification_is_inconclusive(self, capsys, main_path, monkeypatch):
+        monkeypatch.setattr(cli.ob, "check_certificate", lambda pres, cert: False)
+        code, out, _ = run(
+            capsys, "obstructions", main_path, "--slopes=-1/2,-1/4,1/8,1/4,1/3,7/16,1/2,3/4"
+        )
+        assert (code, out) == (0, "INCONCLUSIVE (certificate failed re-verification)\n")
+
     def test_leftover_points_are_listed(self, capsys):
         # random_presentation(11) of test_pullback: its certificate leaves
         # two boundary points, neither of whose slopes is fixed.
@@ -326,6 +346,17 @@ class TestEquations:
         code, out, err = run(capsys, "equations", main_path, "--affine", "1,0;5")
         assert (code, out) == (2, "")
         assert err.startswith("error: bad affine spec '1,0;5'") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", ["1,0;5", "1,0;5,1;0,0;0,0", "1,0;5,x;0,0", "(1,0,5);1;0,0"])
+    def test_malformed_affine_names_the_expected_form(self, capsys, main_path, spec):
+        code, out, err = run(capsys, "equations", main_path, "--affine", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad affine spec {spec!r}; expected a,b;c,d;tx,ty\n"
+
+    def test_affine_pairs_in_parentheses(self, capsys, main_path):
+        plain = run(capsys, "equations", main_path, "--affine", "1,0;5,1;0,0")
+        assert plain[0] == 0 and plain[1]
+        assert run(capsys, "equations", main_path, "--affine", "(1,0);(5,1);(0,0)") == plain
 
     def test_failed_consistency_check_exits_2(self, capsys, main_path, monkeypatch):
         import netmap.symmetry as symmetry
@@ -451,6 +482,17 @@ class TestNonsep:
     def test_bad_group_spec_exits_2(self, capsys):
         code, _, _ = run(capsys, "nonsep", "four", "--search")
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["4,2,1", "4", "(4,x)"])
+    def test_malformed_group_spec_exits_2_with_one_line(self, capsys, spec):
+        code, out, err = run(capsys, "nonsep", spec, "--search")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad group spec {spec!r}; expected m,n\n"
+
+    def test_group_in_parentheses(self, capsys):
+        plain = run(capsys, "nonsep", "4,2", "--search")
+        assert plain[0] == 0 and plain[1]
+        assert run(capsys, "nonsep", "(4,2)", "--search") == plain
 
     def test_huge_search_exits_2_with_one_line(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.ns, "inversion_classes", _no_work)
@@ -669,3 +711,17 @@ def test_graph_40_and_height_20_outputs_are_pinned(capsys, request, name, comman
     code, out, err = run(capsys, command, path, *flag)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[name, command]
+
+
+def test_error_types_declare_the_readme_exit_codes():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = {
+        name: (int(code), label)
+        for name, code, label in re.findall(r"^\| `(\w+)` \| (\d) \| `([^`]+)` \|$", readme, re.M)
+    }
+    declared = {
+        name: (cls.exit_code, cls.label)
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.NetMapError)
+    }
+    assert table == declared

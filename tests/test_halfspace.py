@@ -18,6 +18,7 @@ from netmap.halfspace import (
 )
 from netmap.pullback import analyze_slope
 from netmap.quadext import QuadExt
+from netmap.render import halfspaces_svg
 from netmap.slope import INESSENTIAL, Slope, enumerate_slopes
 from netmap.slopefn import pullback_slope
 
@@ -387,3 +388,13 @@ def test_cover_certificate_matches_per_kind_reference(spaces):
     assert bool(verdict.uncovered_intervals) == gap_uncovered
     assert verdict.covered == (not leftovers and not gap_uncovered)
     assert verdict.certifiable == (not gap_uncovered)
+
+
+def test_vertical_halfspace_is_drawn_as_one_line():
+    # delta = p^2/p'^2 = 4 puts the bisector at -(1*1 + 1*2)/(2*2*1) = -3/4.
+    h = halfspace_from_data(Slope(2, 1), Slope(1, 1), Fraction(4))
+    assert (h.kind, h.center, h.radius) == (Kind.RIGHT_OF_VERTICAL, Fraction(-3, 4), None)
+    svg = halfspaces_svg([h])
+    # The view spans [-7/4, 1] over 760 pixels from x = 20.
+    assert svg.count("<line") == 1 and "<circle" not in svg
+    assert '<line x1="296.36" y1="20" x2="296.36" y2="360.00"' in svg

@@ -9,6 +9,7 @@ from netmap import bundled_presentation
 from netmap.cli import _render_halfspace
 from netmap.halfspace import INFINITY_POINT, CoverVerdict, HalfSpace, Kind, LeftoverPoint
 from netmap.obstruction import (
+    Certificate,
     Disposition,
     Status,
     _dispose_leftovers,
@@ -126,6 +127,20 @@ class TestCertificates:
         assert not check_certificate(
             pres, dataclasses.replace(cert, halfspaces=cert.halfspaces[:-1]))
 
+    def test_certificate_with_a_relabelled_disposition_rejected(self):
+        # The leftover point 0 of the same certificate is not fixed; called
+        # irrational, it still names the same point, but not the same reason.
+        pres = parse((Path(__file__).parent / "data" / "seed11.net").read_text())
+        cert = obstruction_report(pres, height=20, budget=12).certificate
+        first, *rest = cert.dispositions
+        assert (first.point, first.reason) == ("0", "not-fixed")
+        relabelled = (dataclasses.replace(first, reason="irrational"), *rest)
+        assert not check_certificate(pres, dataclasses.replace(cert, dispositions=relabelled))
+
+    def test_certificate_without_halfspaces_rejected(self, main_pres):
+        verdict = CoverVerdict(False, (), (("inf", "inf"),))
+        assert not check_certificate(main_pres, Certificate((), verdict, ()))
+
 
 class TestLeftoverDispositions:
     @staticmethod
@@ -216,6 +231,8 @@ def test_greedy_prefers_strict_then_first_among_equal_reaches():
     assert [id(h) for h in selected] == [id(base), id(strict), id(last)]
     # Reaching the base's start only touches it: the open arcs leave it out.
     assert _greedy_cover([base, strict, disc(Kind.INSIDE_CIRCLE, 2, 1)], 12) is None
+    # With no outside-circle arc there is no base to start from.
+    assert _greedy_cover([tangent, strict, last], 12) is None
 
 
 def rendered(report) -> list[str]:

@@ -423,3 +423,31 @@ def test_mirror_validation_matches_brute_force():
 
     check()
     assert {"accepted", "mirror-disjoint"} <= seen
+
+
+def _touch_four_clauses(p1, p2, q1, q2) -> bool:
+    """Closed segments p1p2 and q1q2 meet: a proper crossing, or an
+    endpoint of either on the other (four collinearity clauses)."""
+    def orient(a, b, c):
+        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return (v > 0) - (v < 0)
+
+    def within(a, b, c):
+        return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
+
+    o1, o2, o3, o4 = orient(p1, p2, q1), orient(p1, p2, q2), orient(q1, q2, p1), orient(q1, q2, p2)
+    return (o1 != o2 and o3 != o4) or any(
+        o == 0 and within(a, b, c)
+        for o, (a, b, c) in zip((o1, o2, o3, o4), ((p1, p2, q1), (p1, p2, q2),
+                                                  (q1, q2, p1), (q1, q2, p2))))
+
+
+def test_segments_touch_matches_four_clause_reference():
+    # Every pair of segments, points included, with ends in {-2..2}^2.
+    points = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    segments = [(a, b) for a in points for b in points]
+    for p1, p2 in segments:
+        for q1, q2 in segments:
+            assert segments_touch(p1, p2, q1, q2) == _touch_four_clauses(p1, p2, q1, q2), (
+                p1, p2, q1, q2)

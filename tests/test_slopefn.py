@@ -162,6 +162,18 @@ class TestPullbackSlope:
         assert trace.midpoints == ((0, 0), (6, 2), (14, 3), (20, 5))
         assert trace.result == Slope(1, 2)
 
+    def test_zigzag_raises_the_last_segment_failure(self, main_pres, monkeypatch):
+        failures = []
+
+        def refuse(pres, v, w):
+            failures.append(NonTransverseError(f"segment {v} to {w}"))
+            raise failures[-1]
+
+        monkeypatch.setattr(slopefn, "mirror_crossings", refuse)
+        with pytest.raises(NonTransverseError) as info:
+            zigzag_trace(main_pres, Slope(1, 4))
+        assert len(failures) > 1 and info.value is failures[-1]
+
     @given(
         st.lists(
             st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
@@ -240,6 +252,9 @@ class TestSlopeOrbit:
         traj, cycle = slope_orbit(main_pres, Slope(1, 4))
         assert [str(t) for t in traj] == ["1/4", "1/2", "1/3", "0", "0"]
         assert cycle == (3, 1)
+
+    def test_inessential_start(self, main_pres):
+        assert slope_orbit(main_pres, INESSENTIAL) == ([INESSENTIAL], None)
 
     def test_max_iter_respected(self, main_pres):
         traj, cycle = slope_orbit(main_pres, Slope(1, 4), max_iter=1)

@@ -1,6 +1,7 @@
 import dataclasses
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from netmap import bundled_presentation
 from netmap.errors import HypothesisFailedError, MirrorsNotStabilizedError
 from netmap.geometry import affine_preserves_mirrors
 from netmap.lattice import IDENTITY, Basis2, mat_det, mat_inverse_unimodular, mat_mul
+from netmap.presentation import parse
 from netmap.slope import Slope, apply_matrix
 from netmap.symmetry import (
     IDENTITY_MOBIUS,
@@ -148,6 +150,18 @@ class TestAffMembership:
 
     def test_translation_off_sublattice(self, main_pres):
         assert not aff_membership(main_pres, ((1, 0), (0, 1)), (1, 0))
+
+    @pytest.mark.parametrize("linear", [((2, 0), (0, 1)), ((-1, 0), (0, 1))])
+    def test_lattice_not_stabilized(self, main_pres, linear):
+        # det 2; and u = (2, -1) sent to (-2, -1), outside lambda1.
+        assert not aff_membership(main_pres, linear, (0, 0))
+
+    def test_second_basis_vector_moved_off_sublattice(self):
+        # lambda1 of tests/data/seed11.net is <(6, 0), (1, 1)>; the shear
+        # keeps (6, 0) and sends (1, 1) to (2, 1).  On main no unimodular
+        # map moves the second basis vector alone.
+        pres = parse((Path(__file__).parent / "data" / "seed11.net").read_text())
+        assert not aff_membership(pres, ((1, 1), (0, 1)), (0, 0))
 
     def test_sublattice_translation_is_member(self, main_pres):
         assert aff_membership(main_pres, ((1, 0), (0, 1)), (0, 5))
