@@ -40,7 +40,7 @@ def _load(path: str) -> NetMapPresentation:
 
 
 def cmd_analyze(args) -> int:
-    if args.table == bool(args.slope):
+    if args.table == (args.slope is not None):
         raise ValueError("analyze takes one of --slope and --table")
     pres = _load(args.file)
     slopes = [Slope.parse(s) for s in (MAIN_TABLE_SLOPES if args.table else [args.slope])]
@@ -93,10 +93,10 @@ def _render_halfspace(h) -> str:
 
 
 def cmd_obstructions(args) -> int:
-    if args.slopes and (args.height is not None or args.budget is not None):
+    if args.slopes is not None and (args.height is not None or args.budget is not None):
         raise ValueError("obstructions --slopes takes no --height or --budget")
     pres = _load(args.file)
-    if args.slopes:
+    if args.slopes is not None:
         slopes = [Slope.parse(tok) for tok in args.slopes.split(",")]
         cert, obstruction = ob.certificate_for_slopes(pres, slopes)
         if obstruction is None and cert is None:
@@ -196,14 +196,14 @@ def _parse_subset(text: str) -> tuple:
 
 
 def cmd_nonsep(args) -> int:
-    if sum(map(bool, (args.check, args.search, args.refute))) != 1:
+    if sum((args.check is not None, args.search, args.refute)) != 1:
         raise ValueError("nonsep takes one of --check, --search and --refute")
     if args.budget is not None and not args.search:
         raise ValueError("nonsep --budget needs --search")
     group = _parse_group(args.group)
     if args.refute and (group.m, group.n) != (4, 2):
         raise ValueError("nonsep --refute is the report for the group 4,2")
-    if args.check:
+    if args.check is not None:
         subset = ns.SymmetricFour(_parse_subset(args.check))
         pair = ns.separating_pair(group, subset)
         if pair is None:

@@ -1,8 +1,9 @@
 """Exact segment/mirror intersection kernel.
 
 All geometry runs on integer-scaled coordinates: mirror polylines are
-premultiplied by the least common denominator of their vertices, and a
-per-query factor absorbs denominators of the query segment.
+premultiplied by the least common denominator of their vertices, and
+every query point is a lattice point.  A caller with rational points
+scales the presentation instead (``presentation.scaled``).
 
 For a query segment pq and a mirror edge ab that is not parallel to it,
 the crossing of pq with the translate ab + alpha*u2 + beta*v2 (u2, v2
@@ -48,16 +49,13 @@ validation that the translated mirrors are pairwise disjoint, with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import DegenerateIncidenceError, NonTransverseError, ValidationError
-from .lattice import Mat2, Vec, _xgcd, cross, mat_vec, vadd, vneg, vscale, vsub
+from .lattice import Mat2, Vec, cross, mat_vec, vadd, vneg, vscale, vsub
 from .presentation import ClassTable, NetMapPresentation, segments_touch
-
-Point = tuple[Fraction, Fraction]
 
 # Lines of translates with more crossings than this build them as
 # arithmetic progressions; on shorter ones a loop of Python steps is
@@ -231,28 +229,26 @@ def _line_hit(p: Vec, q: Vec, a: Vec, b: Vec) -> None:
     w = vsub(a, p)
     if cross(w, dpq) != 0:
         return None  # parallel, distinct lines
+    # The projections of a and b on pq, in units where p is 0 and q is dd.
     dd = dpq[0] * dpq[0] + dpq[1] * dpq[1]
-    ta = Fraction(w[0] * dpq[0] + w[1] * dpq[1], dd)
     wb = vsub(b, p)
-    tb = Fraction(wb[0] * dpq[0] + wb[1] * dpq[1], dd)
+    ta = w[0] * dpq[0] + w[1] * dpq[1]
+    tb = wb[0] * dpq[0] + wb[1] * dpq[1]
     lo, hi = (ta, tb) if ta <= tb else (tb, ta)
-    lo = lo if lo > 0 else Fraction(0)
-    hi = hi if hi < 1 else Fraction(1)
+    lo = lo if lo > 0 else 0
+    hi = hi if hi < dd else dd
     if lo < hi:
         raise NonTransverseError("segment runs along a mirror edge")
-    if lo == hi and 0 < lo < 1:
+    if lo == hi and 0 < lo < dd:
         raise NonTransverseError("segment touches a mirror vertex")
     return None
 
 
-def _scaled(point: Point | Vec, factor: int) -> Vec:
-    return (int(point[0] * factor), int(point[1] * factor))
-
-
 def interior_crossings(
-    pres: NetMapPresentation, v: Point | Vec, w: Point | Vec, *, walked: bool = False
+    pres: NetMapPresentation, v: Vec, w: Vec, *, walked: bool = False
 ) -> list[tuple[int, Vec]]:
-    """Transverse crossings of the open segment (v, w) with the mirrors.
+    """Transverse crossings of the open segment (v, w) between lattice
+    points v and w with the mirrors.
 
     Returns (key, midpoint) pairs in order along the segment, with
     midpoints in unscaled coordinates.  A key is an exact integer, the
@@ -263,23 +259,14 @@ def interior_crossings(
     mirror point; the first error along the edge list wins, and a
     degenerate point comes before every edge.
 
-    ``walked`` says that v and w are lattice points and that every
-    lattice point of the open segment lies outside the marked classes
-    (those of +-h and of L1 mod 2*L1), as for the segments of a class
-    walk.  Such a segment meets no degenerate point and no midpoint, so
-    the lattice scan is skipped.
+    ``walked`` says that every lattice point of the open segment lies
+    outside the marked classes (those of +-h and of L1 mod 2*L1), as for
+    the segments of a class walk.  Such a segment meets no degenerate
+    point and no midpoint, so the lattice scan is skipped.
     """
     ctx = pres.context
     s, u2, v2, edges = ctx.scale, ctx.u2, ctx.v2, ctx.edges
-    if type(v[0]) is type(v[1]) is type(w[0]) is type(w[1]) is int:
-        p, q = (v[0] * s, v[1] * s), (w[0] * s, w[1] * s)
-    else:
-        extra = lcm(v[0].denominator, v[1].denominator, w[0].denominator, w[1].denominator)
-        p, q = _scaled(v, s * extra), _scaled(w, s * extra)
-        if extra != 1:
-            u2, v2 = vscale(extra, u2), vscale(extra, v2)
-            edges = [(mid, vscale(extra, a), vscale(extra, b), key) for mid, a, b, key in edges]
-
+    p, q = (v[0] * s, v[1] * s), (w[0] * s, w[1] * s)
     met = () if walked else _check_degenerate_incidence(ctx, v, w)
 
     (px, py), (qx, qy) = p, q
@@ -403,57 +390,29 @@ def interior_crossings(
     return hits
 
 
-def _check_degenerate_incidence(ctx: PresentationContext, v, w) -> set[Vec]:
-    """Scan the lattice points of the open segment (v, w).
+def _check_degenerate_incidence(ctx: PresentationContext, v: Vec, w: Vec) -> set[Vec]:
+    """Scan the lattice points of the open segment (v, w) between lattice
+    points v and w, from v to w.
 
     Raises DegenerateIncidenceError at the first degenerate mirror point
     and otherwise returns the class keys of the mirror midpoints met.
     The class key steps linearly from point to point.
     """
     met: set[Vec] = set()
-    first, step, count = _lattice_points_on_open_segment(v, w)
-    if count <= 0:
-        return met
+    g = gcd(w[0] - v[0], w[1] - v[1])
+    step = ((w[0] - v[0]) // g, (w[1] - v[1]) // g)
     m = ctx.table.modulus
-    (k1, k2), (s1, s2) = ctx.table.key(first), ctx.table.key(step)
-    for i in range(count):
+    (k1, k2), (s1, s2) = ctx.table.key(v), ctx.table.key(step)
+    for i in range(1, g):
         key = ((k1 + i * s1) % m, (k2 + i * s2) % m)
         if key in ctx.degenerate_keys:
-            pt = (first[0] + i * step[0], first[1] + i * step[1])
+            pt = (v[0] + i * step[0], v[1] + i * step[1])
             raise DegenerateIncidenceError(
                 f"open segment passes through degenerate mirror point {pt}"
             )
         if key in ctx.midpoint_keys:
             met.add(key)
     return met
-
-
-def _lattice_points_on_open_segment(v, w) -> tuple[Vec, Vec, int]:
-    """(first, step, count): the points first + i*step, 0 <= i < count.
-
-    They run from v to w when all four coordinates are ints, and by
-    increasing (x, y) otherwise.
-    """
-    den = lcm(v[0].denominator, v[1].denominator, w[0].denominator, w[1].denominator)
-    a, b = _scaled(v, den), _scaled(w, den)
-    if not all(isinstance(c, int) for c in (*v, *w)) and b < a:
-        a, b = b, a
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    g = gcd(dx, dy)
-    sx, sy = dx // g, dy // g
-    if den == 1:
-        return (a[0] + sx, a[1] + sy), (sx, sy), g - 1
-    # Lattice points x of the line have den * cross(x, s) = cross(a, s).
-    c, r = divmod(a[0] * sy - a[1] * sx, den)
-    if r:
-        return (0, 0), (sx, sy), 0
-    _, i, j = _xgcd(sy, -sx)  # i*sy - j*sx = 1
-    x0 = (c * i, c * j)
-    # den*x0 - a = lam * s; the open segment is 0 < lam + den*k < g.
-    lam = (den * x0[0] - a[0]) // sx if sx else (den * x0[1] - a[1]) // sy
-    lo = -lam // den + 1
-    hi = (g - lam - 1) // den
-    return (x0[0] + lo * sx, x0[1] + lo * sy), (sx, sy), hi - lo + 1
 
 
 def affine_preserves_mirrors(pres: NetMapPresentation, linear: Mat2, translation: Vec) -> bool:
@@ -493,20 +452,14 @@ def affine_preserves_mirrors(pres: NetMapPresentation, linear: Mat2, translation
     return True
 
 
-def point_on_any_mirror(pres: NetMapPresentation, point: Point | Vec) -> bool:
-    """Whether the point lies on some mirror translate (closed arcs)."""
+def point_on_any_mirror(pres: NetMapPresentation, point: Vec) -> bool:
+    """Whether the lattice point lies on some mirror translate (closed arcs)."""
     ctx = pres.context
-    px, py = Fraction(point[0]), Fraction(point[1])
-    if px.denominator == 1 and py.denominator == 1:
-        if ctx.table.key((int(px), int(py))) in ctx.degenerate_keys:
-            return True
-    extra = lcm(px.denominator, py.denominator)
-    s = ctx.scale * extra
-    pt = (int(px * s), int(py * s))
-    u2 = vscale(extra, ctx.u2)
-    v2 = vscale(extra, ctx.v2)
+    if ctx.table.key(point) in ctx.degenerate_keys:
+        return True
+    pt = vscale(ctx.scale, point)
+    u2, v2 = ctx.u2, ctx.v2
     for _, a, b, _ in ctx.edges:
-        a, b = vscale(extra, a), vscale(extra, b)
         for alpha, beta in _parallelogram_candidates(u2, v2, (pt, pt), (a, b)):
             t_vec = vadd(vscale(alpha, u2), vscale(beta, v2))
             if segments_touch(pt, pt, vadd(a, t_vec), vadd(b, t_vec)):

@@ -215,6 +215,7 @@ def _value_maps(group: FinAbGroup, classes: list[El]) -> list[tuple[int, ...]]:
     m, n = group.m, group.n
     common = gcd(m, n)
     exponent = m * n // common
+    divisors = [d for d in range(2, common + 1) if common % d == 0]
     maps: dict[tuple[int, ...], None] = {}
     for k in range(1, exponent + 1):
         if exponent % k:
@@ -226,7 +227,7 @@ def _value_maps(group: FinAbGroup, classes: list[El]) -> list[tuple[int, ...]]:
                 # so a cyclic one.
                 if gcd(s, t, k) != 1 or any(
                     s * (m // d) % k == 0 and t * (n // d) % k == 0
-                    for d in range(2, common + 1) if common % d == 0
+                    for d in divisors
                 ):
                     continue
                 # |(v + half) mod k - half| is min(v, k - v).

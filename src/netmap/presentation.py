@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import PresentationSyntaxError, ValidationError
-from .lattice import Basis2, Vec, vadd, vneg
+from .lattice import Basis2, Vec, vadd, vneg, vscale
 
 Point = tuple[Fraction, Fraction]
 
@@ -85,6 +85,26 @@ class NetMapPresentation:
         from .geometry import build_context
 
         return build_context(self)
+
+
+def scaled(pres: NetMapPresentation, k: int) -> NetMapPresentation:
+    """The presentation under the similarity x -> k*x, for an integer k >= 1.
+
+    L1, h1..h4, the mirrors and the correspondence basis are each times
+    k.  A similarity keeps every invariant that :func:`validate` checks,
+    so the result is not validated again; it gets its own context.  A
+    point with denominators dividing k is a lattice point once scaled.
+    """
+    return NetMapPresentation(
+        name=pres.name,
+        lambda1=Basis2(vscale(k, pres.lambda1.u), vscale(k, pres.lambda1.v)),
+        postcritical=tuple(vscale(k, h) for h in pres.postcritical),
+        mirrors=tuple(
+            MirrorArc(vscale(k, m.midpoint), tuple(vscale(k, p) for p in m.half_path))
+            for m in pres.mirrors
+        ),
+        correspondence=Basis2(vscale(k, pres.correspondence.u), vscale(k, pres.correspondence.v)),
+    )
 
 
 def degree(pres: NetMapPresentation) -> int:

@@ -39,13 +39,6 @@ class Slope:
         return Slope(p, q)
 
     @staticmethod
-    def of_fractions(p: Fraction, q: Fraction) -> "Slope":
-        """Slope of the direction (q, p) with rational entries."""
-        num = p.numerator * q.denominator
-        den = q.numerator * p.denominator
-        return Slope.of(num, den)
-
-    @staticmethod
     def parse(text: str) -> "Slope":
         text = text.strip()
         if text in ("inf", "-inf", "oo"):

@@ -37,7 +37,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, gcd
+from math import ceil, gcd, lcm
 from operator import itemgetter
 
 from .errors import (
@@ -55,7 +55,7 @@ from .geometry import (
     point_on_any_mirror,
 )
 from .lattice import IDENTITY, Vec, _xgcd, cross, vscale
-from .presentation import NetMapPresentation
+from .presentation import NetMapPresentation, scaled
 from .pullback import analyze_slope, class_plan, coset_number
 from .slope import INESSENTIAL, Inessential, Slope, enumerate_slopes
 
@@ -500,9 +500,12 @@ def pullback_slope_long_segment(
     (q, p) otherwise.  The start points are h + eps * c + tau * (q, p)
     for every postcritical h of coset number c2, eps in ``offsets`` on
     the side of the essential lines, tau in 0, 1/2, 1/3, and c a
-    lattice vector with det((q, p), c) = 1.  Kept as an independent cross-check
-    of the zigzag path; when every start point fails, the ZigzagError
-    names the check that rejected the last one.
+    lattice vector with det((q, p), c) = 1.  The kernel takes lattice
+    points only, so with k the lcm of v's denominators the segment kv,
+    kw is run on the presentation scaled by k, a similarity that keeps
+    every crossing and scales each midpoint by k.  Kept as an
+    independent cross-check of the zigzag path; when every start point
+    fails, the ZigzagError names the check that rejected the last one.
     """
     _require_reduced(slope)
     summary = analyze_slope(pres, slope)
@@ -517,12 +520,6 @@ def pullback_slope_long_segment(
 
     c2, c3 = summary.coset_numbers[1], summary.coset_numbers[2]
     d_prime = summary.d_prime
-
-    def canonical_offset(z: tuple[Fraction, Fraction]) -> Fraction:
-        off = q * z[1] - p * z[0]
-        off = off % (2 * d_prime)
-        return min(off, 2 * d_prime - off)
-
     bases = [h for h in pres.postcritical if coset_number(h, slope, d_prime) == c2]
     rejected = "no start point lies between the lines of coset numbers c2 and c3"
     shifts = (Fraction(0), Fraction(1, 2), Fraction(1, 3))
@@ -531,29 +528,23 @@ def pullback_slope_long_segment(
             h[0] + sign * eps * complement[0] + tau * q,
             h[1] + sign * eps * complement[1] + tau * p,
         )
-        if not c2 < canonical_offset(v) < c3:
+        if not c2 < coset_number(v, slope, d_prime) < c3:
             continue
-        w = (v[0] + step * q, v[1] + step * p)
-        if point_on_any_mirror(pres, v) or point_on_any_mirror(pres, w):
+        k = lcm(v[0].denominator, v[1].denominator)
+        similar = scaled(pres, k)
+        kv = (int(k * v[0]), int(k * v[1]))
+        kw = (kv[0] + k * step * q, kv[1] + k * step * p)
+        if point_on_any_mirror(similar, kv) or point_on_any_mirror(similar, kw):
             rejected = f"start point ({v[0]}, {v[1]}) lies on a mirror"
             continue
         try:
-            crossings = interior_crossings(pres, v, w)
+            crossings = interior_crossings(similar, kv, kw)
         except (NonTransverseError, DegenerateIncidenceError) as exc:
             rejected = f"segment from ({v[0]}, {v[1]}): {exc}"
             continue
-        # w' = (-1)^n w + 2 * sum (-1)^(i+1) midpoint_i
-        n = len(crossings)
-        acc = (Fraction(0), Fraction(0))
-        for i, (_, mid) in enumerate(crossings, start=1):
-            s = 1 if i % 2 == 1 else -1
-            acc = (acc[0] + 2 * s * mid[0], acc[1] + 2 * s * mid[1])
-        wsign = 1 if n % 2 == 0 else -1
-        w_prime = (wsign * w[0] + acc[0], wsign * w[1] + acc[1])
-        res = (w_prime[0] - v[0], w_prime[1] - v[1])
-        cu, cv = pres.correspondence.u, pres.correspondence.v
-        det = Fraction(cross(cu, cv))
-        a = (res[0] * cv[1] - res[1] * cv[0]) / det
-        b = (cu[0] * res[1] - cu[1] * res[0]) / det
-        return Slope.of_fractions(b, a)
+        # k*(w' - v), w' = (-1)^n w + 2 * sum (-1)^(i+1) midpoint_i; read
+        # in the correspondence basis it has the slope of the image.
+        res = _alternating_sum([kv, *(mid for _, mid in crossings), kw])
+        a, b = pres.correspondence.adjugate_coords(res)
+        return Slope.of(b, a)
     raise ZigzagError(f"no transverse long segment found for slope {slope}; {rejected}")

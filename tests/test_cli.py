@@ -86,6 +86,11 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(bad), "--slope", "1/2")
         assert code == 2 and err
 
+    def test_empty_slope_is_parsed_not_absent(self, capsys, main_path):
+        code, out, err = run(capsys, "analyze", main_path, "--slope=")
+        assert (code, out) == (2, "")
+        assert err == "error: bad slope ''; expected p/q, p or inf\n"
+
     def test_validation_error_names_invariant(self, capsys, tmp_path, main_path):
         text = open(main_path).read().replace("(2,0) (2,3)", "(2,0) (2,-2)")
         bad = tmp_path / "collide.net"
@@ -254,6 +259,12 @@ class TestObstructions:
         code, out, err = run(capsys, "obstructions", main_path, "--slopes=0")
         assert (code, out) == (2, "")
         assert err == "error: slope 0 yields no half-space (fixed or inessential)\n"
+
+    def test_empty_slope_list_is_parsed_not_absent(self, capsys, main_path):
+        # An empty list is not the default search at height 20.
+        code, out, err = run(capsys, "obstructions", main_path, "--slopes=")
+        assert (code, out) == (2, "")
+        assert err == "error: bad slope ''; expected p/q, p or inf\n"
 
     def test_failed_reverification_is_inconclusive(self, capsys, main_path, monkeypatch):
         monkeypatch.setattr(cli.ob, "check_certificate", lambda pres, cert: False)
@@ -462,6 +473,10 @@ class TestNonsep:
 
     def test_check_of_three_elements_exits_2(self, capsys):
         code, out, err = run(capsys, "nonsep", "4,2", "--check", "(0,0);(1,0);(2,0)")
+        assert (code, out, err) == (2, "", "error: subset check needs four elements\n")
+
+    def test_empty_check_is_parsed_not_absent(self, capsys):
+        code, out, err = run(capsys, "nonsep", "4,2", "--check=")
         assert (code, out, err) == (2, "", "error: subset check needs four elements\n")
 
     def test_search_lists_published_subset(self, capsys):

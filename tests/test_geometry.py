@@ -5,10 +5,12 @@ bounding box around the segment, one exact Fraction segment intersection
 per translate, and applies the kernel's documented rules: contact at an
 endpoint of the segment is ignored, a crossing at a mirror vertex or a
 collinear overlap is non-transverse, and a degenerate mirror point on
-the open segment is a degenerate incidence.
+the open segment is a degenerate incidence.  The reference takes
+rational ends; the kernel takes lattice points, so a rational segment
+(v, w) reaches it as (k*v, k*w) on the presentation scaled by k.
 """
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 import pytest
 from hypothesis import example, given
@@ -18,7 +20,7 @@ from netmap import bundled_presentation, geometry
 from netmap.errors import DegenerateIncidenceError, NonEssentialError, NonTransverseError
 from netmap.geometry import _check_degenerate_incidence, interior_crossings, mirror_midpoint_at
 from netmap.lattice import Basis2
-from netmap.presentation import parse, serialize
+from netmap.presentation import parse, scaled, serialize, validate
 from netmap.slope import Slope, enumerate_slopes
 from netmap.slopefn import mirror_crossings, segment_candidates
 
@@ -142,6 +144,15 @@ def reference_crossings(pres, v, w):
     return [mid for _, mid in hits]
 
 
+def _lattice_form(name, v, w):
+    """(pres, k, kv, kw): the named presentation scaled by the lcm k of
+    the denominators of v and w, and the segment's ends times k."""
+    k = lcm(*(Fraction(c).denominator for c in (*v, *w)))
+    pres = PRESENTATIONS[name] if k == 1 else scaled(PRESENTATIONS[name], k)
+    kv, kw = ((int(k * c[0]), int(k * c[1])) for c in (v, w))
+    return pres, k, kv, kw
+
+
 def _outcome(fn, pres, v, w):
     try:
         return fn(pres, v, w)
@@ -153,10 +164,20 @@ def _kernel_midpoints(pres, v, w):
     return [mid for _, mid in interior_crossings(pres, v, w)]
 
 
+def _scaled_outcome(name, v, w):
+    """The kernel's outcome on the lattice form of (v, w), with its
+    midpoints scaled back by 1/k."""
+    pres, k, kv, kw = _lattice_form(name, v, w)
+    got = _outcome(_kernel_midpoints, pres, kv, kw)
+    if isinstance(got, list):
+        assert all(x % k == 0 and y % k == 0 for x, y in got)
+        got = [(x // k, y // k) for x, y in got]
+    return got
+
+
 def _agree(name, v, w):
-    pres = PRESENTATIONS[name]
-    expected = _outcome(reference_crossings, pres, v, w)
-    assert _outcome(_kernel_midpoints, pres, v, w) == expected
+    expected = _outcome(reference_crossings, PRESENTATIONS[name], v, w)
+    assert _scaled_outcome(name, v, w) == expected
     return expected
 
 
@@ -247,7 +268,7 @@ def test_progressions_match_the_per_step_loop(monkeypatch):
                 continue
 
     def outcomes():
-        return [_outcome(_kernel_midpoints, PRESENTATIONS[name], v, w) for name, v, w in cases]
+        return [_scaled_outcome(name, v, w) for name, v, w in cases]
 
     monkeypatch.setattr(geometry, "_SHORT_LINE", 10**9)
     expected = outcomes()
@@ -277,8 +298,9 @@ MAIN_MIDPOINT_SEGMENTS = [
 def test_segment_through_a_mirror_midpoint_is_not_transverse(name, v, w):
     # The two middle edges of a mirror are one edge of the kernel, so
     # only its lattice scan sees the midpoint.
+    pres, _, kv, kw = _lattice_form(name, v, w)
     with pytest.raises(NonTransverseError) as err:
-        interior_crossings(PRESENTATIONS[name], v, w)
+        interior_crossings(pres, kv, kw)
     assert str(err.value) == "segment passes through a mirror endpoint or midpoint"
     assert _agree(name, v, w) is NonTransverseError
 
@@ -286,20 +308,23 @@ def test_segment_through_a_mirror_midpoint_is_not_transverse(name, v, w):
 @pytest.mark.parametrize(
     "v, w, point",
     [
-        # Int ends are scanned from v to w, others by increasing (x, y).
+        # Every segment is scanned from v to w.
         ((-2, 1), (6, -3), (0, 0)),
         ((6, -3), (-2, 1), (4, -2)),
         ((Fraction(-1, 2), Fraction(1, 4)), (Fraction(9, 2), Fraction(-9, 4)), (0, 0)),
-        ((Fraction(9, 2), Fraction(-9, 4)), (Fraction(-1, 2), Fraction(1, 4)), (0, 0)),
+        ((Fraction(9, 2), Fraction(-9, 4)), (Fraction(-1, 2), Fraction(1, 4)), (4, -2)),
         ((Fraction(0), Fraction(-1, 2)), (Fraction(0), Fraction(21, 2)), (0, 0)),
-        ((Fraction(0), Fraction(21, 2)), (Fraction(0), Fraction(-1, 2)), (0, 0)),
+        ((Fraction(0), Fraction(21, 2)), (Fraction(0), Fraction(-1, 2)), (0, 10)),
     ],
 )
 def test_degenerate_incidence_names_the_first_point(v, w, point):
-    # Each segment meets two or three degenerate points of main.
+    # Each segment meets two or three degenerate points of main; a
+    # rational one meets them at k times their points once scaled by k.
+    pres, k, kv, kw = _lattice_form("main", v, w)
     with pytest.raises(DegenerateIncidenceError) as err:
-        interior_crossings(PRESENTATIONS["main"], v, w)
-    assert str(err.value) == f"open segment passes through degenerate mirror point {point}"
+        interior_crossings(pres, kv, kw)
+    kpoint = (k * point[0], k * point[1])
+    assert str(err.value) == f"open segment passes through degenerate mirror point {kpoint}"
 
 
 def test_bent_mirror_keeps_its_crossings():
@@ -309,6 +334,24 @@ def test_bent_mirror_keeps_its_crossings():
     assert _agree("main", v, w) == []
     outcomes = [_agree("bent", v, w) for v, w in _zigzag_segments(PRESENTATIONS["bent"], 5)]
     assert sum(len(o) for o in outcomes if isinstance(o, list)) > 100
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_scaled_presentation_is_similar(name):
+    # Scaling by k keeps validation and the text format, and the kernel's
+    # midpoints on an integer segment scale by k.
+    pres = PRESENTATIONS[name]
+    segments = [((0, 1), (11, -6)), ((3, 2), (-8, 13)), ((1, 1), (24, 7)), ((3, 1), (17, -10))]
+    for k in (1, 2, 3, 6, 42):
+        big = scaled(pres, k)
+        validate(big)
+        assert parse(serialize(big)) == big
+        for v, w in segments:
+            kv, kw = (k * v[0], k * v[1]), (k * w[0], k * w[1])
+            expected = _outcome(_kernel_midpoints, pres, v, w)
+            if isinstance(expected, list):
+                expected = [(k * x, k * y) for x, y in expected]
+            assert _outcome(_kernel_midpoints, big, kv, kw) == expected
 
 
 def reference_midpoint(pres, point):

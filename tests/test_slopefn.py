@@ -1,6 +1,6 @@
 import dataclasses
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -16,6 +16,7 @@ from netmap.errors import (
     ZigzagError,
 )
 from netmap.geometry import interior_crossings, point_on_any_mirror
+from netmap.presentation import scaled
 from netmap.pullback import analyze_slope
 from netmap.slope import INESSENTIAL, Slope, enumerate_slopes
 from netmap.slopefn import (
@@ -91,11 +92,10 @@ class TestMirrorCrossings:
 
     def test_long_segment_variant_crosses_two_mirrors(self, main_pres):
         # The off-lattice segment from (1/2, 0) to (41/2, 5) meets two
-        # spin mirrors, centred at (6,2) and (14,3).
-        hits = interior_crossings(
-            main_pres, (Fraction(1, 2), Fraction(0)), (Fraction(41, 2), Fraction(5))
-        )
-        assert [mid for _, mid in hits] == [(6, 2), (14, 3)]
+        # spin mirrors, centred at (6,2) and (14,3): scaled by 2, the
+        # segment from (1, 0) to (41, 10) meets them at twice the midpoints.
+        hits = interior_crossings(scaled(main_pres, 2), (1, 0), (41, 10))
+        assert [mid for _, mid in hits] == [(12, 4), (28, 6)]
 
     def test_translation_equivariance(self, main_pres):
         base = mirror_crossings(main_pres, (0, 0), (2, 3))
@@ -261,6 +261,13 @@ class TestSlopeOrbit:
         assert len(traj) == 2 and cycle is None
 
 
+def _on_mirror(pres, point):
+    """point_on_any_mirror at a rational point: k times it on the
+    presentation scaled by the lcm k of its denominators."""
+    k = lcm(Fraction(point[0]).denominator, Fraction(point[1]).denominator)
+    return point_on_any_mirror(scaled(pres, k), (int(k * point[0]), int(k * point[1])))
+
+
 class TestPointOnMirror:
     def test_marked_points_sit_on_mirrors(self, main_pres):
         for pt in [(0, 0), (0, 5), (2, 0), (2, 3), (2, -2), (2, 5)]:
@@ -268,7 +275,7 @@ class TestPointOnMirror:
 
     def test_generic_point_off_mirrors(self, main_pres):
         assert not point_on_any_mirror(main_pres, (1, 1))
-        assert not point_on_any_mirror(main_pres, (Fraction(1, 2), Fraction(0)))
+        assert not _on_mirror(main_pres, (Fraction(1, 2), Fraction(0)))
 
     def test_fractional_points_on_and_beside_mirrors(self, main_pres, double_pres):
         # (2, -1/2) lies on main's mirror 3, from (2,-1) to (2,0); (1/2, 3)
@@ -278,9 +285,9 @@ class TestPointOnMirror:
             (main_pres, (Fraction(2), Fraction(-1, 2))),
             (double_pres, (Fraction(1, 2), Fraction(3))),
         ):
-            assert point_on_any_mirror(pres, (x, y))
-            assert not point_on_any_mirror(pres, (x + eps, y))
-            assert not point_on_any_mirror(pres, (x - eps, y))
+            assert _on_mirror(pres, (x, y))
+            assert not _on_mirror(pres, (x + eps, y))
+            assert not _on_mirror(pres, (x - eps, y))
 
 
 def test_graph_rows_follow_value_order(main_pres, monkeypatch):
