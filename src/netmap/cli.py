@@ -130,10 +130,13 @@ def cmd_obstructions(args) -> int:
 
 
 def _ints(text: str, count: int, message: str) -> tuple[int, ...]:
-    """``count`` comma-separated integers, in optional parentheses;
-    PresentationSyntaxError with ``message`` for anything else."""
+    """``count`` comma-separated integers, in one pair of parentheses or
+    none; PresentationSyntaxError with ``message`` for anything else."""
+    text = text.strip()
+    if text[:1] == "(" and text[-1:] == ")":
+        text = text[1:-1]
     try:
-        values = tuple(int(t) for t in text.strip().strip("()").split(","))
+        values = tuple(int(t) for t in text.split(","))
     except ValueError:
         values = ()
     if len(values) != count:

@@ -30,7 +30,7 @@ form one edge; a straight mirror is a single edge.  m lies in L1, so a
 segment through a translate of m meets a lattice point of class m mod
 2*L1.  One scan of the segment's lattice points, stepping the class key
 linearly, finds those points and the degenerate mirror points.  A
-marked segment of a class plan skips the scan (``walked=True``, passed
+marked segment of the slope map skips the scan (``walked=True``, passed
 by ``slopefn.mirror_crossings`` for exactly those segments): the class
 walk that found it has looked up every lattice point of its open
 segment in the context's table of marked classes, which holds every
@@ -92,7 +92,8 @@ class PresentationContext:
     edges: tuple[tuple[Vec, Vec, Vec, Vec | None], ...]
     midpoint_keys: frozenset[Vec]    # class keys of the non-degenerate midpoints
     edge_length: int                 # sum of |dx| + |dy| over the edges, times scale
-    plans: dict = field(default_factory=dict)      # class mod 2N -> pullback.ClassPlan
+    summaries: dict = field(default_factory=dict)  # class mod 2N -> pullback.PullbackSummary
+    segments: dict = field(default_factory=dict)   # class mod 2N -> slopefn._marked_segments
     images: dict = field(default_factory=dict)     # slope -> pullback_slope value
 
 
@@ -261,8 +262,8 @@ def interior_crossings(
 
     ``walked`` says that every lattice point of the open segment lies
     outside the marked classes (those of +-h and of L1 mod 2*L1), as for
-    the segments of a class walk.  Such a segment meets no degenerate
-    point and no midpoint, so the lattice scan is skipped.
+    the marked segments of the slope map.  Such a segment meets no
+    degenerate point and no midpoint, so the lattice scan is skipped.
     """
     ctx = pres.context
     s, u2, v2, edges = ctx.scale, ctx.u2, ctx.v2, ctx.edges

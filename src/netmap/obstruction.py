@@ -126,7 +126,7 @@ def check_certificate(pres: NetMapPresentation, cert: Certificate) -> bool:
     """Re-verify a certificate by rebuilding it from its source slopes.
 
     The rebuild runs on an equal presentation with a fresh context, so
-    it shares no memoised images or class plans with the code that
+    it shares no memoised images or class memos with the code that
     built ``cert``.  True exactly when it gives ``cert`` back: the same
     half-spaces, cover verdict and leftover dispositions.  A slope that
     yields no half-space, and a certificate with none, give False.

@@ -193,7 +193,10 @@ def parse(text: str) -> NetMapPresentation:
         if "=" not in line:
             raise PresentationSyntaxError(f"line {lineno}: missing '='")
         key, value = (part.strip() for part in line.split("=", 1))
+        m = _MIRROR_RE.fullmatch(key)
         try:
+            if int(m.group(1)) in mirrors if m else key in fields:
+                raise PresentationSyntaxError(f"duplicate key {key!r}")
             if key == "name":
                 fields[key] = value
             elif key in _VECTOR_FIELDS:
@@ -202,7 +205,7 @@ def parse(text: str) -> NetMapPresentation:
                     count = {2: "two", 4: "four"}[_VECTOR_FIELDS[key]]
                     raise PresentationSyntaxError(f"{key} needs {count} vectors")
                 fields[key] = vecs
-            elif (m := _MIRROR_RE.fullmatch(key)):
+            elif m:
                 k = int(m.group(1))
                 if ":" not in value:
                     raise PresentationSyntaxError("mirror line needs ':'")

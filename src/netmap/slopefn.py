@@ -18,9 +18,9 @@ outward, that lowers p/q, to the least height it reaches.  The step is
 taken for one of two reasons:
 
 - the segment of p/q is about as long as its height, and an estimate
-  read off the class plan's segment says it would cross more than
-  ``_DESCENT_CROSSINGS`` (1,000) mirrors.  Then p/q descends step by
-  step, scanning at most ``_DESCENT_CENTRES`` (5,000) centres in all
+  read off its class's first marked segment says it would cross more
+  than ``_DESCENT_CROSSINGS`` (1,000) mirrors.  Then p/q descends step
+  by step, scanning at most ``_DESCENT_CENTRES`` (5,000) centres in all
   before BudgetExceededError.
 - the lower slope and the centre of the step both have memoised
   images.  A batch walked in the order of ``enumerate_slopes`` (the
@@ -54,9 +54,9 @@ from .geometry import (
     mirror_midpoint_at,
     point_on_any_mirror,
 )
-from .lattice import IDENTITY, Vec, _xgcd, cross, vscale
+from .lattice import IDENTITY, Vec, _xgcd, cross
 from .presentation import NetMapPresentation, scaled
-from .pullback import analyze_slope, class_plan, coset_number
+from .pullback import analyze_slope, coset_number
 from .slope import INESSENTIAL, Inessential, Slope, enumerate_slopes
 
 SlopeOrInessential = Slope | Inessential
@@ -99,34 +99,46 @@ def _walk_to_marked(pres: NetMapPresentation, start: Vec, step: Vec, max_t: int)
     return None
 
 
-def segment_candidates(pres: NetMapPresentation, slope: Slope):
-    """Candidate (v, w) pairs for the zigzag segment, best first.
+def _marked_segments(pres: NetMapPresentation, slope: Slope) -> tuple[tuple[Vec, int], ...]:
+    """The marked segments (h, t) of the essential slope p/q, best first:
+    each runs from h to h + t*(q, p), with t < 0 on the minus walk.
 
-    Candidates start at postcritical representatives whose coset number
-    equals c2, then c3, walking in the +direction then the -direction.
-    The walks are made once per class of the slope mod 2N (see
-    ``pullback.ClassPlan``); each yields w = h + t*(q, p).
+    The walks start at postcritical representatives whose coset number
+    equals c2, then c3, in the +direction then the -direction, and are
+    made once per class of p/q mod 2N (see ``pullback.analyze_slope``).
+    That is exact: moving (q, p) by 2N*(x1, x2) moves the point h +
+    t*(q, p) of a walk from h by 2N*t*(x1, x2), which lies in 2*L1, so
+    the point keeps its class key mod 2*L1 and the walk stops at the
+    same t with the same outcome.  The walk has looked up every lattice
+    point strictly between h and h + t*(q, p) and found it unmarked, so
+    ``mirror_crossings`` skips the kernel's lattice scan for exactly
+    these segments.
     """
-    plan = class_plan(pres, slope)
-    summary = plan.summary
-    if summary.essential == 0:
+    m = pres.context.table.modulus
+    key = (slope.q % m, slope.p % m)
+    if (segments := pres.context.segments.get(key)) is not None:
+        return segments
+    summary = analyze_slope(pres, slope)
+    values = [coset_number(h, slope, summary.d_prime) for h in pres.postcritical]
+    found = []
+    for target in dict.fromkeys(summary.coset_numbers[1:3]):  # c2, then c3 if it differs
+        for h in [h for h, value in zip(pres.postcritical, values) if value == target]:
+            for sign in (1, -1):
+                t = _walk_to_marked(pres, h, (sign * slope.q, sign * slope.p), 2 * summary.d)
+                if t is not None:
+                    found.append((h, sign * t))
+    pres.context.segments[key] = segments = tuple(found)
+    return segments
+
+
+def segment_candidates(pres: NetMapPresentation, slope: Slope):
+    """Candidate (v, w) pairs for the zigzag segment, best first: the
+    marked segments of the slope (``_marked_segments``), each as v = h
+    and w = h + t*(q, p)."""
+    if analyze_slope(pres, slope).essential == 0:
         raise NonEssentialError(f"slope {slope} pulls back with no essential component")
-    if plan.segments is None:
-        values = [coset_number(h, slope, summary.d_prime) for h in pres.postcritical]
-        direction = (slope.q, slope.p)
-        c2, c3 = summary.coset_numbers[1], summary.coset_numbers[2]
-        segments = []
-        for target in [c2] if c2 == c3 else [c2, c3]:
-            for k, h in enumerate(pres.postcritical):
-                if values[k] != target:
-                    continue
-                for sign in (1, -1):
-                    t = _walk_to_marked(pres, h, vscale(sign, direction), 2 * summary.d)
-                    if t is not None:
-                        segments.append((h, sign * t))
-        plan.segments = tuple(segments)
     q, p = slope.q, slope.p
-    for h, t in plan.segments:
+    for h, t in _marked_segments(pres, slope):
         yield h, (h[0] + t * q, h[1] + t * p)
 
 
@@ -143,27 +155,26 @@ def mirror_crossings(pres: NetMapPresentation, v: Vec, w: Vec) -> list[Vec]:
     The list starts with the midpoint of the mirror containing v and
     ends with that of the mirror containing w; interior entries are the
     midpoints of the transversely crossed mirror translates.  A marked
-    segment of a class plan skips the kernel's lattice scan, since the
-    walk that found it has looked up every lattice point between v and
-    w and found none marked; every other segment is scanned.
+    segment (``_marked_segments``) skips the kernel's lattice scan, since
+    the walk that found it has looked up every lattice point between v
+    and w and found none marked; every other segment is scanned.
     """
     first = mirror_midpoint_at(pres, v)
     last = mirror_midpoint_at(pres, w)
-    walked = _plan_segment(pres, v, w)
+    walked = _is_marked_segment(pres, v, w)
     interior = [mid for _, mid in interior_crossings(pres, v, w, walked=walked)]
     return [first, *interior, last]
 
 
-def _plan_segment(pres: NetMapPresentation, v: Vec, w: Vec) -> bool:
+def _is_marked_segment(pres: NetMapPresentation, v: Vec, w: Vec) -> bool:
     """Whether (v, w) is (h, h + t*(q, p)) for a marked segment (h, t)
-    that ``segment_candidates`` has stored in the plan of p/q's class."""
+    that ``_marked_segments`` has stored for the class of p/q."""
     dx, dy = w[0] - v[0], w[1] - v[1]
-    if type(dx) is not int or type(dy) is not int or dx == dy == 0:
+    if dx == dy == 0:
         return False
     t = gcd(dx, dy) if dx > 0 or (dx == 0 and dy > 0) else -gcd(dx, dy)
     m = pres.context.table.modulus
-    plan = pres.context.plans.get((dx // t % m, dy // t % m))
-    return plan is not None and plan.segments is not None and (v, t) in plan.segments
+    return (v, t) in pres.context.segments.get((dx // t % m, dy // t % m), ())
 
 
 _X, _Y = itemgetter(0), itemgetter(1)
@@ -202,7 +213,7 @@ def zigzag_trace(pres: NetMapPresentation, slope: Slope) -> ZigzagTrace | None:
     A segment expected to cross more than ``_ZIGZAG_CROSSINGS`` mirrors
     is refused with BudgetExceededError before any crossing is found.
     """
-    if class_plan(pres, slope).summary.essential == 0:
+    if analyze_slope(pres, slope).essential == 0:
         return None
     failure: Exception | None = None
     for v, w in segment_candidates(pres, slope):
@@ -255,10 +266,8 @@ def _segment_is_long(pres: NetMapPresentation, x: Slope) -> bool:
     # |t| <= 2d <= 2N and |cross((q, p), e)| <= height * (|ex| + |ey|) bound the estimate.
     if x.height() * pres.context.edge_length <= 2 * pres.context.scale * _DESCENT_CROSSINGS:
         return False
-    plan = class_plan(pres, x)
-    if plan.segments is None:  # the first candidate walks the class
-        next(segment_candidates(pres, x), None)
-    t = plan.segments[0][1] if plan.segments else 0
+    segments = _marked_segments(pres, x)
+    t = segments[0][1] if segments else 0
     return _crossing_estimate(pres, t * x.q, t * x.p) > _DESCENT_CROSSINGS
 
 
@@ -295,7 +304,7 @@ def _twist_step(pres: NetMapPresentation, x: Slope, convergents: list[tuple[int,
     a, b, h = x.p, x.q, x.height()
     for p, q in (*reversed(convergents), (0, 1), (1, 0)):
         k = q * a - p * b
-        summary = class_plan(pres, c := Slope(p, q)).summary
+        summary = analyze_slope(pres, c := Slope(p, q))
         g = 2 * summary.d * abs(k)
         for j in (1, -1):
             if (lower := max(abs(a + g * j * p), abs(b + g * j * q))) < h:
@@ -314,7 +323,7 @@ def pullback_slope(pres: NetMapPresentation, slope: Slope) -> SlopeOrInessential
 
     A twist step (``_twist_step``) moves a slope x to a lower slope y
     about a centre c, and sigma(x) is a twist about sigma(c) of sigma(y).
-    An inessential class is answered from its plan.  Otherwise x takes
+    An inessential class is answered from its summary.  Otherwise x takes
     the step, when one lowers it, in one of two cases:
 
     - its zigzag would be long (``_segment_is_long``).  Then x descends
@@ -332,7 +341,7 @@ def pullback_slope(pres: NetMapPresentation, slope: Slope) -> SlopeOrInessential
     """
     memo, steps, x, scanned = pres.context.images, [], slope, 0
     while (image := memo.get(x)) is None:
-        if class_plan(pres, x).summary.essential == 0:
+        if analyze_slope(pres, x).essential == 0:
             memo[x] = image = INESSENTIAL
             break
         convergents = [*_convergents(x)][:-1]

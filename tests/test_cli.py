@@ -109,6 +109,13 @@ class TestUnreadableInput:
         assert (code, out) == (2, "")
         assert err == "error: line 12: trailing junk in point list: '(2/0,0)'\n"
 
+    def test_repeated_key_exits_2_with_one_line(self, capsys, tmp_path, main_path):
+        bad = tmp_path / "repeated.net"
+        bad.write_text(open(main_path).read() + "lambda1 = (2,-1) (0,5)\n")
+        code, out, err = run(capsys, "slope", str(bad), "1/2")
+        assert (code, out) == (2, "")
+        assert err == "error: line 14: duplicate key 'lambda1'\n"
+
     def test_directory_exits_2_with_one_line(self, capsys, tmp_path):
         code, out, err = run(capsys, "slope", str(tmp_path), "1/2")
         assert (code, out) == (2, "")
@@ -358,7 +365,8 @@ class TestEquations:
         assert (code, out) == (2, "")
         assert err.startswith("error: bad affine spec '1,0;5'") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("spec", ["1,0;5", "1,0;5,1;0,0;0,0", "1,0;5,x;0,0", "(1,0,5);1;0,0"])
+    @pytest.mark.parametrize("spec", ["1,0;5", "1,0;5,1;0,0;0,0", "1,0;5,x;0,0", "(1,0,5);1;0,0",
+                                      "((1,0;5,1));(0,0", "(1,0));(5,1);(0,0)"])
     def test_malformed_affine_names_the_expected_form(self, capsys, main_path, spec):
         code, out, err = run(capsys, "equations", main_path, "--affine", spec)
         assert (code, out) == (2, "")
@@ -460,7 +468,7 @@ class TestNonsep:
         assert code == 2 and out == ""
         assert err == f"error: {element} is not an element of Z/4 + Z/2\n"
 
-    @pytest.mark.parametrize("element", ["(1,2,3)", "(1)", "(a,1)"])
+    @pytest.mark.parametrize("element", ["(1,2,3)", "(1)", "(a,1)", "((1,0)", "(1,0))", "1,0)"])
     def test_check_malformed_element_exits_2(self, capsys, element):
         code, out, err = run(
             capsys, "nonsep", "4,2", "--check", f"{element};(0,0);(2,1);(3,1)"
@@ -498,7 +506,7 @@ class TestNonsep:
         code, _, _ = run(capsys, "nonsep", "four", "--search")
         assert code == 2
 
-    @pytest.mark.parametrize("spec", ["4,2,1", "4", "(4,x)"])
+    @pytest.mark.parametrize("spec", ["4,2,1", "4", "(4,x)", "((4,2", "4,2)", "(4,2))", "((4,2))"])
     def test_malformed_group_spec_exits_2_with_one_line(self, capsys, spec):
         code, out, err = run(capsys, "nonsep", spec, "--search")
         assert (code, out) == (2, "")

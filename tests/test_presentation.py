@@ -159,11 +159,30 @@ class TestLineMessages:
         ("(2,-1) : (2,0)", "(2,-1) (2,0)", "line 8: mirror line needs ':'"),
         ("(2,-1) : (2,0)", "(2,-1) :", "line 8: empty mirror path"),
         ("name = main", "colour = red", "line 2: unknown key 'colour'"),
+        ("mirror 4 =", "mirror  3 =", "line 9: duplicate key 'mirror  3'"),
     ])
     def test_syntax_message(self, old, new, message):
         with pytest.raises(PresentationSyntaxError) as err:
             parse(MAIN_TEXT.replace(old, new))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("line", [
+        "name = other",
+        "lambda1 = (2,-1) (0,5)",
+        "postcritical = (0,0) (0,5) (2,0) (2,3)",
+        "correspondence = (2,-1) (0,5)",
+        "mirror 1 = (0,0) : degenerate",
+        "mirror 2 = (0,5) : degenerate",
+        "mirror 3 = (2,-1) : (2,0)",
+        "mirror 4 = (2,4) : (2,3)",
+    ])
+    def test_repeated_key(self, line):
+        # MAIN_TEXT sets every key once on lines 2-9; a second line for
+        # any of them is refused, whatever its value.
+        key = line.split("=")[0].strip()
+        with pytest.raises(PresentationSyntaxError) as err:
+            parse(MAIN_TEXT + line + "\n")
+        assert str(err.value) == f"line 10: duplicate key {key!r}"
 
     @pytest.mark.parametrize("old, new, invariant, message", [
         ("correspondence = (2,-1) (0,5)", "correspondence = (2,-1) (0,10)", "correspondence",
@@ -213,7 +232,7 @@ def test_separate_parses_share_no_memo():
     assert repr(first) == repr(second)
     assert first.context is not second.context
     assert Slope(1, 4) in first.context.images
-    assert not second.context.images and not second.context.plans
+    assert not second.context.images and not second.context.summaries
 
 
 class TestPreimageCosetTable:

@@ -13,6 +13,7 @@ from netmap.lattice import Basis2, order_in_quotient
 from netmap.presentation import MirrorArc, NetMapPresentation, serialize, validate
 from netmap.pullback import PullbackSummary, analyze_slope, coset_number, multiplier
 from netmap.slope import Slope, enumerate_slopes
+import netmap.slopefn as slopefn
 from netmap.slopefn import segment_candidates
 
 # One representative slope per residue class (q mod 20, 2p+q mod 5) of
@@ -203,13 +204,47 @@ def _check_plans(pres, slopes):
         assert analyze_slope(pres, s) == reference_summary(pres, s)
         assert _plan_outcome(pres, s) == reference_segments(pres, s)
     m = 2 * pres.lambda1.index
-    assert len(pres.context.plans) == len({(s.q % m, s.p % m) for s in slopes})
+    assert len(pres.context.summaries) == len({(s.q % m, s.p % m) for s in slopes})
 
 
 @pytest.mark.parametrize("name", ["main", "double", "euclidean"])
 def test_class_plans_match_direct_computation(name):
     pres = bundled_presentation(name)
     _check_plans(pres, enumerate_slopes(40))
+
+
+def _count_walks(monkeypatch):
+    walks = []
+    walk = slopefn._walk_to_marked
+    monkeypatch.setattr(
+        slopefn, "_walk_to_marked", lambda *args: walks.append(args) or walk(*args)
+    )
+    return walks
+
+
+def test_a_class_walks_its_marked_segments_once(monkeypatch):
+    walks = _count_walks(monkeypatch)
+    pres = bundled_presentation("main")
+    first = list(segment_candidates(pres, Slope(1, 4)))
+    assert first and walks
+    # 21/4 is 1/4 moved by 2N = 20 in p: the same class, so no walk.
+    walks.clear()
+    shifted = list(segment_candidates(pres, Slope(21, 4)))
+    assert walks == []
+    assert [v for v, _ in shifted] == [v for v, _ in first]
+
+
+def test_the_long_segment_check_walks_for_the_zigzag(monkeypatch):
+    # The long-segment check walks the class of a slope past its height
+    # pre-check; the slope's segment candidates then walk nothing.
+    walks = _count_walks(monkeypatch)
+    pres, x = bundled_presentation("main"), Slope(99999999, 100000000)
+    assert analyze_slope(pres, x).essential > 0
+    slopefn._segment_is_long(pres, x)
+    assert walks
+    walks.clear()
+    assert list(segment_candidates(pres, x))
+    assert walks == []
 
 
 def random_presentation(seed):
