@@ -36,7 +36,8 @@ MAIN_TABLE_SLOPES = ["1/1", "2/1", "1/3", "1/4", "-1/2", "3/4", "7/6", "1/8"]
 
 
 def _load(path: str) -> NetMapPresentation:
-    return parse(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as file:
+        return parse(file.read())
 
 
 def cmd_analyze(args) -> int:

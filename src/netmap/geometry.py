@@ -98,20 +98,15 @@ class PresentationContext:
 
 
 def build_context(pres: NetMapPresentation) -> PresentationContext:
-    denoms = [1]
-    for mirror in pres.mirrors:
-        for p in mirror.full_polyline():
-            denoms.append(p[0].denominator)
-            denoms.append(p[1].denominator)
-    scale = lcm(*denoms)
+    polys = [mirror.full_polyline() for mirror in pres.mirrors]
+    scale = lcm(*(c.denominator for poly in polys for p in poly for c in p))
     table = ClassTable(basis=pres.lambda1, modulus=2 * pres.lambda1.index)
     chains = []
     # Validation puts the ends of mirror k in the classes of h_k and -h_k
     # (a degenerate mirror, with h_k in L1, is its own end), and keeps the
     # ends of distinct mirrors in distinct classes.
     midpoint_offsets = {}
-    for mirror in pres.mirrors:
-        poly = mirror.full_polyline()
+    for mirror, poly in zip(pres.mirrors, polys):
         chains.append(tuple((int(p[0] * scale), int(p[1] * scale)) for p in poly))
         for x, y in (poly[0], poly[-1]):
             end = (int(x), int(y))

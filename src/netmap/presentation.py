@@ -29,7 +29,7 @@ from functools import cached_property
 from .errors import PresentationSyntaxError, ValidationError
 from .lattice import Basis2, Vec, vadd, vneg, vscale
 
-Point = tuple[Fraction, Fraction]
+Point = tuple[int | Fraction, int | Fraction]
 
 _VEC_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 # A denominator of zero does not match, so it is left over as junk.
@@ -57,7 +57,7 @@ class MirrorArc:
 
     def full_polyline(self) -> tuple[Point, ...]:
         """The whole mirror: half-path, midpoint, rotated half-path."""
-        mid = (Fraction(self.midpoint[0]), Fraction(self.midpoint[1]))
+        mid = self.midpoint
         if self.degenerate:
             return (mid,)
         rotated = tuple(
@@ -172,6 +172,11 @@ def _parse_vec(tok: str) -> Vec:
     return (int(m.group(1)), int(m.group(2)))
 
 
+def _coord(tok: str) -> int | Fraction:
+    """An integer token as an int, an r/s token as a Fraction."""
+    return Fraction(tok) if "/" in tok else int(tok)
+
+
 def _parse_list(text: str, pattern: re.Pattern, kind: str, coord) -> list:
     """Every ``pattern`` match in text as a pair of ``coord`` values;
     anything else in text is a syntax error naming the ``kind`` of list."""
@@ -214,7 +219,7 @@ def parse(text: str) -> NetMapPresentation:
                 if path_text == "degenerate":
                     mirrors[k] = MirrorArc(midpoint)
                 else:
-                    pts = _parse_list(path_text, _POINT_RE, "point", Fraction)
+                    pts = _parse_list(path_text, _POINT_RE, "point", _coord)
                     if not pts:
                         raise PresentationSyntaxError("empty mirror path")
                     mirrors[k] = MirrorArc(midpoint, tuple(pts))
@@ -253,7 +258,7 @@ def serialize(pres: NetMapPresentation) -> str:
         return f"({v[0]},{v[1]})"
 
     def point(p: Point) -> str:
-        def coord(c: Fraction) -> str:
+        def coord(c: int | Fraction) -> str:
             return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
         return f"({coord(p[0])},{coord(p[1])})"
@@ -324,20 +329,23 @@ def validate(pres: NetMapPresentation) -> None:
         terminal = mirror.half_path[-1]
         if terminal[0].denominator != 1 or terminal[1].denominator != 1:
             raise ValidationError(
-                "mirror-terminal", f"mirror {k} terminal {terminal} is not a lattice point"
+                "mirror-terminal",
+                f"mirror {k} terminal ({terminal[0]}, {terminal[1]}) is not a lattice point",
             )
         term = (int(terminal[0]), int(terminal[1]))
         if table.key(term) not in (table.key(h), table.key(vneg(h))):
             raise ValidationError(
                 "mirror-terminal", f"mirror {k} terminal {term} is not in the class of +-h{k}"
             )
-        poly = mirror.full_polyline()
-        for a, b in zip(poly, poly[1:]):
+        # The context's chains are the mirrors under a similarity, which
+        # keeps both a repeated point and a crossing.
+        chain = pres.context.chains[k - 1]
+        for a, b in zip(chain, chain[1:]):
             if a == b:
                 raise ValidationError(
                     "mirror-simple", f"mirror {k} has repeated consecutive points"
                 )
-        if _polyline_self_intersects(poly):
+        if _polyline_self_intersects(chain):
             raise ValidationError("mirror-simple", f"mirror {k} is not a simple arc")
 
     from .geometry import check_mirror_disjointness

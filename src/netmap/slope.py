@@ -8,9 +8,9 @@ pulls back with no essential component.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, ZeroVectorError
 
@@ -18,9 +18,13 @@ from .errors import BudgetExceededError, ZeroVectorError
 _ENUMERATION_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class Slope:
-    """Extended rational p/q in lowest terms, q >= 0, infinity = 1/0."""
+class Slope(NamedTuple):
+    """Extended rational p/q in lowest terms, q >= 0, infinity = 1/0.
+
+    An immutable pair: it equals and hashes like the tuple (p, q).  The
+    comparisons are by value (every rational is below infinity), never
+    by tuple order.
+    """
 
     p: int
     q: int
@@ -63,6 +67,15 @@ class Slope:
         # Every rational is less than infinity; with q >= 0 the cross
         # products compare two rationals.
         return self.q != 0 and (other.q == 0 or self.p * other.q < other.p * self.q)
+
+    def __gt__(self, other: "Slope") -> bool:
+        return Slope.__lt__(other, self)
+
+    def __le__(self, other: "Slope") -> bool:
+        return not Slope.__lt__(other, self)
+
+    def __ge__(self, other: "Slope") -> bool:
+        return not Slope.__lt__(self, other)
 
     def height(self) -> int:
         return max(abs(self.p), abs(self.q))

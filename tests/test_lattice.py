@@ -1,4 +1,7 @@
+import copy
 import hashlib
+import pickle
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -14,7 +17,7 @@ from netmap.lattice import (
     quotient_presentation,
     smith_normal_form,
 )
-from netmap.slope import Slope
+from netmap.slope import Slope, enumerate_slopes
 
 MAIN_SUBLATTICE = Basis2((2, -1), (0, 5))
 
@@ -55,6 +58,29 @@ class TestSlopeNormalization:
     def test_ordering_infinity_greatest(self):
         assert Slope.of(10, 1) < Slope(1, 0)
         assert Slope.of(-1, 2) < Slope.of(0, 1)
+
+    def test_comparisons_are_by_value_never_by_tuple(self):
+        # Infinity is above every rational; <= and >= follow the same
+        # value order, where tuple order would put 2/1 above 1/0.
+        slopes = enumerate_slopes(8)
+
+        def key(s):
+            return (1, 0) if s.q == 0 else (0, Fraction(s.p, s.q))
+
+        for a in slopes:
+            for b in slopes:
+                assert (a < b, a > b) == (key(a) < key(b), key(a) > key(b)), (a, b)
+                assert (a <= b, a >= b) == (key(a) <= key(b), key(a) >= key(b)), (a, b)
+        assert not Slope(2, 1) > Slope(1, 0)
+
+    def test_an_immutable_pair(self):
+        s = Slope.of(-6, 4)
+        assert repr(s) == "Slope(p=-3, q=2)"
+        assert s == (-3, 2) and hash(s) == hash((-3, 2))
+        assert copy.deepcopy(s) == s and pickle.loads(pickle.dumps(s)) == s
+        assert type(pickle.loads(pickle.dumps(s))) is Slope
+        with pytest.raises(AttributeError):
+            s.p = 3
 
 
 class TestOrderInQuotient:

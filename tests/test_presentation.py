@@ -1,12 +1,14 @@
 from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
 from math import ceil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netmap import bundled_presentation
+from netmap import bundled_presentation, presentation
 from netmap.errors import PresentationSyntaxError, ValidationError
 from netmap.slope import Slope
 from netmap.slopefn import pullback_slope
@@ -190,7 +192,7 @@ class TestLineMessages:
         ("mirror 1 = (0,0) : degenerate", "mirror 1 = (0,5) : degenerate", "mirror-degenerate",
          "mirror 1 midpoint is not in the class of h1"),
         ("(2,-1) : (2,0)", "(2,-1) : (2,1/2)", "mirror-terminal", "mirror 3 terminal "
-         "(Fraction(2, 1), Fraction(1, 2)) is not a lattice point"),
+         "(2, 1/2) is not a lattice point"),
     ])
     def test_validation_message(self, old, new, invariant, message):
         with pytest.raises(ValidationError) as err:
@@ -344,6 +346,47 @@ class TestMirrorDisjointness:
         assert pres.mirrors[2].half_path[0] == (Fraction(5, 2), Fraction(-1, 2))
         assert "(5/2,-1/2) (2,0)" in serialize(pres)
         assert parse(serialize(pres)) == pres
+
+
+BENT_MAIN_TEXT = MAIN_TEXT.replace(
+    "mirror 3 = (2,-1) : (2,0)", "mirror 3 = (2,-1) : (5/2,-1/2) (2,0)"
+)
+
+
+def _coordinates(pres):
+    return [c for m in pres.mirrors for p in m.full_polyline() for c in p]
+
+
+def test_integer_files_build_no_fraction(monkeypatch):
+    texts = [resources.files("netmap.data").joinpath(f"{name}.net").read_text("utf-8")
+             for name in ("main", "double", "euclidean")]
+    texts.append((Path(__file__).parent / "data" / "seed11.net").read_text("utf-8"))
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction built for an integer vertex")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(presentation, "Fraction", no_fraction)
+        parsed = [parse(text) for text in texts]
+    for pres in parsed:
+        assert all(type(c) is int for c in _coordinates(pres)), pres.name
+    bent = parse(BENT_MAIN_TEXT)
+    assert bent.mirrors[2].half_path == ((Fraction(5, 2), Fraction(-1, 2)), (2, 0))
+    assert type(bent.mirrors[2].half_path[0][0]) is Fraction
+    for pres in [*parsed, bent]:
+        assert parse(serialize(pres)) == pres
+
+
+def test_fraction_vertices_equal_their_parsed_twin():
+    # random_presentation writes every vertex as a Fraction; parsed, the
+    # same vertices are ints.
+    from test_pullback import random_presentation
+
+    built = random_presentation(11)
+    twin = parse(serialize(built))
+    assert any(type(c) is Fraction for c in _coordinates(built))
+    assert all(type(c) is int for c in _coordinates(twin))
+    assert twin == built and hash(twin) == hash(built)
 
 
 BUNDLED = {name: bundled_presentation(name) for name in ("main", "double", "euclidean")}
