@@ -17,6 +17,7 @@ type (2 unless the type says 3 or 4), printed after its ``label``.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -354,6 +355,11 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_plain(argv) or build_parser().parse_args(argv)
+    # The collector leaves out what existed before the command, the
+    # imported modules above all: a command's collections then walk only
+    # its own objects.  A process forked after the import would otherwise
+    # copy the import's pages whenever a collection reached them.
+    gc.freeze()
     try:
         return args.func(args)
     except NetMapError as exc:
@@ -362,6 +368,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        gc.unfreeze()
 
 
 def entry() -> None:

@@ -48,10 +48,10 @@ validation that the translated mirrors are pairwise disjoint, with
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 from math import gcd, lcm
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import DegenerateIncidenceError, NonTransverseError, ValidationError
 from .lattice import Mat2, Vec, cross, mat_vec, vadd, vneg, vscale, vsub
@@ -66,12 +66,12 @@ _SHORT_LINE = 8
 _MAX_TRANSLATE_LINES = 100_000
 
 
-@dataclass(frozen=True, eq=False)
-class PresentationContext:
+class PresentationContext(NamedTuple):
     """Data derived from one presentation, and its per-slope memos.
 
     Built once per presentation instance by ``pres.context``; the memos
-    live and die with that instance.
+    live and die with that instance.  ``build_context`` gives each
+    context three fresh memo dicts.
     """
 
     scale: int
@@ -92,9 +92,9 @@ class PresentationContext:
     edges: tuple[tuple[Vec, Vec, Vec, Vec | None], ...]
     midpoint_keys: frozenset[Vec]    # class keys of the non-degenerate midpoints
     edge_length: int                 # sum of |dx| + |dy| over the edges, times scale
-    summaries: dict = field(default_factory=dict)  # class mod 2N -> pullback.PullbackSummary
-    segments: dict = field(default_factory=dict)   # class mod 2N -> slopefn._marked_segments
-    images: dict = field(default_factory=dict)     # slope -> pullback_slope value
+    summaries: dict  # class mod 2N -> pullback.PullbackSummary
+    segments: dict   # class mod 2N -> slopefn._marked_segments
+    images: dict     # slope -> pullback_slope value
 
 
 def build_context(pres: NetMapPresentation) -> PresentationContext:
@@ -145,6 +145,9 @@ def build_context(pres: NetMapPresentation) -> PresentationContext:
         edges=tuple(edges),
         midpoint_keys=frozenset(e[3] for e in edges if e[3] is not None),
         edge_length=sum(abs(b[0] - a[0]) + abs(b[1] - a[1]) for _, a, b, _ in edges),
+        summaries={},
+        segments={},
+        images={},
     )
 
 

@@ -36,8 +36,8 @@ but reported as a leftover point for individual checking.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .presentation import NetMapPresentation
 from .pullback import analyze_slope
@@ -67,8 +67,7 @@ class Kind(enum.Enum):
     RIGHT_OF_VERTICAL = "right-of-vertical"
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(NamedTuple):
     kind: Kind
     center: Fraction               # C, or the vertical abscissa
     radius: QuadExt | None         # R; None for vertical kinds
@@ -128,8 +127,7 @@ def exclusion_halfspace(pres: NetMapPresentation, slope: Slope) -> HalfSpace | N
     return halfspace_from_data(slope, image, delta)
 
 
-@dataclass(frozen=True)
-class BoundarySet:
+class BoundarySet(NamedTuple):
     """Open arc of the extended reals, run from ``start`` to ``end`` in
     increasing order; ``None`` stands for infinity.  ``wraps`` marks an
     arc that passes through infinity, which is then interior to it."""
@@ -184,8 +182,7 @@ def _reach(arc: BoundarySet, x: QuadExt | None) -> tuple[bool, QuadExt | None] |
 INFINITY_POINT = "inf"
 
 
-@dataclass(frozen=True)
-class LeftoverPoint:
+class LeftoverPoint(NamedTuple):
     """A boundary point not interior to any set in a cover attempt."""
 
     value: QuadExt | str    # a finite QuadExt or INFINITY_POINT
@@ -195,8 +192,7 @@ class LeftoverPoint:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class CoverVerdict:
+class CoverVerdict(NamedTuple):
     covered: bool
     leftover_points: tuple[LeftoverPoint, ...]
     uncovered_intervals: tuple[tuple[str, str], ...]

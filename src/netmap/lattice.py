@@ -7,8 +7,8 @@ as Z/m + Z/n with stored coordinate transforms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -65,16 +65,29 @@ def mat_inverse_unimodular(m: Mat2) -> Mat2:
 IDENTITY: Mat2 = ((1, 0), (0, 1))
 
 
-@dataclass(frozen=True)
-class Basis2:
-    """Ordered pair of lattice vectors spanning a finite-index sublattice."""
-
+class _Basis2(NamedTuple):
     u: Vec
     v: Vec
 
-    def __post_init__(self):
-        if cross(self.u, self.v) == 0:
-            raise ValidationError("basis", f"vectors {self.u}, {self.v} are parallel")
+
+class Basis2(_Basis2):
+    """Ordered pair of lattice vectors spanning a finite-index sublattice.
+
+    The fields are a NamedTuple; this subclass checks them on
+    construction, which a NamedTuple body may not.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, u: Vec, v: Vec):
+        if cross(u, v) == 0:
+            raise ValidationError("basis", f"vectors {u}, {v} are parallel")
+        return super().__new__(cls, u, v)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its copy through _make, so copies are checked too.
+        return cls(*iterable)
 
     @property
     def det(self) -> int:
@@ -185,8 +198,7 @@ def smith_normal_form(m: Mat2) -> tuple[Mat2, Mat2, Mat2]:
     return u, a, v
 
 
-@dataclass(frozen=True)
-class AbelianQuotient:
+class AbelianQuotient(NamedTuple):
     """Z^2 modulo a scaled sublattice, presented as Z/m + Z/n with m | n.
 
     ``to_mat`` maps a vector to coordinates whose reductions mod (m, n)

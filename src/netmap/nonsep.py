@@ -22,8 +22,8 @@ number of h is min(phi(h), k - phi(h)), as in ``pullback.coset_number``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd, lcm
+from typing import NamedTuple
 
 from .errors import BudgetExceededError
 from .lattice import quotient_presentation
@@ -35,16 +35,29 @@ El = tuple[int, int]
 _WALK_LIMIT = 1024
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
-    """Z/m + Z/n with coordinatewise arithmetic."""
-
+class _FinAbGroup(NamedTuple):
     m: int
     n: int
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+
+class FinAbGroup(_FinAbGroup):
+    """Z/m + Z/n with coordinatewise arithmetic.
+
+    The orders are a NamedTuple; this subclass checks them on
+    construction, which a NamedTuple body may not.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, n: int):
+        if m < 1 or n < 1:
             raise ValueError("group orders must be positive")
+        return super().__new__(cls, m, n)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its copy through _make, so copies are checked too.
+        return cls(*iterable)
 
     @property
     def order(self) -> int:
@@ -66,8 +79,7 @@ class FinAbGroup:
         return lcm(self.m // gcd(self.m, a[0]), self.n // gcd(self.n, a[1]))
 
 
-@dataclass(frozen=True)
-class SymmetricFour:
+class SymmetricFour(NamedTuple):
     """Four inverse-pair representatives with pairwise disjoint classes."""
 
     reps: tuple[El, El, El, El]
@@ -99,8 +111,7 @@ def _check_symmetric_four(group: FinAbGroup, subset: SymmetricFour) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class CyclicPair:
+class CyclicPair(NamedTuple):
     """A cyclic subgroup with cyclic quotient and a quotient generator."""
 
     subgroup: frozenset[El]
@@ -313,15 +324,13 @@ def verify_nonexistence(group: FinAbGroup, budget: int = 100_000) -> bool:
     return not search_nonseparating(group, budget)
 
 
-@dataclass(frozen=True)
-class RefutationEntry:
+class RefutationEntry(NamedTuple):
     subset: SymmetricFour
     contains_order_four: bool
     exactly_one_doubled: bool
 
 
-@dataclass(frozen=True)
-class RefutationReport:
+class RefutationReport(NamedTuple):
     """Degree-2 analysis: every nonseparating subset of Z/4 + Z/2 fails a
     realizability constraint, so no degree-2 map has constant induced
     Teichmueller map."""

@@ -10,8 +10,8 @@ never by enumeration.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .halfspace import (
     INFINITY_POINT,
@@ -40,8 +40,7 @@ def find_fixed_slopes(
     return fixed
 
 
-@dataclass(frozen=True)
-class Disposition:
+class Disposition(NamedTuple):
     """Why a leftover boundary point is not an obstruction slope."""
 
     point: str
@@ -50,8 +49,7 @@ class Disposition:
     multiplier: Fraction | None = None
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     halfspaces: tuple[HalfSpace, ...]
     verdict: CoverVerdict
     dispositions: tuple[Disposition, ...]
@@ -63,8 +61,7 @@ class Status(enum.Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     status: Status
     obstruction: tuple[Slope, Fraction] | None = None
     certificate: Certificate | None = None
@@ -132,7 +129,7 @@ def check_certificate(pres: NetMapPresentation, cert: Certificate) -> bool:
     yields no half-space, and a certificate with none, give False.
     """
     try:
-        rebuilt, _ = certificate_for_slopes(replace(pres), [h.slope for h in cert.halfspaces])
+        rebuilt, _ = certificate_for_slopes(pres._replace(), [h.slope for h in cert.halfspaces])
     except ValueError:
         return False
     return rebuilt == cert

@@ -9,23 +9,21 @@ computed once per class (see :func:`analyze_slope`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lattice import order_in_quotient
 from .presentation import NetMapPresentation, degree
 from .slope import Slope
 
 
-@dataclass(frozen=True)
-class PullbackSummary:
+class PullbackSummary(NamedTuple):
     """The pullback data of a class mod 2N (see :func:`analyze_slope`).
 
     One object is shared by every slope of the class, so it names no
     slope: ``d`` is the degree on each component of the preimage,
     ``d_prime`` = N/d, ``coset_numbers`` the sorted coset numbers of the
-    four postcritical classes, then the component counts and the
-    multiplier delta = essential/d that Thurston's criterion tests.
+    four postcritical classes, then the component counts.
     """
 
     d: int
@@ -34,7 +32,11 @@ class PullbackSummary:
     essential: int
     peripheral: int
     null_homotopic: int
-    multiplier: Fraction
+
+    @property
+    def multiplier(self) -> Fraction:
+        """delta = essential/d, the number Thurston's criterion tests."""
+        return Fraction(self.essential, self.d)
 
 
 def coset_number(eta, slope: Slope, d_prime: int) -> int:
@@ -69,15 +71,13 @@ def analyze_slope(pres: NetMapPresentation, slope: Slope) -> PullbackSummary:
     d = order_in_quotient((slope.q, slope.p), pres.lambda1)
     d_prime = degree(pres) // d
     cs = tuple(sorted(coset_number(h, slope, d_prime) for h in pres.postcritical))
-    essential = cs[2] - cs[1]
     ctx.summaries[key] = summary = PullbackSummary(
         d=d,
         d_prime=d_prime,
         coset_numbers=cs,
-        essential=essential,
+        essential=cs[2] - cs[1],
         peripheral=(cs[1] - cs[0]) + (cs[3] - cs[2]),
         null_homotopic=cs[0] - cs[3] + d_prime,
-        multiplier=Fraction(essential, d),
     )
     return summary
 

@@ -34,11 +34,11 @@ BudgetExceededError before it starts.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import ceil, gcd, lcm
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceededError,
@@ -71,8 +71,7 @@ _DESCENT_CENTRES = 5_000
 _ZIGZAG_CROSSINGS = 10**6
 
 
-@dataclass(frozen=True)
-class ZigzagTrace:
+class ZigzagTrace(NamedTuple):
     """Record of one zigzag evaluation."""
 
     slope: Slope

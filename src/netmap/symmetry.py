@@ -8,7 +8,7 @@ correspondence basis and mirror data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import HypothesisFailedError, MirrorsNotStabilizedError
 from .geometry import affine_preserves_mirrors
@@ -31,8 +31,7 @@ from .slope import INESSENTIAL, Slope, apply_matrix, boundary_point, enumerate_s
 from .slopefn import pullback_slope
 
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(NamedTuple):
     """The map z -> (a z + b)/(c z + d), on the conjugate when asked."""
 
     a: int
@@ -58,12 +57,15 @@ class Mobius:
         return Mobius(m[0][0], m[0][1], m[1][0], m[1][1])
 
     def power(self, n: int) -> "Mobius":
-        """The n-th power; a negative n is a power of the inverse."""
+        """The n-th power by repeated squaring, O(log n) compositions; a
+        negative n is a power of the inverse."""
         if n < 0:
             return self.inverse().power(-n)
-        result = Mobius(1, 0, 0, 1)
-        for _ in range(n):
-            result = result.compose(self)
+        result, square = Mobius(1, 0, 0, 1), self
+        while n:
+            if n & 1:
+                result = result.compose(square)
+            square, n = square.compose(square), n >> 1
         return result
 
     def inverse(self) -> "Mobius":
@@ -100,8 +102,7 @@ def twist_matrix(slope: Slope) -> Mobius:
     return Mobius(1 + 2 * p * q, 2 * q * q, -2 * p * p, 1 - 2 * p * q)
 
 
-@dataclass(frozen=True)
-class FunctionalEquation:
+class FunctionalEquation(NamedTuple):
     """Sigma_f . inner^inner_power = outer^outer_power . Sigma_f."""
 
     inner: Mobius
@@ -136,8 +137,7 @@ def twist_equation(pres: NetMapPresentation, slope: Slope) -> FunctionalEquation
     return FunctionalEquation(inner, summary.d, outer, summary.essential)
 
 
-@dataclass(frozen=True)
-class ReflectionPair:
+class ReflectionPair(NamedTuple):
     """Axes of the conjugating reflections in a reflection equation.
 
     Endpoints are boundary points of the upper half-plane (extended
@@ -275,15 +275,13 @@ def induced_map_domain(
     return _mobius_from_basis_matrix(_stabilizing_matrix(pres, linear, translation))
 
 
-@dataclass(frozen=True)
-class ConsistencyViolation:
+class ConsistencyViolation(NamedTuple):
     slope: Slope
     lhs: object
     rhs: object
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     checked: int
     violations: tuple[ConsistencyViolation, ...]
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import random
 import re
@@ -440,6 +441,21 @@ def test_commands_never_hash_the_presentation(capsys, main_path, monkeypatch, ar
 
     monkeypatch.setattr(NetMapPresentation, "__hash__", refuse)
     assert run(capsys, command, main_path, *options) == expected
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_a_command_runs_with_the_earlier_objects_frozen(capsys, main_path, monkeypatch, fails):
+    frozen = []
+
+    def command(args):
+        frozen.append(gc.get_freeze_count())
+        if fails:
+            raise ValueError("planted")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_slope", command)
+    assert cli.main(["slope", main_path, "1/4"]) == (2 if fails else 0)
+    assert frozen[0] > 0 and gc.get_freeze_count() == 0
 
 
 class TestNonsep:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from netmap.errors import ZeroVectorError
+from netmap.errors import ValidationError, ZeroVectorError
 from netmap.lattice import (
     Basis2,
     mat_det,
@@ -17,6 +17,7 @@ from netmap.lattice import (
     quotient_presentation,
     smith_normal_form,
 )
+from netmap.nonsep import FinAbGroup
 from netmap.slope import Slope, enumerate_slopes
 
 MAIN_SUBLATTICE = Basis2((2, -1), (0, 5))
@@ -31,6 +32,21 @@ def nonsingular_bases():
         .filter(lambda uv: uv[0][0] * uv[1][1] - uv[0][1] * uv[1][0] != 0)
         .map(lambda uv: Basis2(uv[0], uv[1]))
     )
+
+
+@pytest.mark.parametrize(
+    "record, bad, error",
+    [(Basis2((1, 0), (0, 1)), {"v": (2, 0)}, ValidationError),
+     (FinAbGroup(2, 2), {"m": 0}, ValueError)],
+    ids=["Basis2", "FinAbGroup"],
+)
+def test_checked_records_check_every_copy(record, bad, error):
+    assert record._replace() == record and type(record._replace()) is type(record)
+    assert copy.deepcopy(record) == record == pickle.loads(pickle.dumps(record))
+    with pytest.raises(error):
+        type(record)(**{**record._asdict(), **bad})
+    with pytest.raises(error):
+        record._replace(**bad)
 
 
 class TestSlopeNormalization:

@@ -99,7 +99,6 @@ class TestCosetNumbers:
     def test_generator_change_acts_by_unit(self):
         # Coset numbers for generator u*a are the folded unit multiples
         # of those for a.
-        from dataclasses import replace
         from math import gcd
 
         for group, subset in ((G42, H42), (G66, H66)):
@@ -114,8 +113,7 @@ class TestCosetNumbers:
                 for u in range(1, n):
                     if gcd(u, n) != 1:
                         continue
-                    other = replace(
-                        base,
+                    other = base._replace(
                         generator=tuple(
                             (u * x) % m
                             for x, m in zip(base.generator, (group.m, group.n))

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from math import gcd, inf
 from pathlib import Path
@@ -112,10 +111,10 @@ class TestCertificates:
             main_pres, [Slope.parse(t) for t in TABLE_SLOPES]
         )
         bad_halfspaces = (
-            dataclasses.replace(cert.halfspaces[0], center=Fraction(99)),
+            cert.halfspaces[0]._replace(center=Fraction(99)),
             *cert.halfspaces[1:],
         )
-        tampered = dataclasses.replace(cert, halfspaces=bad_halfspaces)
+        tampered = cert._replace(halfspaces=bad_halfspaces)
         assert not check_certificate(main_pres, tampered)
 
     def test_certificate_with_a_gap_rejected(self):
@@ -125,7 +124,7 @@ class TestCertificates:
         cert = obstruction_report(pres, height=20, budget=12).certificate
         assert check_certificate(pres, cert)
         assert not check_certificate(
-            pres, dataclasses.replace(cert, halfspaces=cert.halfspaces[:-1]))
+            pres, cert._replace(halfspaces=cert.halfspaces[:-1]))
 
     def test_certificate_with_a_relabelled_disposition_rejected(self):
         # The leftover point 0 of the same certificate is not fixed; called
@@ -134,8 +133,8 @@ class TestCertificates:
         cert = obstruction_report(pres, height=20, budget=12).certificate
         first, *rest = cert.dispositions
         assert (first.point, first.reason) == ("0", "not-fixed")
-        relabelled = (dataclasses.replace(first, reason="irrational"), *rest)
-        assert not check_certificate(pres, dataclasses.replace(cert, dispositions=relabelled))
+        relabelled = (first._replace(reason="irrational"), *rest)
+        assert not check_certificate(pres, cert._replace(dispositions=relabelled))
 
     def test_certificate_without_halfspaces_rejected(self, main_pres):
         verdict = CoverVerdict(False, (), (("inf", "inf"),))

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from math import ceil
@@ -10,6 +9,10 @@ from hypothesis import strategies as st
 
 from netmap import bundled_presentation, presentation
 from netmap.errors import PresentationSyntaxError, ValidationError
+from netmap.halfspace import exclusion_halfspace
+from netmap.nonsep import FinAbGroup
+from netmap.obstruction import obstruction_report
+from netmap.pullback import analyze_slope
 from netmap.slope import Slope
 from netmap.slopefn import pullback_slope
 from netmap.presentation import (
@@ -237,6 +240,34 @@ def test_separate_parses_share_no_memo():
     assert not second.context.images and not second.context.summaries
 
 
+# Each builds one kind of record from a fresh parse of main.
+RECORDS = {
+    # Memoised: every slope of the class of 1/4 mod 2N gets this object.
+    "PullbackSummary": lambda pres: analyze_slope(pres, Slope(1, 4)),
+    "NetMapPresentation": lambda pres: pres,
+    "PresentationContext": lambda pres: pres.context,
+    "Basis2": lambda pres: pres.lambda1,
+    "FinAbGroup": lambda pres: FinAbGroup(4, 2),
+    "HalfSpace": lambda pres: exclusion_halfspace(pres, Slope(1, 4)),
+    "Certificate": lambda pres: obstruction_report(pres, 8).certificate,
+}
+
+
+@pytest.mark.parametrize("build", RECORDS.values(), ids=RECORDS)
+def test_records_are_immutable_and_copies_are_fresh(build):
+    pres = parse(MAIN_TEXT)
+    record = build(pres)
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    assert analyze_slope(pres, Slope(1, 4)) is analyze_slope(pres, Slope(21, 4))
+    fresh = pres._replace()
+    assert fresh == pres and hash(fresh) == hash(pres)
+    assert type(fresh) is NetMapPresentation and not vars(fresh)
+    assert fresh.context is not pres.context
+    assert not (fresh.context.summaries or fresh.context.segments or fresh.context.images)
+
+
 class TestPreimageCosetTable:
     def test_main_example_classes(self, main_pres):
         table = main_pres.context.table
@@ -427,7 +458,7 @@ def mirror_variants(draw):
 
         inner = draw(st.lists(st.tuples(coord(0), coord(1)), max_size=2))
         mirrors[k] = MirrorArc(mid, tuple(inner) + ((Fraction(term[0]), Fraction(term[1])),))
-    return replace(pres, mirrors=tuple(mirrors))
+    return pres._replace(mirrors=tuple(mirrors))
 
 
 def reference_mirror_verdict(pres: NetMapPresentation):

@@ -146,7 +146,7 @@ def reference_summary(pres, slope):
     cs = tuple(sorted(coset_number(h, slope, d_prime) for h in pres.postcritical))
     return PullbackSummary(
         d, d_prime, cs, cs[2] - cs[1], cs[1] - cs[0] + cs[3] - cs[2],
-        cs[0] - cs[3] + d_prime, Fraction(cs[2] - cs[1], d),
+        cs[0] - cs[3] + d_prime,
     )
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -194,9 +193,7 @@ class TestPullbackSlope:
     def test_correspondence_sign_flip_invariance(self, main_pres):
         from netmap.lattice import Basis2
 
-        flipped = dataclasses.replace(
-            main_pres, correspondence=Basis2((-2, 1), (0, -5))
-        )
+        flipped = main_pres._replace(correspondence=Basis2((-2, 1), (0, -5)))
         for s in reduced_slopes(6):
             assert pullback_slope(main_pres, s) == pullback_slope(flipped, s)
 
@@ -374,7 +371,7 @@ class TestTwistDescent:
         from test_geometry import PRESENTATIONS
 
         for name, pres in PRESENTATIONS.items():
-            zigzag, descent = dataclasses.replace(pres), dataclasses.replace(pres)
+            zigzag, descent = pres._replace(), pres._replace()
             for s in enumerate_slopes(40):
                 assert _descent_image(descent, s) == _zigzag_image(zigzag, s), (name, s)
         assert sum(steps) > 1000
@@ -384,7 +381,7 @@ class TestTwistDescent:
 
         for seed in range(20):
             pres = random_presentation(seed)
-            zigzag, descent = dataclasses.replace(pres), dataclasses.replace(pres)
+            zigzag, descent = pres._replace(), pres._replace()
             for s in enumerate_slopes(12):
                 assert _descent_image(descent, s) == _zigzag_image(zigzag, s), (seed, s)
         assert sum(steps) > 100
@@ -393,7 +390,7 @@ class TestTwistDescent:
         from pathlib import Path
 
         pool = Path(__file__).resolve().parent.parent / "bench" / "expected" / "deep_pool.txt"
-        pres = dataclasses.replace(bundled_presentation("main"))
+        pres = bundled_presentation("main")._replace()
         for line in pool.read_text(encoding="utf-8").splitlines():
             _, _, slope, image = line.split()
             assert str(pullback_slope(pres, Slope.parse(slope))) == image, slope
@@ -407,13 +404,13 @@ class TestTwistDescent:
             return trace(pres, s)
 
         monkeypatch.setattr(slopefn, "zigzag_trace", counting)
-        pres = dataclasses.replace(bundled_presentation("main"))
+        pres = bundled_presentation("main")._replace()
         assert pullback_slope(pres, Slope(99999999, 100000000)) == Slope(59999999, 90000000)
         assert len(zigzags) <= 2 and all(s.height() <= 1 for s in zigzags)
 
     def test_below_the_gate_only_the_zigzag_runs(self, main_pres, monkeypatch):
         monkeypatch.setattr(slopefn, "_DESCENT_CENTRES", 0)  # a descent would be refused
-        pres = dataclasses.replace(main_pres)
+        pres = main_pres._replace()
         for s in enumerate_slopes(20):
             assert pullback_slope(pres, s) == pullback_slope(main_pres, s)
 
@@ -430,7 +427,7 @@ class TestTwistDescent:
         main = bundled_presentation("main")
         for s in enumerate_slopes(20):
             zigzags.clear()
-            pullback_slope(dataclasses.replace(main), s)
+            pullback_slope(main._replace(), s)
             assert zigzags == [s]
 
     def test_crossing_estimate_tracks_the_crossings(self, main_pres):
@@ -454,7 +451,7 @@ class TestZigzagCap:
             raise AssertionError("crossings enumerated")
 
         monkeypatch.setattr(slopefn, "mirror_crossings", no_crossings)
-        pres = dataclasses.replace(bundled_presentation("main"))
+        pres = bundled_presentation("main")._replace()
         with pytest.raises(BudgetExceededError) as err:
             pullback_slope(pres, Slope.parse(STALLED))
         assert str(err.value).startswith(
@@ -486,7 +483,7 @@ def test_descent_budget_counts_the_centres_scanned(monkeypatch):
         return step(pres, x, convergents)
 
     def stalled():
-        pres = dataclasses.replace(bundled_presentation("main"))
+        pres = bundled_presentation("main")._replace()
         with pytest.raises(BudgetExceededError) as err:
             pullback_slope(pres, Slope.parse(STALLED))
         return str(err.value)
@@ -515,13 +512,13 @@ class TestMemoisedTwist:
 
         monkeypatch.setattr(slopefn, "zigzag_trace", counting)
         main = bundled_presentation("main")
-        assert len(slopefn.slope_graph_rows(dataclasses.replace(main), 60)) == 4407
+        assert len(slopefn.slope_graph_rows(main._replace(), 60)) == 4407
         assert len(zigzags) <= 1300
         zigzags.clear()
-        obstruction_report(dataclasses.replace(main), 40)
+        obstruction_report(main._replace(), 40)
         assert len(zigzags) <= 750
         zigzags.clear()
-        slopefn.slope_graph_rows(dataclasses.replace(bundled_presentation("double")), 20)
+        slopefn.slope_graph_rows(bundled_presentation("double")._replace(), 20)
         assert zigzags == []  # every class of double is inessential
 
     @pytest.fixture
@@ -543,7 +540,7 @@ class TestMemoisedTwist:
         from test_geometry import PRESENTATIONS
 
         for name, pres in PRESENTATIONS.items():
-            zigzag, batch = dataclasses.replace(pres), dataclasses.replace(pres)
+            zigzag, batch = pres._replace(), pres._replace()
             for s in enumerate_slopes(40):
                 assert _descent_image(batch, s) == _zigzag_image(zigzag, s), (name, s)
         assert sum(answered) > 2000
@@ -553,7 +550,7 @@ class TestMemoisedTwist:
 
         for seed in range(20):
             pres = random_presentation(seed)
-            zigzag, batch = dataclasses.replace(pres), dataclasses.replace(pres)
+            zigzag, batch = pres._replace(), pres._replace()
             for s in enumerate_slopes(12):
                 assert _descent_image(batch, s) == _zigzag_image(zigzag, s), (seed, s)
         assert sum(answered) > 300
@@ -565,8 +562,8 @@ class TestMemoisedTwist:
 
         monkeypatch.setattr(slopefn, "_DESCENT_CROSSINGS", gate)
         u, v = main_pres.correspondence.u, main_pres.correspondence.v
-        swapped = dataclasses.replace(main_pres, correspondence=Basis2(v, u))
-        zigzag, batch = dataclasses.replace(swapped), dataclasses.replace(swapped)
+        swapped = main_pres._replace(correspondence=Basis2(v, u))
+        zigzag, batch = swapped._replace(), swapped._replace()
         for s in enumerate_slopes(20):
             assert pullback_slope(batch, s) == _zigzag_image(zigzag, s), s
 

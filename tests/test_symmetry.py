@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -111,6 +110,24 @@ class TestMobius:
         assert m.power(-2).compose(m.power(2)).is_identity()
         assert m.power(2).compose(m.power(-2)).is_identity()
         assert not m.power(-2).is_identity()
+
+    @pytest.mark.parametrize("slope", [Slope(0, 1), Slope(1, 0)])
+    def test_power_by_squaring(self, slope):
+        # The twist is I + 2*T with T = [[pq, q^2], [-p^2, -pq]] and
+        # T^2 = 0, so its n-th power is I + 2n*T.
+        n, p, q = 10**12, slope.p, slope.q
+        closed = Mobius(1 + 2 * n * p * q, 2 * n * q * q, -2 * n * p * p, 1 - 2 * n * p * q)
+        assert twist_matrix(slope).power(n) == closed
+        for m in (twist_matrix(slope), Mobius(2, 1, 1, 1)):
+            for a, b in product(range(-4, 5), repeat=2):
+                assert m.power(a + b) == m.power(a).compose(m.power(b))
+
+    def test_conjugating_powers(self):
+        m = Mobius(1, 0, 0, -1, conjugating=True)
+        assert m.power(0) == IDENTITY_MOBIUS
+        for n in (-1, 1, 2):
+            with pytest.raises(NotImplementedError):
+                m.power(n)
 
     def test_group_structure(self, main_pres):
         for linear in (SHEAR, ((2, 1), (1, 1))):
@@ -321,7 +338,7 @@ class TestTwistEquationShadows:
         # The swapped basis has cross(u, v) < 0, so the outer factor is
         # the inverse twist about the image slope: infinity maps to 0
         # here, and the twist about 0 is [[1,2],[0,1]].
-        swapped = dataclasses.replace(main_pres, correspondence=Basis2((0, 5), (2, -1)))
+        swapped = main_pres._replace(correspondence=Basis2((0, 5), (2, -1)))
         eq = twist_equation(swapped, Slope(1, 0))
         assert eq.render() == "Sigma_f . [[1,0],[-2,1]]^5 = [[1,-2],[0,1]]^2 . Sigma_f"
         self.check_shadows(swapped)
@@ -379,9 +396,7 @@ class TestConsistencySuite:
         # to the harmless global sign).
         from netmap.slopefn import pullback_slope
 
-        swapped = dataclasses.replace(
-            main_pres, correspondence=Basis2((0, 5), (2, -1))
-        )
+        swapped = main_pres._replace(correspondence=Basis2((0, 5), (2, -1)))
         assert consistency_suite(swapped, self.AFFINES, 6).passed
         broken = 0
         for s in [Slope(1, 4), Slope(3, 2), Slope(1, 3), Slope(2, 7)]:
