@@ -15,14 +15,14 @@ line by line, with the bounds of each line from integer floor
 division.  The lines run along a Gauss-reduced lattice direction in
 which the parallelogram is long, so the lines of an edge number about
 the square root of the parallelogram's area, not its length.  Along a
-line tn and un step by constants, so only its first and last crossing
-can touch an end of pq or of the edge; on a line of more than
-``_SHORT_LINE`` crossings the others are built as arithmetic
-progressions, with no Python step per crossing.  A
-crossing's sort key is the exact integer tn * (L // den), with L the
-lcm of the edge denominators: one integer sort orders every crossing
-along pq.  Edges parallel to pq never cross it; they are only checked
-for overlap and vertex contact.
+line tn and un step by constants, so only its first and last translate
+can touch an end of pq or of the edge: those two settle the line once.
+Its crossings then come from a plain loop or, on a line of more than
+``_SHORT_LINE`` crossings, as arithmetic progressions with no Python
+step per crossing.  A crossing's sort key is the exact integer
+tn * (L // den), with L the lcm of the edge denominators: one integer
+sort orders every crossing along pq.  Edges parallel to pq never cross
+it; they are only checked for overlap.
 
 The edge list is built once per presentation.  A mirror's chain is
 symmetric about its midpoint m, so the two edges at m are collinear and
@@ -44,22 +44,27 @@ segment may meet another segment (a point being a segment of length
 zero).  It serves the parallel edges of ``interior_crossings``,
 ``point_on_any_mirror`` and ``check_mirror_disjointness``, the
 validation that the translated mirrors are pairwise disjoint, with
-``presentation.segments_touch`` as the one exact contact test.
+``segments_touch`` as the one exact contact test.  Validation's other
+contact test, whether a mirror is a simple arc
+(``_polyline_self_intersects``), lives here too.  This module imports
+nothing from ``presentation`` at run time: ``pres.context`` hands
+``build_context`` the presentation's ``ClassTable``.
 """
 from __future__ import annotations
 
 from itertools import repeat
 from math import gcd, lcm
 from operator import itemgetter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegenerateIncidenceError, NonTransverseError, ValidationError
 from .lattice import Mat2, Vec, cross, mat_vec, vadd, vneg, vscale, vsub
-from .presentation import ClassTable, NetMapPresentation, segments_touch
+
+if TYPE_CHECKING:
+    from .presentation import ClassTable, NetMapPresentation, Point
 
 # Lines of translates with more crossings than this build them as
-# arithmetic progressions; on shorter ones a loop of Python steps is
-# faster (the two break even at about 8 crossings a line).
+# arithmetic progressions; shorter ones emit them in a loop of Python steps.
 _SHORT_LINE = 8
 # Validation refuses a pair of mirrors whose contact check would walk
 # more lines of 2*L1 translates than this (see check_mirror_disjointness).
@@ -97,10 +102,10 @@ class PresentationContext(NamedTuple):
     images: dict     # slope -> pullback_slope value
 
 
-def build_context(pres: NetMapPresentation) -> PresentationContext:
+def build_context(pres: NetMapPresentation, table: ClassTable) -> PresentationContext:
+    """The context of ``pres``, with ``table`` its classes mod 2*L1."""
     polys = [mirror.full_polyline() for mirror in pres.mirrors]
     scale = lcm(*(c.denominator for poly in polys for p in poly for c in p))
-    table = ClassTable(basis=pres.lambda1, modulus=2 * pres.lambda1.index)
     chains = []
     # Validation puts the ends of mirror k in the classes of h_k and -h_k
     # (a degenerate mirror, with h_k in L1, is its own end), and keeps the
@@ -220,9 +225,9 @@ def _line_hit(p: Vec, q: Vec, a: Vec, b: Vec) -> None:
     """Check closed segments pq and ab on parallel lines for contact.
 
     Returns None when they are disjoint or touch only at p or q, and
-    raises NonTransverseError for collinear overlap or for contact with
-    a vertex of ab inside the open segment.  Segments that are not
-    parallel are the business of interior_crossings' own kernel.
+    raises NonTransverseError for collinear overlap.  A mirror edge has
+    positive length, so a single common point is p or q.  Segments that
+    are not parallel are the business of interior_crossings' own kernel.
     """
     dpq = vsub(q, p)
     w = vsub(a, p)
@@ -238,8 +243,6 @@ def _line_hit(p: Vec, q: Vec, a: Vec, b: Vec) -> None:
     hi = hi if hi < dd else dd
     if lo < hi:
         raise NonTransverseError("segment runs along a mirror edge")
-    if lo == hi and 0 < lo < dd:
-        raise NonTransverseError("segment touches a mirror vertex")
     return None
 
 
@@ -356,31 +359,28 @@ def interior_crossings(
             un = u0 + i * ua + lo * ub
             mx = mx0 + i * iux + lo * jux
             my = my0 + i * iuy + lo * juy
-            if hi - lo < _SHORT_LINE:
-                for _ in range(hi - lo + 1):
-                    if 0 < tn < den:  # tn in {0, den}: contact at v or w
-                        if not 0 < un < den:
-                            raise NonTransverseError(
-                                "segment passes through a mirror endpoint or midpoint"
-                            )
-                        hits.append((tn * mult, (mx, my)))
+            # tn and un step by tb and ub and stay in [0, den], so only the
+            # first and last j can meet 0 or den.  tn there is contact at v
+            # or w, and no crossing.  A line with tb == 0 holds one j at
+            # most: its translates lie on the line of the edge, and the
+            # mirrors' disjointness keeps them apart.
+            n = hi - lo + 1
+            if not 0 < tn < den:
+                n, tn, un, mx, my = n - 1, tn + tb, un + ub, mx + jux, my + juy
+            if n and not 0 < tn + (n - 1) * tb < den:
+                n -= 1
+            if not n:
+                continue
+            if not (0 < un < den and 0 < un + (n - 1) * ub < den):
+                raise NonTransverseError("segment passes through a mirror endpoint or midpoint")
+            if n <= _SHORT_LINE:
+                for _ in range(n):
+                    hits.append((tn * mult, (mx, my)))
                     tn += tb
-                    un += ub
                     mx += jux
                     my += juy
                 continue
-            # tn and un step by tb and ub and stay in [0, den], so only the
-            # first and last j can meet 0 or den (every j when the step is 0).
-            if not 0 < tn < den:
-                if tb == 0:
-                    continue
-                lo, tn, un, mx, my = lo + 1, tn + tb, un + ub, mx + jux, my + juy
-            n = hi - lo + 1
-            if not 0 < tn + (n - 1) * tb < den:
-                n -= 1
-            if not (0 < un < den and 0 < un + (n - 1) * ub < den):
-                raise NonTransverseError("segment passes through a mirror endpoint or midpoint")
-            # The other crossings as arithmetic progressions.
+            # The crossings as arithmetic progressions.
             keys = range(tn * mult, (tn + n * tb) * mult, tb * mult) if tb else repeat(tn * mult, n)
             xs = range(mx, mx + n * jux, jux) if jux else repeat(mx, n)
             ys = range(my, my + n * juy, juy) if juy else repeat(my, n)
@@ -450,6 +450,56 @@ def affine_preserves_mirrors(pres: NetMapPresentation, linear: Mat2, translation
             return False
     return True
 
+
+def _orient(a: Point, b: Point, c: Point) -> int:
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (v > 0) - (v < 0)
+
+
+def _on_segment(a: Point, b: Point, c: Point) -> bool:
+    """c collinear with a-b: is c within the closed segment?"""
+    return (
+        min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+    )
+
+
+def segments_touch(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
+    """Whether closed segments p1p2 and q1q2 share any point.
+
+    Exact on Fraction and on int coordinates alike; a point is the
+    segment (p, p).
+    """
+    o1, o2 = _orient(p1, p2, q1), _orient(p1, p2, q2)
+    o3, o4 = _orient(q1, q2, p1), _orient(q1, q2, p2)
+    if o1 != o2 and o3 != o4:
+        return True
+    if o1 == 0 and _on_segment(p1, p2, q1):
+        return True
+    if o2 == 0 and _on_segment(p1, p2, q2):
+        return True
+    # p2 on a collinear q1q2 puts q1, q2 or p1 on the other segment,
+    # which the clauses above have found.
+    return o3 == 0 and _on_segment(q1, q2, p1)
+
+
+def _polyline_self_intersects(poly: tuple[Point, ...]) -> bool:
+    segs = list(zip(poly, poly[1:]))
+    for i in range(len(segs)):
+        for j in range(i + 1, len(segs)):
+            a, b = segs[i]
+            c, d = segs[j]
+            if j == i + 1:
+                # Edges sharing the joint vertex b == c overlap only if
+                # collinear and folding back onto each other.
+                if _orient(a, b, d) == 0:
+                    dot = (a[0] - b[0]) * (d[0] - b[0]) + (a[1] - b[1]) * (d[1] - b[1])
+                    if dot > 0:
+                        return True
+                continue
+            if segments_touch(a, b, c, d):
+                return True
+    return False
 
 def point_on_any_mirror(pres: NetMapPresentation, point: Vec) -> bool:
     """Whether the lattice point lies on some mirror translate (closed arcs)."""

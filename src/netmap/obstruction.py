@@ -29,15 +29,17 @@ from .slope import INFINITY, Slope, boundary_point, enumerate_slopes
 from .slopefn import pullback_slope
 
 
+def _fixed_multiplier(pres: NetMapPresentation, s: Slope) -> Fraction | None:
+    """The multiplier of s when the slope map fixes s, else None."""
+    return analyze_slope(pres, s).multiplier if pullback_slope(pres, s) == s else None
+
+
 def find_fixed_slopes(
     pres: NetMapPresentation, height: int
 ) -> list[tuple[Slope, Fraction]]:
     """Enumerated slopes fixed by the slope map, with their multipliers."""
-    fixed = []
-    for s in enumerate_slopes(height):
-        if pullback_slope(pres, s) == s:
-            fixed.append((s, analyze_slope(pres, s).multiplier))
-    return fixed
+    return [(s, mult) for s in enumerate_slopes(height)
+            if (mult := _fixed_multiplier(pres, s)) is not None]
 
 
 class Disposition(NamedTuple):
@@ -82,16 +84,13 @@ def _dispose_leftovers(
         s = boundary_point(
             INFINITY if x == INFINITY_POINT else Slope.of(*x.as_fraction().as_integer_ratio())
         )
-        if pullback_slope(pres, s) != s:
+        mult = _fixed_multiplier(pres, s)
+        if mult is None:
             dispositions.append(Disposition(str(point), "not-fixed", s))
-            continue
-        mult = analyze_slope(pres, s).multiplier
-        if mult < 1:
-            dispositions.append(
-                Disposition(str(point), "multiplier-below-one", s, mult)
-            )
-            continue
-        return (), (s, mult)
+        elif mult < 1:
+            dispositions.append(Disposition(str(point), "multiplier-below-one", s, mult))
+        else:
+            return (), (s, mult)
     return tuple(dispositions), None
 
 

@@ -18,6 +18,11 @@ The text format is line oriented, UTF-8, with ``#`` comments:
 
 Mirror half-paths start at the midpoint; the full mirror is the
 half-path together with its 180 degree rotation about the midpoint.
+
+Validation checks the structural invariants here and leaves every
+contact test to ``geometry``: whether a mirror is a simple arc and
+whether the translated mirrors are disjoint.  ``geometry`` also builds
+each presentation's context, from the ``ClassTable`` defined here.
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import PresentationSyntaxError, ValidationError
+from .geometry import _polyline_self_intersects, build_context, check_mirror_disjointness
 from .lattice import Basis2, Vec, vadd, vneg, vscale
 
 Point = tuple[int | Fraction, int | Fraction]
@@ -90,9 +96,7 @@ class NetMapPresentation(_Presentation):
         see only the fields, and ``pres._replace()`` is an equal
         presentation with no context yet.
         """
-        from .geometry import build_context
-
-        return build_context(self)
+        return build_context(self, ClassTable(self.lambda1, 2 * self.lambda1.index))
 
 
 def scaled(pres: NetMapPresentation, k: int) -> NetMapPresentation:
@@ -355,57 +359,5 @@ def validate(pres: NetMapPresentation) -> None:
         if _polyline_self_intersects(chain):
             raise ValidationError("mirror-simple", f"mirror {k} is not a simple arc")
 
-    from .geometry import check_mirror_disjointness
-
     check_mirror_disjointness(pres)
 
-
-def _orient(a: Point, b: Point, c: Point) -> int:
-    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return (v > 0) - (v < 0)
-
-
-def _on_segment(a: Point, b: Point, c: Point) -> bool:
-    """c collinear with a-b: is c within the closed segment?"""
-    return (
-        min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-    )
-
-
-def segments_touch(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    """Whether closed segments p1p2 and q1q2 share any point.
-
-    Exact on Fraction and on int coordinates alike; a point is the
-    segment (p, p).
-    """
-    o1, o2 = _orient(p1, p2, q1), _orient(p1, p2, q2)
-    o3, o4 = _orient(q1, q2, p1), _orient(q1, q2, p2)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _on_segment(p1, p2, q1):
-        return True
-    if o2 == 0 and _on_segment(p1, p2, q2):
-        return True
-    # p2 on a collinear q1q2 puts q1, q2 or p1 on the other segment,
-    # which the clauses above have found.
-    return o3 == 0 and _on_segment(q1, q2, p1)
-
-
-def _polyline_self_intersects(poly: tuple[Point, ...]) -> bool:
-    segs = list(zip(poly, poly[1:]))
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            a, b = segs[i]
-            c, d = segs[j]
-            if j == i + 1:
-                # Edges sharing the joint vertex b == c overlap only if
-                # collinear and folding back onto each other.
-                if _orient(a, b, d) == 0:
-                    dot = (a[0] - b[0]) * (d[0] - b[0]) + (a[1] - b[1]) * (d[1] - b[1])
-                    if dot > 0:
-                        return True
-                continue
-            if segments_touch(a, b, c, d):
-                return True
-    return False

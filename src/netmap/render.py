@@ -5,8 +5,6 @@ tables, so floating point is acceptable here and nowhere else.
 """
 from __future__ import annotations
 
-import csv
-import io
 from collections.abc import Iterable
 
 from .halfspace import HalfSpace, Kind
@@ -95,8 +93,7 @@ def slope_graph_csv(rows: list[tuple[str, Pair | None, str, Pair | None]]) -> st
 
 
 def table_csv(header: list[str], rows: Iterable[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """CSV lines ended by CRLF, as ``csv.writer`` writes them.  No field
+    here holds a comma, quote or line break, so none is quoted.  The rows
+    are consumed one at a time, so only their lines are held at once."""
+    return "".join([",".join(header) + "\r\n", *(",".join(row) + "\r\n" for row in rows)])

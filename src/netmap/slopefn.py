@@ -348,7 +348,8 @@ def pullback_slope(pres: NetMapPresentation, slope: Slope) -> SlopeOrInessential
             if (scanned := scanned + len(convergents) + 2) > _DESCENT_CENTRES:
                 raise BudgetExceededError(f"slope {slope}: its twist descent would scan more "
                                           f"than {_DESCENT_CENTRES} centres")
-        step = _twist_step(pres, x, convergents)
+        # A short slope's step answers only from memoised images.
+        step = _twist_step(pres, x, convergents) if long or memo else None
         if step is not None and long:
             steps.append((x, step))
             x = step[0]

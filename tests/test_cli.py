@@ -142,6 +142,15 @@ class TestSlope:
         assert table["1/4"] == "1/2"
         assert len(data) > 80
 
+    def test_graph_csv_is_what_csv_writer_writes(self, capsys, main_path, double_path):
+        # No field of a graph row needs quoting, so commas and CRLF line
+        # ends give the bytes that csv.writer gives.
+        for path in (main_path, double_path):
+            out = run(capsys, "slope", path, "--graph", "30")[1]
+            buf = io.StringIO()
+            csv.writer(buf).writerows(csv.reader(io.StringIO(out, newline="")))
+            assert out == buf.getvalue()
+
     def test_graph_deterministic(self, capsys, main_path):
         first = run(capsys, "slope", main_path, "--graph", "4")[1]
         second = run(capsys, "slope", main_path, "--graph", "4")[1]

@@ -278,6 +278,60 @@ def test_progressions_match_the_per_step_loop(monkeypatch):
     assert sum(len(o) for o in expected if isinstance(o, list)) > 10_000
 
 
+def _segments_at_the_mirrors(pres):
+    """Segments (v, w) with one end at the middle of a mirror edge, and
+    segments through a mirror vertex.
+
+    The translate of an edge through v or w is the first or the last
+    translate of its line, and so is a translate of a vertex on the
+    segment.  The directions include 2*L1 vectors and their triples,
+    along which a line of translates keeps un fixed (a zero step); the
+    short segments cross edges along which a line keeps tn fixed.
+    """
+    u, v = pres.lambda1.u, pres.lambda1.v
+    directions = [(3, 11), (-5, 9), (1, 0), (0, 1)]
+    directions += [(2 * m * a[0], 2 * m * a[1]) for a in (u, v) for m in (1, 3)]
+    segments = []
+    for mirror in pres.mirrors:
+        poly = mirror.full_polyline()
+        for a, b in zip(poly, poly[1:]):
+            x = (Fraction(a[0] + b[0], 2), Fraction(a[1] + b[1], 2))
+            for d in directions:
+                y = (x[0] + d[0], x[1] + d[1])
+                segments += [(x, y), (y, x)]
+        for a in poly:
+            for d in directions:
+                tip = (Fraction(9, 10) * d[0], Fraction(9, 10) * d[1])
+                segments.append(((a[0] - tip[0], a[1] - tip[1]), (a[0] + tip[0], a[1] + tip[1])))
+    return segments
+
+
+def test_end_rule_matches_reference_beyond_the_bundled_presentations(monkeypatch):
+    # Only the first and last translate of a line can meet v or w, or a
+    # mirror end; every line is settled by that rule, whether its
+    # crossings are emitted by the per-step loop or as progressions.
+    from test_pullback import random_presentation
+
+    outcomes = []
+    for pres in [PRESENTATIONS["bent"], *(random_presentation(seed) for seed in range(5))]:
+        lattice_forms = {}
+        for v, w in _segments_at_the_mirrors(pres):
+            k = lcm(*(c.denominator for c in (*v, *w)))
+            big = lattice_forms.setdefault(k, scaled(pres, k))
+            kv, kw = ((int(k * c[0]), int(k * c[1])) for c in (v, w))
+            expected = _outcome(reference_crossings, pres, v, w)
+            for short_line in (2, 10**9):
+                monkeypatch.setattr(geometry, "_SHORT_LINE", short_line)
+                got = _outcome(_kernel_midpoints, big, kv, kw)
+                if isinstance(got, list):
+                    assert all(x % k == 0 and y % k == 0 for x, y in got)
+                    got = [(x // k, y // k) for x, y in got]
+                assert got == expected, (pres, v, w, short_line)
+            outcomes.append(expected)
+    assert sum(len(o) for o in outcomes if isinstance(o, list)) > 500
+    assert outcomes.count(NonTransverseError) > 20
+
+
 MAIN_MIDPOINT_SEGMENTS = [
     ((1, -1), (3, -1)),    # through mirror 3's midpoint (2, -1)
     ((5, -3), (7, -3)),    # through its translate (6, -3)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from netmap import bundled_presentation, presentation
 from netmap.errors import PresentationSyntaxError, ValidationError
+from netmap.geometry import _polyline_self_intersects, segments_touch
 from netmap.halfspace import exclusion_halfspace
 from netmap.nonsep import FinAbGroup
 from netmap.obstruction import obstruction_report
@@ -18,12 +19,10 @@ from netmap.slopefn import pullback_slope
 from netmap.presentation import (
     MirrorArc,
     NetMapPresentation,
-    _polyline_self_intersects,
     degree,
     is_euclidean,
     parse,
     preimage_coset_table,
-    segments_touch,
     serialize,
 )
 

@@ -555,6 +555,23 @@ class TestMemoisedTwist:
                 assert _descent_image(batch, s) == _zigzag_image(zigzag, s), (seed, s)
         assert sum(answered) > 300
 
+    def test_a_short_slope_scans_no_centre_on_an_empty_memo(self, monkeypatch):
+        # With no image memoised, no step's lower slope and centre can both
+        # be, so the zigzag answers without a scan.
+        scanned = []
+        step = slopefn._twist_step
+
+        def counting(pres, x, convergents):
+            scanned.append(x)
+            return step(pres, x, convergents)
+
+        monkeypatch.setattr(slopefn, "_twist_step", counting)
+        pres = bundled_presentation("main")._replace()
+        assert pullback_slope(pres, Slope(1, 4)) == Slope(1, 2)
+        assert scanned == []
+        assert pullback_slope(pres, Slope(3, 4)) == Slope(1, 2)
+        assert scanned == [Slope(3, 4)]
+
     @pytest.mark.parametrize("gate", [0, 1000])
     def test_orientation_reversing_correspondence(self, main_pres, monkeypatch, gate):
         # In a basis of the other orientation a twist reads as its inverse.
