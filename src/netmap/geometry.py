@@ -16,43 +16,43 @@ division.  The lines run along a Gauss-reduced lattice direction in
 which the parallelogram is long, so the lines of an edge number about
 the square root of the parallelogram's area, not its length.  Along a
 line tn and un step by constants, so only its first and last translate
-can touch an end of pq or of the edge: those two settle the line once.
-Its crossings then come from a plain loop or, on a line of more than
-``_SHORT_LINE`` crossings, as arithmetic progressions with no Python
-step per crossing.  A crossing's sort key is the exact integer
-tn * (L // den), with L the lcm of the edge denominators: one integer
-sort orders every crossing along pq.  Edges parallel to pq never cross
-it; they are only checked for overlap.
+can touch an end of pq or of the edge: those two settle the line once,
+and a plain loop emits its crossings with no check per crossing.  A
+crossing's sort key is the exact integer tn * (L // den), with L the
+lcm of the edge denominators: one integer sort orders every crossing
+along pq, and the kernel returns the midpoints in that order.  Edges
+parallel to pq never cross it; they are only checked for overlap.
 
 The edge list is built once per presentation.  A mirror's chain is
 symmetric about its midpoint m, so the two edges at m are collinear and
 form one edge; a straight mirror is a single edge.  m lies in L1, so a
 segment through a translate of m meets a lattice point of class m mod
 2*L1.  One scan of the segment's lattice points, stepping the class key
-linearly, finds those points and the degenerate mirror points.  A
-marked segment of the slope map skips the scan (``walked=True``, passed
-by ``slopefn.mirror_crossings`` for exactly those segments): the class
-walk that found it has looked up every lattice point of its open
-segment in the context's table of marked classes, which holds every
-+-h class and all four classes of L1 mod 2*L1, and found none marked.
-Every other segment is scanned.  A marked point's mirror midpoint is the point
-plus an offset looked up by its class.
+linearly, settles every marked point on it before any edge is looked
+at: a degenerate mirror point raises DegenerateIncidenceError, and
+otherwise a translate of a midpoint raises NonTransverseError, so the
+edge loop never meets a midpoint.  A marked segment of the slope map
+skips the scan (``walked=True``, passed by ``slopefn.mirror_crossings``
+for exactly those segments): the class walk that found it has looked
+up every lattice point of its open segment in the context's table of
+marked classes, which holds every +-h class and all four classes of L1
+mod 2*L1, and found none marked.  Every other segment is scanned.  A
+marked point's mirror midpoint is the point plus an offset looked up by
+its class.
 
 Every other question about 2*L1 translates goes through one
 enumerator, ``_parallelogram_candidates``: which translates of a
 segment may meet another segment (a point being a segment of length
 zero).  It serves the parallel edges of ``interior_crossings``,
-``point_on_any_mirror`` and ``check_mirror_disjointness``, the
-validation that the translated mirrors are pairwise disjoint, with
-``segments_touch`` as the one exact contact test.  Validation's other
-contact test, whether a mirror is a simple arc
-(``_polyline_self_intersects``), lives here too.  This module imports
+``point_on_any_mirror`` and ``check_mirror_contact``, the validation
+that each mirror is a simple arc (``_polyline_self_intersects``) and
+that the translated mirrors are pairwise disjoint, with
+``segments_touch`` as the one exact contact test.  This module imports
 nothing from ``presentation`` at run time: ``pres.context`` hands
 ``build_context`` the presentation's ``ClassTable``.
 """
 from __future__ import annotations
 
-from itertools import repeat
 from math import gcd, lcm
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
@@ -63,11 +63,9 @@ from .lattice import Mat2, Vec, cross, mat_vec, vadd, vneg, vscale, vsub
 if TYPE_CHECKING:
     from .presentation import ClassTable, NetMapPresentation, Point
 
-# Lines of translates with more crossings than this build them as
-# arithmetic progressions; shorter ones emit them in a loop of Python steps.
-_SHORT_LINE = 8
-# Validation refuses a pair of mirrors whose contact check would walk
-# more lines of 2*L1 translates than this (see check_mirror_disjointness).
+# Validation refuses a pair of mirrors whose contact check would compare
+# more pairs of segments, or walk more lines of 2*L1 translates, than this
+# (see check_mirror_contact).
 _MAX_TRANSLATE_LINES = 100_000
 
 
@@ -92,10 +90,11 @@ class PresentationContext(NamedTuple):
     degenerate_keys: frozenset[Vec]  # class keys of +-h for degenerate mirrors
     # Class key of a mirror end -> midpoint minus that end.
     midpoint_offsets: dict[Vec, Vec]
-    # (midpoint, a, b, midpoint key or None) for each mirror edge a->b,
-    # times scale, with the two collinear middle edges as one.
-    edges: tuple[tuple[Vec, Vec, Vec, Vec | None], ...]
-    midpoint_keys: frozenset[Vec]    # class keys of the non-degenerate midpoints
+    # (midpoint, a, b) for each mirror edge a->b, a and b times scale and
+    # the mirror's midpoint unscaled, with the two collinear middle edges
+    # as one.
+    edges: tuple[tuple[Vec, Vec, Vec], ...]
+    midpoint_keys: frozenset[Vec]    # class keys of the non-degenerate mirrors' midpoints
     edge_length: int                 # sum of |dx| + |dy| over the edges, times scale
     summaries: dict  # class mod 2N -> pullback.PullbackSummary
     segments: dict   # class mod 2N -> slopefn._marked_segments
@@ -134,10 +133,9 @@ def build_context(pres: NetMapPresentation, table: ClassTable) -> PresentationCo
     # scan of interior_crossings finds a segment through the midpoint.
     edges = []
     for mirror, full in zip(pres.mirrors, chains):
-        mid, half = mirror.midpoint, len(full) // 2
+        half = len(full) // 2
         chain = full[:half] + full[half + 1:]
-        for i, (a, b) in enumerate(zip(chain, chain[1:])):
-            edges.append((mid, a, b, table.key(mid) if i == half - 1 else None))
+        edges.extend((mirror.midpoint, a, b) for a, b in zip(chain, chain[1:]))
     return PresentationContext(
         scale=scale,
         chains=tuple(chains),
@@ -148,8 +146,8 @@ def build_context(pres: NetMapPresentation, table: ClassTable) -> PresentationCo
         degenerate_keys=degenerate_keys,
         midpoint_offsets=midpoint_offsets,
         edges=tuple(edges),
-        midpoint_keys=frozenset(e[3] for e in edges if e[3] is not None),
-        edge_length=sum(abs(b[0] - a[0]) + abs(b[1] - a[1]) for _, a, b, _ in edges),
+        midpoint_keys=frozenset(table.key(m.midpoint) for m in pres.mirrors if not m.degenerate),
+        edge_length=sum(abs(b[0] - a[0]) + abs(b[1] - a[1]) for _, a, b in edges),
         summaries={},
         segments={},
         images={},
@@ -248,18 +246,16 @@ def _line_hit(p: Vec, q: Vec, a: Vec, b: Vec) -> None:
 
 def interior_crossings(
     pres: NetMapPresentation, v: Vec, w: Vec, *, walked: bool = False
-) -> list[tuple[int, Vec]]:
-    """Transverse crossings of the open segment (v, w) between lattice
-    points v and w with the mirrors.
+) -> list[Vec]:
+    """Midpoints of the mirror translates that the open segment (v, w)
+    between lattice points v and w crosses transversely, in order along
+    the segment and in unscaled coordinates.
 
-    Returns (key, midpoint) pairs in order along the segment, with
-    midpoints in unscaled coordinates.  A key is an exact integer, the
-    crossing's segment parameter t in (0, 1) times a factor shared by
-    the whole list, so keys compare only within one call.  Raises
-    NonTransverseError for non-transverse incidence and
-    DegenerateIncidenceError when the open segment meets a degenerate
-    mirror point; the first error along the edge list wins, and a
-    degenerate point comes before every edge.
+    Raises DegenerateIncidenceError when the open segment meets a
+    degenerate mirror point, and otherwise NonTransverseError when it
+    passes through a mirror midpoint; the lattice scan decides both
+    before any edge.  Then NonTransverseError for any other
+    non-transverse incidence, the first along the edge list winning.
 
     ``walked`` says that every lattice point of the open segment lies
     outside the marked classes (those of +-h and of L1 mod 2*L1), as for
@@ -269,17 +265,18 @@ def interior_crossings(
     ctx = pres.context
     s, u2, v2, edges = ctx.scale, ctx.u2, ctx.v2, ctx.edges
     p, q = (v[0] * s, v[1] * s), (w[0] * s, w[1] * s)
-    met = () if walked else _check_degenerate_incidence(ctx, v, w)
+    if not walked:
+        _check_degenerate_incidence(ctx, v, w)
 
     (px, py), (qx, qy) = p, q
     dx, dy = qx - px, qy - py
-    dens = [dx * (b[1] - a[1]) - dy * (b[0] - a[0]) for _, a, b, _ in edges]
+    dens = [dx * (b[1] - a[1]) - dy * (b[0] - a[0]) for _, a, b in edges]
     period = lcm(*(den for den in dens if den))
 
     (u2x, u2y), (v2x, v2y) = u2, v2
     (ux, uy), (vx, vy) = pres.lambda1.u, pres.lambda1.v  # u2 = 2u and v2 = 2v, unscaled
     hits: list[tuple[int, Vec]] = []
-    for (mid, a, b, key), den in zip(edges, dens):
+    for (mid, a, b), den in zip(edges, dens):
         if den == 0:
             # A parallel edge never crosses pq, but it may overlap pq or
             # touch it at a vertex.
@@ -287,8 +284,6 @@ def interior_crossings(
                 t_vec = vadd(vscale(alpha, u2), vscale(beta, v2))
                 _line_hit(p, q, vadd(a, t_vec), vadd(b, t_vec))
             continue
-        if key in met:
-            raise NonTransverseError("segment passes through a mirror endpoint or midpoint")
         # For the translate i*u2 + j*v2 of ab: tn = t0 + i*ta + j*tb is
         # cross(a' - p, b - a) and un = u0 + i*ua + j*ub is
         # cross(a' - p, q - p), with signs chosen so that den > 0.
@@ -369,35 +364,27 @@ def interior_crossings(
                 n, tn, un, mx, my = n - 1, tn + tb, un + ub, mx + jux, my + juy
             if n and not 0 < tn + (n - 1) * tb < den:
                 n -= 1
-            if not n:
-                continue
-            if not (0 < un < den and 0 < un + (n - 1) * ub < den):
+            if n and not (0 < un < den and 0 < un + (n - 1) * ub < den):
                 raise NonTransverseError("segment passes through a mirror endpoint or midpoint")
-            if n <= _SHORT_LINE:
-                for _ in range(n):
-                    hits.append((tn * mult, (mx, my)))
-                    tn += tb
-                    mx += jux
-                    my += juy
-                continue
-            # The crossings as arithmetic progressions.
-            keys = range(tn * mult, (tn + n * tb) * mult, tb * mult) if tb else repeat(tn * mult, n)
-            xs = range(mx, mx + n * jux, jux) if jux else repeat(mx, n)
-            ys = range(my, my + n * juy, juy) if juy else repeat(my, n)
-            hits.extend(zip(keys, zip(xs, ys)))
+            key, step = tn * mult, tb * mult
+            for _ in range(n):
+                hits.append((key, (mx, my)))
+                key += step
+                mx += jux
+                my += juy
     hits.sort(key=itemgetter(0))
-    return hits
+    return [mid for _, mid in hits]
 
 
-def _check_degenerate_incidence(ctx: PresentationContext, v: Vec, w: Vec) -> set[Vec]:
+def _check_degenerate_incidence(ctx: PresentationContext, v: Vec, w: Vec) -> None:
     """Scan the lattice points of the open segment (v, w) between lattice
     points v and w, from v to w.
 
-    Raises DegenerateIncidenceError at the first degenerate mirror point
-    and otherwise returns the class keys of the mirror midpoints met.
-    The class key steps linearly from point to point.
+    Raises DegenerateIncidenceError at the first degenerate mirror point.
+    With none on the segment, raises NonTransverseError if the scan met a
+    mirror midpoint.  The class key steps linearly from point to point.
     """
-    met: set[Vec] = set()
+    met = False
     g = gcd(w[0] - v[0], w[1] - v[1])
     step = ((w[0] - v[0]) // g, (w[1] - v[1]) // g)
     m = ctx.table.modulus
@@ -409,9 +396,9 @@ def _check_degenerate_incidence(ctx: PresentationContext, v: Vec, w: Vec) -> set
             raise DegenerateIncidenceError(
                 f"open segment passes through degenerate mirror point {pt}"
             )
-        if key in ctx.midpoint_keys:
-            met.add(key)
-    return met
+        met = met or key in ctx.midpoint_keys
+    if met:
+        raise NonTransverseError("segment passes through a mirror endpoint or midpoint")
 
 
 def affine_preserves_mirrors(pres: NetMapPresentation, linear: Mat2, translation: Vec) -> bool:
@@ -485,10 +472,8 @@ def segments_touch(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
 
 def _polyline_self_intersects(poly: tuple[Point, ...]) -> bool:
     segs = list(zip(poly, poly[1:]))
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            a, b = segs[i]
-            c, d = segs[j]
+    for i, (a, b) in enumerate(segs):
+        for j, (c, d) in enumerate(segs[i + 1:], i + 1):
             if j == i + 1:
                 # Edges sharing the joint vertex b == c overlap only if
                 # collinear and folding back onto each other.
@@ -508,7 +493,7 @@ def point_on_any_mirror(pres: NetMapPresentation, point: Vec) -> bool:
         return True
     pt = vscale(ctx.scale, point)
     u2, v2 = ctx.u2, ctx.v2
-    for _, a, b, _ in ctx.edges:
+    for _, a, b in ctx.edges:
         for alpha, beta in _parallelogram_candidates(u2, v2, (pt, pt), (a, b)):
             t_vec = vadd(vscale(alpha, u2), vscale(beta, v2))
             if segments_touch(pt, pt, vadd(a, t_vec), vadd(b, t_vec)):
@@ -516,19 +501,36 @@ def point_on_any_mirror(pres: NetMapPresentation, point: Vec) -> bool:
     return False
 
 
-def check_mirror_disjointness(pres: NetMapPresentation) -> None:
-    """Full mirrors, translated over 2*L1, must be pairwise disjoint.
+def check_mirror_contact(pres: NetMapPresentation) -> None:
+    """Each mirror must be a simple arc with no repeated consecutive
+    point, and the full mirrors, translated over 2*L1, pairwise disjoint.
 
     A degenerate mirror is its midpoint, a segment of length zero, whose
     translates are the lattice points of its class.  For the first
     offending pair of mirrors the least touching (alpha, beta) is
-    reported.  First, before any translate is walked, a pair of mirrors
+    reported.  The simple-arc test and the disjointness check take every
+    pair of segments of one mirror or of two, so a pair of mirrors with
+    more than ``_MAX_TRANSLATE_LINES`` such pairs is refused before
+    either runs.  Then, before any translate is walked, a pair of mirrors
     whose walk would take more than ``_MAX_TRANSLATE_LINES`` lines of
     translates is refused: the walk grows with a mirror's extent.
     """
     ctx = pres.context
     u2, v2 = ctx.u2, ctx.v2
     segments = [list(zip(chain, chain[1:])) or [(chain[0], chain[0])] for chain in ctx.chains]
+    for i in range(4):
+        for j in range(i, 4):
+            if (pairs := len(segments[i]) * len(segments[j])) > _MAX_TRANSLATE_LINES:
+                raise ValidationError("mirror-extent", f"checking mirrors {i + 1} and {j + 1} for "
+                                      f"contact would compare {pairs} pairs of segments, "
+                                      f"above the limit of {_MAX_TRANSLATE_LINES}")
+    # The chains are the mirrors under a similarity, which keeps both a
+    # repeated point and a crossing.
+    for k, chain in enumerate(ctx.chains, start=1):
+        if any(a == b for a, b in zip(chain, chain[1:])):
+            raise ValidationError("mirror-simple", f"mirror {k} has repeated consecutive points")
+        if _polyline_self_intersects(chain):
+            raise ValidationError("mirror-simple", f"mirror {k} is not a simple arc")
     for i in range(4):
         for j in range(i, 4):
             lines = sum(_alpha_lines(u2, v2, ab, cd) for ab in segments[i] for cd in segments[j])

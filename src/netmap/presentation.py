@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import PresentationSyntaxError, ValidationError
-from .geometry import _polyline_self_intersects, build_context, check_mirror_disjointness
+from .geometry import build_context, check_mirror_contact
 from .lattice import Basis2, Vec, vadd, vneg, vscale
 
 Point = tuple[int | Fraction, int | Fraction]
@@ -348,16 +348,6 @@ def validate(pres: NetMapPresentation) -> None:
             raise ValidationError(
                 "mirror-terminal", f"mirror {k} terminal {term} is not in the class of +-h{k}"
             )
-        # The context's chains are the mirrors under a similarity, which
-        # keeps both a repeated point and a crossing.
-        chain = pres.context.chains[k - 1]
-        for a, b in zip(chain, chain[1:]):
-            if a == b:
-                raise ValidationError(
-                    "mirror-simple", f"mirror {k} has repeated consecutive points"
-                )
-        if _polyline_self_intersects(chain):
-            raise ValidationError("mirror-simple", f"mirror {k} is not a simple arc")
 
-    check_mirror_disjointness(pres)
+    check_mirror_contact(pres)
 

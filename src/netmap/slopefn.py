@@ -152,17 +152,18 @@ def mirror_crossings(pres: NetMapPresentation, v: Vec, w: Vec) -> list[Vec]:
     """Mirror midpoints met by the segment from v to w, in order.
 
     The list starts with the midpoint of the mirror containing v and
-    ends with that of the mirror containing w; interior entries are the
-    midpoints of the transversely crossed mirror translates.  A marked
-    segment (``_marked_segments``) skips the kernel's lattice scan, since
-    the walk that found it has looked up every lattice point between v
-    and w and found none marked; every other segment is scanned.
+    ends with that of the mirror containing w; the entries between are
+    ``interior_crossings``', the midpoints of the transversely crossed
+    mirror translates.  A marked segment (``_marked_segments``) skips the
+    kernel's lattice scan, since the walk that found it has looked up
+    every lattice point between v and w and found none marked; on every
+    other segment the scan refuses a degenerate mirror point or a mirror
+    midpoint.
     """
     first = mirror_midpoint_at(pres, v)
     last = mirror_midpoint_at(pres, w)
     walked = _is_marked_segment(pres, v, w)
-    interior = [mid for _, mid in interior_crossings(pres, v, w, walked=walked)]
-    return [first, *interior, last]
+    return [first, *interior_crossings(pres, v, w, walked=walked), last]
 
 
 def _is_marked_segment(pres: NetMapPresentation, v: Vec, w: Vec) -> bool:
@@ -201,7 +202,7 @@ def _crossing_estimate(pres: NetMapPresentation, dx: int, dy: int) -> int:
     """
     ctx = pres.context
     swept = 0
-    for _, a, b, _ in ctx.edges:
+    for _, a, b in ctx.edges:
         swept += abs(dx * (b[1] - a[1]) - dy * (b[0] - a[0]))
     return swept // (2 * ctx.table.modulus * ctx.scale)
 
@@ -553,7 +554,7 @@ def pullback_slope_long_segment(
             continue
         # k*(w' - v), w' = (-1)^n w + 2 * sum (-1)^(i+1) midpoint_i; read
         # in the correspondence basis it has the slope of the image.
-        res = _alternating_sum([kv, *(mid for _, mid in crossings), kw])
+        res = _alternating_sum([kv, *crossings, kw])
         a, b = pres.correspondence.adjugate_coords(res)
         return Slope.of(b, a)
     raise ZigzagError(f"no transverse long segment found for slope {slope}; {rejected}")

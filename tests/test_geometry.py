@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from netmap import bundled_presentation, geometry
+from netmap import bundled_presentation
 from netmap.errors import DegenerateIncidenceError, NonEssentialError, NonTransverseError
 from netmap.geometry import _check_degenerate_incidence, interior_crossings, mirror_midpoint_at
 from netmap.lattice import Basis2
@@ -160,15 +160,11 @@ def _outcome(fn, pres, v, w):
         return type(exc)
 
 
-def _kernel_midpoints(pres, v, w):
-    return [mid for _, mid in interior_crossings(pres, v, w)]
-
-
 def _scaled_outcome(name, v, w):
     """The kernel's outcome on the lattice form of (v, w), with its
     midpoints scaled back by 1/k."""
     pres, k, kv, kw = _lattice_form(name, v, w)
-    got = _outcome(_kernel_midpoints, pres, kv, kw)
+    got = _outcome(interior_crossings, pres, kv, kw)
     if isinstance(got, list):
         assert all(x % k == 0 and y % k == 0 for x, y in got)
         got = [(x // k, y // k) for x, y in got]
@@ -255,29 +251,6 @@ def test_long_segments_through_a_mirror_end_match_reference():
     assert outcomes.count(NonTransverseError) > 50
 
 
-def test_progressions_match_the_per_step_loop(monkeypatch):
-    # Lines of more than _SHORT_LINE crossings are built as arithmetic
-    # progressions.  With the threshold at 2 every line of 3 or more takes
-    # that path, and must give what the per-step loop gives.
-    cases = _mirror_end_segments(((3, 11), (11, -3), (7, 31), (-23, 13)))
-    for name, pres in PRESENTATIONS.items():
-        for p, q in ((301, 1000), (-777, 1024), (1000, 1999), (-4001, 3000)):
-            try:
-                cases += [(name, v, w) for v, w in segment_candidates(pres, Slope.of(p, q))]
-            except NonEssentialError:
-                continue
-
-    def outcomes():
-        return [_scaled_outcome(name, v, w) for name, v, w in cases]
-
-    monkeypatch.setattr(geometry, "_SHORT_LINE", 10**9)
-    expected = outcomes()
-    monkeypatch.setattr(geometry, "_SHORT_LINE", 2)
-    assert outcomes() == expected
-    assert expected.count(NonTransverseError) > 50
-    assert sum(len(o) for o in expected if isinstance(o, list)) > 10_000
-
-
 def _segments_at_the_mirrors(pres):
     """Segments (v, w) with one end at the middle of a mirror edge, and
     segments through a mirror vertex.
@@ -306,10 +279,9 @@ def _segments_at_the_mirrors(pres):
     return segments
 
 
-def test_end_rule_matches_reference_beyond_the_bundled_presentations(monkeypatch):
+def test_end_rule_matches_reference_beyond_the_bundled_presentations():
     # Only the first and last translate of a line can meet v or w, or a
-    # mirror end; every line is settled by that rule, whether its
-    # crossings are emitted by the per-step loop or as progressions.
+    # mirror end; every line is settled by that rule.
     from test_pullback import random_presentation
 
     outcomes = []
@@ -320,13 +292,11 @@ def test_end_rule_matches_reference_beyond_the_bundled_presentations(monkeypatch
             big = lattice_forms.setdefault(k, scaled(pres, k))
             kv, kw = ((int(k * c[0]), int(k * c[1])) for c in (v, w))
             expected = _outcome(reference_crossings, pres, v, w)
-            for short_line in (2, 10**9):
-                monkeypatch.setattr(geometry, "_SHORT_LINE", short_line)
-                got = _outcome(_kernel_midpoints, big, kv, kw)
-                if isinstance(got, list):
-                    assert all(x % k == 0 and y % k == 0 for x, y in got)
-                    got = [(x // k, y // k) for x, y in got]
-                assert got == expected, (pres, v, w, short_line)
+            got = _outcome(interior_crossings, big, kv, kw)
+            if isinstance(got, list):
+                assert all(x % k == 0 and y % k == 0 for x, y in got)
+                got = [(x // k, y // k) for x, y in got]
+            assert got == expected, (pres, v, w)
             outcomes.append(expected)
     assert sum(len(o) for o in outcomes if isinstance(o, list)) > 500
     assert outcomes.count(NonTransverseError) > 20
@@ -347,11 +317,13 @@ MAIN_MIDPOINT_SEGMENTS = [
     + [
         ("straight", (Fraction(3, 2), Fraction(1)), (Fraction(5, 2), Fraction(1))),
         ("straight", (0, 3), (8, 1)),  # through (4, 2), mirror 4's midpoint
+        ("main", (2, -3), (2, 1)),     # along mirror 3, through its midpoint
     ],
 )
 def test_segment_through_a_mirror_midpoint_is_not_transverse(name, v, w):
     # The two middle edges of a mirror are one edge of the kernel, so
-    # only its lattice scan sees the midpoint.
+    # only its lattice scan sees the midpoint; the scan runs before any
+    # edge, so it names the midpoint even on a segment along the mirror.
     pres, _, kv, kw = _lattice_form(name, v, w)
     with pytest.raises(NonTransverseError) as err:
         interior_crossings(pres, kv, kw)
@@ -402,10 +374,10 @@ def test_scaled_presentation_is_similar(name):
         assert parse(serialize(big)) == big
         for v, w in segments:
             kv, kw = (k * v[0], k * v[1]), (k * w[0], k * w[1])
-            expected = _outcome(_kernel_midpoints, pres, v, w)
+            expected = _outcome(interior_crossings, pres, v, w)
             if isinstance(expected, list):
                 expected = [(k * x, k * y) for x, y in expected]
-            assert _outcome(_kernel_midpoints, big, kv, kw) == expected
+            assert _outcome(interior_crossings, big, kv, kw) == expected
 
 
 def reference_midpoint(pres, point):
@@ -484,8 +456,8 @@ def test_plan_segments_meet_no_marked_lattice_point():
             step = ((w[0] - v[0]) // g, (w[1] - v[1]) // g)
             for i in range(1, g):
                 assert not _marked(pres, (v[0] + i * step[0], v[1] + i * step[1])), (name, v, w)
-            assert _check_degenerate_incidence(pres.context, v, w) == set()
-            assert _outcome(_kernel_midpoints, pres, v, w) == _outcome(
+            assert _check_degenerate_incidence(pres.context, v, w) is None
+            assert _outcome(interior_crossings, pres, v, w) == _outcome(
                 _walked_midpoints, pres, v, w
             )
             checked += 1
@@ -493,7 +465,7 @@ def test_plan_segments_meet_no_marked_lattice_point():
 
 
 def _walked_midpoints(pres, v, w):
-    return [mid for _, mid in interior_crossings(pres, v, w, walked=True)]
+    return interior_crossings(pres, v, w, walked=True)
 
 
 @pytest.mark.parametrize(
@@ -502,6 +474,9 @@ def _walked_midpoints(pres, v, w):
         ((-4, 2), (4, -2), DegenerateIncidenceError),  # through (0, 0)
         ((0, 0), (4, -2), NonTransverseError),         # through mirror 3's midpoint
         ((0, 5), (4, 3), NonTransverseError),          # through mirror 4's midpoint
+        # Through mirror 3's midpoint (2, -1) first, then (0, 0): a
+        # degenerate point anywhere on the segment wins.
+        ((4, -2), (-4, 2), DegenerateIncidenceError),
     ],
 )
 def test_segments_that_are_not_walked_keep_the_scan(v, w, error):

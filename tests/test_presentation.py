@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from importlib import resources
 from math import ceil
@@ -36,6 +37,15 @@ mirror 2 = (0,5) : degenerate
 mirror 3 = (2,-1) : (2,0)
 mirror 4 = (2,4) : (2,3)
 """
+
+
+def _zigzag_main(k):
+    """main with mirror 3 bent into a zigzag of k rational vertices
+    between (2,-1) and (2,0): 2k + 2 segments once rotated about (2,-1)."""
+    path = " ".join(
+        f"({2 + Fraction((-1) ** i, 4)},{Fraction(i, k + 1) - 1})" for i in range(1, k + 1)
+    )
+    return MAIN_TEXT.replace("mirror 3 = (2,-1) : (2,0)", f"mirror 3 = (2,-1) : {path} (2,0)")
 
 
 def test_parse_main_example(main_pres):
@@ -144,6 +154,25 @@ class TestValidationErrors:
         with pytest.raises(ValidationError) as err:
             parse(text)
         assert err.value.invariant == invariant
+
+    def test_zigzag_mirror_within_the_segment_limit_parses(self):
+        # 202 segments, 40,804 pairs with themselves.
+        assert parse(_zigzag_main(100)).mirrors[2].half_path[-1] == (2, 0)
+
+    @pytest.mark.parametrize("k", [200, 400])
+    def test_zigzag_mirror_is_refused_before_any_contact_check(self, k):
+        # 2k + 2 segments pair with themselves (2k + 2)^2 times, above the
+        # limit: counting them refuses the mirror before the simple-arc
+        # test or the disjointness check takes a single pair.
+        text = _zigzag_main(k)
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as err:
+            parse(text)
+        assert time.perf_counter() - start < 0.05
+        assert str(err.value) == (
+            f"mirror-extent: checking mirrors 3 and 3 for contact would compare "
+            f"{(2 * k + 2) ** 2} pairs of segments, above the limit of 100000"
+        )
 
     def test_syntax_errors(self):
         with pytest.raises(PresentationSyntaxError):
