@@ -29,7 +29,7 @@ def main() -> int:
     args = ap.parse_args()
 
     pres = (
-        parse(Path(args.presentation).read_text())
+        parse(Path(args.presentation).read_text(encoding="utf-8"))
         if args.presentation
         else bundled_presentation("main")
     )

@@ -25,20 +25,28 @@ parallel to pq never cross it; they are only checked for overlap.
 
 The edge list is built once per presentation.  A mirror's chain is
 symmetric about its midpoint m, so the two edges at m are collinear and
-form one edge; a straight mirror is a single edge.  m lies in L1, so a
-segment through a translate of m meets a lattice point of class m mod
-2*L1.  One scan of the segment's lattice points, stepping the class key
-linearly, settles every marked point on it before any edge is looked
-at: a degenerate mirror point raises DegenerateIncidenceError, and
-otherwise a translate of a midpoint raises NonTransverseError, so the
-edge loop never meets a midpoint.  A marked segment of the slope map
-skips the scan (``walked=True``, passed by ``slopefn.mirror_crossings``
-for exactly those segments): the class walk that found it has looked
-up every lattice point of its open segment in the context's table of
-marked classes, which holds every +-h class and all four classes of L1
-mod 2*L1, and found none marked.  Every other segment is scanned.  A
-marked point's mirror midpoint is the point plus an offset looked up by
-its class.
+form one edge; a straight mirror is a single edge.
+
+The context's ``marks`` is the one table of the marked classes mod
+2*L1: each class of +-h_k names mirror k and the offset from the
+mirror's end in that class to its midpoint (zero for a degenerate
+mirror, which is its own end), and each other class of L1 says whether
+a mirror midpoint lies in it.  Every question about a marked point is
+one lookup there: a marked point's mirror midpoint is the point plus
+its class's offset, and a point is a degenerate mirror point when its
+class names a mirror with offset zero.  A mirror midpoint m lies in
+L1, so a segment through a translate of m meets a lattice point of
+class m mod 2*L1.  One scan of the segment's lattice points, stepping
+the class key linearly and looking each up in ``marks``, settles every
+marked point on it before any edge is looked at: a degenerate mirror
+point raises DegenerateIncidenceError, and otherwise a translate of a
+midpoint raises NonTransverseError, so the edge loop never meets a
+midpoint.  A marked segment of the slope map skips the scan
+(``walked=True``, passed by ``slopefn.mirror_crossings`` for exactly
+those segments): the class walk that found it has looked up every
+lattice point of its open segment in ``marks``, which holds every +-h
+class and all four classes of L1, and found none marked.  Every other
+segment is scanned.
 
 Every other question about 2*L1 translates goes through one
 enumerator, ``_parallelogram_candidates``: which translates of a
@@ -58,13 +66,13 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegenerateIncidenceError, NonTransverseError, ValidationError
-from .lattice import Mat2, Vec, cross, mat_vec, vadd, vneg, vscale, vsub
+from .lattice import Mat2, Vec, cross, mat_vec, vadd, vscale, vsub
 
 if TYPE_CHECKING:
     from .presentation import ClassTable, NetMapPresentation, Point
 
-# Validation refuses a pair of mirrors whose contact check would compare
-# more pairs of segments, or walk more lines of 2*L1 translates, than this
+# Validation refuses mirrors whose contact check would compare more pairs
+# of segments, or walk more lines of 2*L1 translates, than this in all
 # (see check_mirror_contact).
 _MAX_TRANSLATE_LINES = 100_000
 
@@ -84,17 +92,15 @@ class PresentationContext(NamedTuple):
     u2: Vec                 # 2 * lambda1 basis, times scale
     v2: Vec
     table: ClassTable
-    # Class key -> ("P2", k, sign) for +-h_k, ("P1", i) for the other
-    # L1/2L1 classes.
-    lookup: dict[Vec, tuple]
-    degenerate_keys: frozenset[Vec]  # class keys of +-h for degenerate mirrors
-    # Class key of a mirror end -> midpoint minus that end.
-    midpoint_offsets: dict[Vec, Vec]
+    # The marked classes mod 2*L1: the class key of +-h_k -> (k, the
+    # midpoint of mirror k minus its end in that class), so (k, (0, 0))
+    # for a degenerate mirror; any other class of L1 -> (None, (0, 0))
+    # where a mirror midpoint lies and (None, None) elsewhere.
+    marks: dict[Vec, tuple[int | None, Vec | None]]
     # (midpoint, a, b) for each mirror edge a->b, a and b times scale and
     # the mirror's midpoint unscaled, with the two collinear middle edges
     # as one.
     edges: tuple[tuple[Vec, Vec, Vec], ...]
-    midpoint_keys: frozenset[Vec]    # class keys of the non-degenerate mirrors' midpoints
     edge_length: int                 # sum of |dx| + |dy| over the edges, times scale
     summaries: dict  # class mod 2N -> pullback.PullbackSummary
     segments: dict   # class mod 2N -> slopefn._marked_segments
@@ -105,29 +111,19 @@ def build_context(pres: NetMapPresentation, table: ClassTable) -> PresentationCo
     """The context of ``pres``, with ``table`` its classes mod 2*L1."""
     polys = [mirror.full_polyline() for mirror in pres.mirrors]
     scale = lcm(*(c.denominator for poly in polys for p in poly for c in p))
-    chains = []
+    chains = [tuple((int(p[0] * scale), int(p[1] * scale)) for p in poly) for poly in polys]
+    u, v = pres.lambda1.u, pres.lambda1.v
+    marks = {table.key(m.midpoint): (None, (0, 0)) for m in pres.mirrors if not m.degenerate}
+    for rep in ((0, 0), u, v, vadd(u, v)):
+        marks.setdefault(table.key(rep), (None, None))
     # Validation puts the ends of mirror k in the classes of h_k and -h_k
     # (a degenerate mirror, with h_k in L1, is its own end), and keeps the
-    # ends of distinct mirrors in distinct classes.
-    midpoint_offsets = {}
-    for mirror, poly in zip(pres.mirrors, polys):
-        chains.append(tuple((int(p[0] * scale), int(p[1] * scale)) for p in poly))
+    # ends of distinct mirrors in distinct classes and off the midpoints,
+    # so the ends, written last, name their mirror.
+    for k, (mirror, poly) in enumerate(zip(pres.mirrors, polys)):
         for x, y in (poly[0], poly[-1]):
             end = (int(x), int(y))
-            midpoint_offsets[table.key(end)] = vsub(mirror.midpoint, end)
-    lookup: dict[Vec, tuple] = {}
-    for k, h in enumerate(pres.postcritical):
-        lookup[table.key(h)] = ("P2", k, +1)
-        lookup.setdefault(table.key(vneg(h)), ("P2", k, -1))
-    u, v = pres.lambda1.u, pres.lambda1.v
-    for i, rep in enumerate(((0, 0), u, v, vadd(u, v))):
-        lookup.setdefault(table.key(rep), ("P1", i))
-    degenerate_keys = frozenset(
-        table.key(x)
-        for mirror, h in zip(pres.mirrors, pres.postcritical)
-        if mirror.degenerate
-        for x in (h, vneg(h))
-    )
+            marks[table.key(end)] = (k, vsub(mirror.midpoint, end))
     # A chain is symmetric about its midpoint, so the edges on either
     # side of it are collinear: they become one edge, and the lattice
     # scan of interior_crossings finds a segment through the midpoint.
@@ -142,11 +138,8 @@ def build_context(pres: NetMapPresentation, table: ClassTable) -> PresentationCo
         u2=vscale(2 * scale, u),
         v2=vscale(2 * scale, v),
         table=table,
-        lookup=lookup,
-        degenerate_keys=degenerate_keys,
-        midpoint_offsets=midpoint_offsets,
+        marks=marks,
         edges=tuple(edges),
-        midpoint_keys=frozenset(table.key(m.midpoint) for m in pres.mirrors if not m.degenerate),
         edge_length=sum(abs(b[0] - a[0]) + abs(b[1] - a[1]) for _, a, b in edges),
         summaries={},
         segments={},
@@ -213,8 +206,8 @@ def mirror_midpoint_at(pres: NetMapPresentation, point: Vec) -> Vec:
     the mirror's midpoint; a degenerate mirror is its own midpoint.
     """
     ctx = pres.context
-    offset = ctx.midpoint_offsets.get(ctx.table.key(point))
-    if offset is None:
+    k, offset = ctx.marks.get(ctx.table.key(point), (None, None))
+    if k is None:
         raise ValueError(f"{point} is not in a postcritical coset")
     return (point[0] + offset[0], point[1] + offset[1])
 
@@ -387,18 +380,25 @@ def _check_degenerate_incidence(ctx: PresentationContext, v: Vec, w: Vec) -> Non
     met = False
     g = gcd(w[0] - v[0], w[1] - v[1])
     step = ((w[0] - v[0]) // g, (w[1] - v[1]) // g)
-    m = ctx.table.modulus
+    m, marks = ctx.table.modulus, ctx.marks
     (k1, k2), (s1, s2) = ctx.table.key(v), ctx.table.key(step)
     for i in range(1, g):
-        key = ((k1 + i * s1) % m, (k2 + i * s2) % m)
-        if key in ctx.degenerate_keys:
-            pt = (v[0] + i * step[0], v[1] + i * step[1])
-            raise DegenerateIncidenceError(
-                f"open segment passes through degenerate mirror point {pt}"
-            )
-        met = met or key in ctx.midpoint_keys
+        entry = marks.get(((k1 + i * s1) % m, (k2 + i * s2) % m))
+        if entry is not None and entry[1] == (0, 0):
+            if entry[0] is not None:
+                pt = (v[0] + i * step[0], v[1] + i * step[1])
+                raise DegenerateIncidenceError(
+                    f"open segment passes through degenerate mirror point {pt}"
+                )
+            met = True
     if met:
         raise NonTransverseError("segment passes through a mirror endpoint or midpoint")
+
+
+def _on_degenerate_mirror(ctx: PresentationContext, point: Vec) -> bool:
+    """Whether the lattice point is a point of a degenerate mirror."""
+    k, offset = ctx.marks.get(ctx.table.key(point), (None, None))
+    return k is not None and offset == (0, 0)
 
 
 def affine_preserves_mirrors(pres: NetMapPresentation, linear: Mat2, translation: Vec) -> bool:
@@ -413,7 +413,7 @@ def affine_preserves_mirrors(pres: NetMapPresentation, linear: Mat2, translation
     table = ctx.table
     for mirror, h in zip(pres.mirrors, pres.postcritical):
         image = vadd(mat_vec(linear, h), translation)
-        if mirror.degenerate and table.key(image) not in ctx.degenerate_keys:
+        if mirror.degenerate and not _on_degenerate_mirror(ctx, image):
             return False
     s = ctx.scale
     ts = vscale(s, translation)
@@ -489,7 +489,7 @@ def _polyline_self_intersects(poly: tuple[Point, ...]) -> bool:
 def point_on_any_mirror(pres: NetMapPresentation, point: Vec) -> bool:
     """Whether the lattice point lies on some mirror translate (closed arcs)."""
     ctx = pres.context
-    if ctx.table.key(point) in ctx.degenerate_keys:
+    if _on_degenerate_mirror(ctx, point):
         return True
     pt = vscale(ctx.scale, point)
     u2, v2 = ctx.u2, ctx.v2
@@ -509,21 +509,22 @@ def check_mirror_contact(pres: NetMapPresentation) -> None:
     translates are the lattice points of its class.  For the first
     offending pair of mirrors the least touching (alpha, beta) is
     reported.  The simple-arc test and the disjointness check take every
-    pair of segments of one mirror or of two, so a pair of mirrors with
-    more than ``_MAX_TRANSLATE_LINES`` such pairs is refused before
-    either runs.  Then, before any translate is walked, a pair of mirrors
-    whose walk would take more than ``_MAX_TRANSLATE_LINES`` lines of
-    translates is refused: the walk grows with a mirror's extent.
+    pair of segments of one mirror or of two, so mirrors with more than
+    ``_MAX_TRANSLATE_LINES`` such pairs, summed over the ten pairs of
+    mirrors (a mirror with itself included), are refused before either
+    runs.  Then, before any translate is walked, mirrors whose walk would
+    take more than ``_MAX_TRANSLATE_LINES`` lines of translates, summed
+    the same way, are refused: the walk grows with a mirror's extent.
     """
     ctx = pres.context
     u2, v2 = ctx.u2, ctx.v2
     segments = [list(zip(chain, chain[1:])) or [(chain[0], chain[0])] for chain in ctx.chains]
-    for i in range(4):
-        for j in range(i, 4):
-            if (pairs := len(segments[i]) * len(segments[j])) > _MAX_TRANSLATE_LINES:
-                raise ValidationError("mirror-extent", f"checking mirrors {i + 1} and {j + 1} for "
-                                      f"contact would compare {pairs} pairs of segments, "
-                                      f"above the limit of {_MAX_TRANSLATE_LINES}")
+    pairs = [(i, j) for i in range(4) for j in range(i, 4)]
+    compared = sum(len(segments[i]) * len(segments[j]) for i, j in pairs)
+    if compared > _MAX_TRANSLATE_LINES:
+        raise ValidationError("mirror-extent", f"checking the mirrors for contact would compare "
+                              f"{compared} pairs of segments, above the limit of "
+                              f"{_MAX_TRANSLATE_LINES}")
     # The chains are the mirrors under a similarity, which keeps both a
     # repeated point and a crossing.
     for k, chain in enumerate(ctx.chains, start=1):
@@ -531,31 +532,29 @@ def check_mirror_contact(pres: NetMapPresentation) -> None:
             raise ValidationError("mirror-simple", f"mirror {k} has repeated consecutive points")
         if _polyline_self_intersects(chain):
             raise ValidationError("mirror-simple", f"mirror {k} is not a simple arc")
-    for i in range(4):
-        for j in range(i, 4):
-            lines = sum(_alpha_lines(u2, v2, ab, cd) for ab in segments[i] for cd in segments[j])
-            if lines > _MAX_TRANSLATE_LINES:
-                raise ValidationError("mirror-extent", f"checking mirrors {i + 1} and {j + 1} for "
-                                      f"contact would walk {lines} lines of 2*lambda1 translates, "
-                                      f"above the limit of {_MAX_TRANSLATE_LINES}")
-    for i in range(4):
-        for j in range(i, 4):
-            least = None
-            for a, b in segments[i]:
-                for c, d in segments[j]:
-                    for cand in _parallelogram_candidates(u2, v2, (a, b), (c, d)):
-                        if least is not None and cand >= least:
-                            break
-                        if i == j and cand == (0, 0):
-                            continue
-                        t_vec = vadd(vscale(cand[0], u2), vscale(cand[1], v2))
-                        if segments_touch(a, b, vadd(c, t_vec), vadd(d, t_vec)):
-                            least = cand
-                            break
-            if least is not None:
-                alpha, beta = least
-                t = vadd(vscale(2 * alpha, pres.lambda1.u), vscale(2 * beta, pres.lambda1.v))
-                raise ValidationError(
-                    "mirror-disjoint",
-                    f"mirror {i + 1} meets the 2*lambda1 translate {t} of mirror {j + 1}",
-                )
+    lines = sum(_alpha_lines(u2, v2, ab, cd)
+                for i, j in pairs for ab in segments[i] for cd in segments[j])
+    if lines > _MAX_TRANSLATE_LINES:
+        raise ValidationError("mirror-extent", f"checking the mirrors for contact would walk "
+                              f"{lines} lines of 2*lambda1 translates, above the limit of "
+                              f"{_MAX_TRANSLATE_LINES}")
+    for i, j in pairs:
+        least = None
+        for a, b in segments[i]:
+            for c, d in segments[j]:
+                for cand in _parallelogram_candidates(u2, v2, (a, b), (c, d)):
+                    if least is not None and cand >= least:
+                        break
+                    if i == j and cand == (0, 0):
+                        continue
+                    t_vec = vadd(vscale(cand[0], u2), vscale(cand[1], v2))
+                    if segments_touch(a, b, vadd(c, t_vec), vadd(d, t_vec)):
+                        least = cand
+                        break
+        if least is not None:
+            alpha, beta = least
+            t = vadd(vscale(2 * alpha, pres.lambda1.u), vscale(2 * beta, pres.lambda1.v))
+            raise ValidationError(
+                "mirror-disjoint",
+                f"mirror {i + 1} meets the 2*lambda1 translate {t} of mirror {j + 1}",
+            )

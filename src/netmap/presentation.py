@@ -139,37 +139,30 @@ class ClassTable(NamedTuple):
 
 
 def is_euclidean(pres: NetMapPresentation) -> bool:
-    """True when the postcritical classes are exactly the L1/2L1 classes."""
-    if not all(pres.lambda1.contains(h) for h in pres.postcritical):
-        return False
-    table = pres.context.table
-    keys = {table.key(h) for h in pres.postcritical}
-    return len(keys) == 4
+    """True when the postcritical classes are exactly the L1/2L1 classes,
+    that is, when every class of L1 in the context's ``marks`` names a
+    mirror."""
+    return all(k is not None for k, _ in pres.context.marks.values())
 
 
 def preimage_coset_table(pres: NetMapPresentation) -> list[tuple[Vec, str]]:
     """Representatives of the cosets of 2*L1 meeting the marked sets.
 
     Tags are ``P1&P2`` (postcritical classes inside L1), ``P1-P2``
-    (branch classes of the domain cover that are not postcritical) and
-    ``P2-P1`` (postcritical classes off L1, listed as h then -h).
+    (branch classes of the domain cover that are not postcritical, read
+    off the context's ``marks``) and ``P2-P1`` (postcritical classes off
+    L1, listed as h then -h).
     """
-    table = pres.context.table
-    rows: list[tuple[Vec, str]] = []
-    hit_p1_keys = set()
-    for h in pres.postcritical:
-        if pres.lambda1.contains(h):
-            rows.append((h, "P1&P2"))
-            hit_p1_keys.add(table.key(h))
+    marks, key = pres.context.marks, pres.context.table.key
+    inside = [h for h in pres.postcritical if pres.lambda1.contains(h)]
+    off = [h for h in pres.postcritical if not pres.lambda1.contains(h)]
     u, v = pres.lambda1.u, pres.lambda1.v
-    for rep in ((0, 0), u, v, vadd(u, v)):
-        if table.key(rep) not in hit_p1_keys:
-            rows.append((rep, "P1-P2"))
-    for h in pres.postcritical:
-        if not pres.lambda1.contains(h):
-            rows.append((h, "P2-P1"))
-            rows.append((vneg(h), "P2-P1"))
-    return rows
+    branch = [rep for rep in ((0, 0), u, v, vadd(u, v)) if marks[key(rep)][0] is None]
+    return (
+        [(h, "P1&P2") for h in inside]
+        + [(rep, "P1-P2") for rep in branch]
+        + [(x, "P2-P1") for h in off for x in (h, vneg(h))]
+    )
 
 
 # ---------------------------------------------------------------------------

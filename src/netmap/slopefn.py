@@ -85,16 +85,17 @@ class ZigzagTrace(NamedTuple):
 def _walk_to_marked(pres: NetMapPresentation, start: Vec, step: Vec, max_t: int):
     """First marked lattice point along start + t*step, t = 1..max_t.
 
-    Returns its t if it lies in a postcritical coset before any other
-    marked coset blocks the way; otherwise None.  The class key of the
-    point steps linearly with t.
+    Returns its t if its class in the context's ``marks`` names a
+    mirror, that is, if it lies in a postcritical coset, and None if the
+    first marked point is in another class of L1 or no point up to
+    max_t is marked.  The class key of the point steps linearly with t.
     """
-    table, lookup, m = pres.context.table, pres.context.lookup, pres.context.table.modulus
+    table, marks, m = pres.context.table, pres.context.marks, pres.context.table.modulus
     (k1, k2), (s1, s2) = table.key(start), table.key(step)
     for t in range(1, max_t + 1):
-        entry = lookup.get(((k1 + t * s1) % m, (k2 + t * s2) % m))
+        entry = marks.get(((k1 + t * s1) % m, (k2 + t * s2) % m))
         if entry is not None:
-            return t if entry[0] == "P2" else None
+            return t if entry[0] is not None else None
     return None
 
 
@@ -212,6 +213,9 @@ def zigzag_trace(pres: NetMapPresentation, slope: Slope) -> ZigzagTrace | None:
 
     A segment expected to cross more than ``_ZIGZAG_CROSSINGS`` mirrors
     is refused with BudgetExceededError before any crossing is found.
+    A segment that meets a mirror non-transversely gives way to the
+    next.  Every segment is a marked one, which skips the lattice scan,
+    so no DegenerateIncidenceError arises here.
     """
     if analyze_slope(pres, slope).essential == 0:
         return None
@@ -222,7 +226,7 @@ def zigzag_trace(pres: NetMapPresentation, slope: Slope) -> ZigzagTrace | None:
                                       f"{estimate} mirrors, above the limit of {_ZIGZAG_CROSSINGS}")
         try:
             midpoints = mirror_crossings(pres, v, w)
-        except (NonTransverseError, DegenerateIncidenceError) as exc:
+        except NonTransverseError as exc:
             failure = exc
             continue
         delta = _alternating_sum(midpoints)

@@ -151,11 +151,10 @@ class ReflectionPair(NamedTuple):
 def _marked_pair(pres: NetMapPresentation, w: Vec) -> int | None:
     """The k with w in the class of h_k or -h_k mod 2*lambda1, or None.
 
-    Read off the context's class lookup; validation keeps the four
+    Read off the context's marked classes; validation keeps the four
     pairs of classes disjoint.
     """
-    entry = pres.context.lookup.get(pres.context.table.key(w))
-    return entry[1] if entry is not None and entry[0] == "P2" else None
+    return pres.context.marks.get(pres.context.table.key(w), (None,))[0]
 
 
 def reflection_equation(

@@ -240,7 +240,7 @@ class TestSlope:
         code, out, err = run(capsys, "slope", str(path), "1/2")
         assert (code, out) == (2, "")
         assert err == (
-            "error: mirror-extent: checking mirrors 1 and 3 for contact would walk 2000000 "
+            "error: mirror-extent: checking the mirrors for contact would walk 24000017 "
             "lines of 2*lambda1 translates, above the limit of 100000\n"
         )
 

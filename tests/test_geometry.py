@@ -23,6 +23,7 @@ from netmap.lattice import Basis2
 from netmap.presentation import parse, scaled, serialize, validate
 from netmap.slope import Slope, enumerate_slopes
 from netmap.slopefn import mirror_crossings, segment_candidates
+from test_pullback import _in_double_l1
 
 PRESENTATIONS = {name: bundled_presentation(name) for name in ("main", "double", "euclidean")}
 # main with mirror 3 bent: (2, -2) (3/2, -3/2) (2, -1) (5/2, -1/2) (2, 0).
@@ -380,21 +381,62 @@ def test_scaled_presentation_is_similar(name):
             assert _outcome(interior_crossings, big, kv, kw) == expected
 
 
+def _in_class(pres, point, x):
+    """Whether the lattice points ``point`` and ``x`` agree mod 2*L1."""
+    return _in_double_l1(pres, _sub(point, (int(x[0]), int(x[1]))))
+
+
 def reference_midpoint(pres, point):
-    """The mirror midpoint at a marked point, from the Fraction polyline."""
-    table = pres.context.table
-    entry = pres.context.lookup.get(table.key(point))
-    if entry is None or entry[0] != "P2":
-        return f"{point} is not in a postcritical coset"
-    mirror = pres.mirrors[entry[1]]
-    if mirror.degenerate:
-        return point
-    poly = mirror.full_polyline()
-    for end in (poly[0], poly[-1]):
-        t = _sub(point, (int(end[0]), int(end[1])))
-        if table.key(t) == table.key((0, 0)):
-            return (mirror.midpoint[0] + t[0], mirror.midpoint[1] + t[1])
-    return f"{point} is not an endpoint of its class mirror"
+    """The mirror midpoint at a marked point, from the definitions: a
+    point in the class of h_k or -h_k is a 2*L1 translate of an end of
+    mirror k, and its midpoint is the same translate of the mirror's
+    midpoint.  A degenerate mirror is its one point, its own end."""
+    for h, mirror in zip(pres.postcritical, pres.mirrors):
+        if _in_class(pres, point, h) or _in_class(pres, point, (-h[0], -h[1])):
+            poly = mirror.full_polyline()
+            for end in (poly[0], poly[-1]):
+                if _in_class(pres, point, end):
+                    t = _sub(point, (int(end[0]), int(end[1])))
+                    return (mirror.midpoint[0] + t[0], mirror.midpoint[1] + t[1])
+            return f"{point} is not an endpoint of its class mirror"
+    return f"{point} is not in a postcritical coset"
+
+
+def reference_mark(pres, point):
+    """The entry of the context's ``marks`` for the class of a lattice
+    point, from the definitions; None for an unmarked class."""
+    for k, h in enumerate(pres.postcritical):
+        if _in_class(pres, point, h) or _in_class(pres, point, (-h[0], -h[1])):
+            return k, _sub(reference_midpoint(pres, point), point)
+    if not pres.lambda1.contains(point):
+        return None
+    if any(not m.degenerate and _in_class(pres, point, m.midpoint) for m in pres.mirrors):
+        return None, (0, 0)
+    return None, None
+
+
+def _one_point_per_class(pres):
+    """The lattice points (x, y) with 0 <= x < n1 and 0 <= y < 4N / n1,
+    where n1 > 0 is least with (n1, 0) in 2*L1: one in each class of
+    Z^2 mod 2*L1, a group of order 4N."""
+    order = 4 * pres.lambda1.index
+    n1 = next(x for x in range(1, order + 1) if _in_double_l1(pres, (x, 0)))
+    return [(x, y) for x in range(n1) for y in range(order // n1)]
+
+
+def test_marks_match_the_definitions():
+    from test_pullback import random_presentation
+
+    presentations = [*PRESENTATIONS.values(), *(random_presentation(seed) for seed in range(40))]
+    for pres in presentations:
+        table = pres.context.table
+        points = _one_point_per_class(pres)
+        assert len({table.key(x) for x in points}) == len(points) == 4 * pres.lambda1.index
+        expected = {}
+        for x in points:
+            if (mark := reference_mark(pres, x)) is not None:
+                expected[table.key(x)] = mark
+        assert pres.context.marks == expected, pres
 
 
 @given(presentation_names, integer_points)

@@ -159,19 +159,45 @@ class TestValidationErrors:
         # 202 segments, 40,804 pairs with themselves.
         assert parse(_zigzag_main(100)).mirrors[2].half_path[-1] == (2, 0)
 
-    @pytest.mark.parametrize("k", [200, 400])
-    def test_zigzag_mirror_is_refused_before_any_contact_check(self, k):
-        # 2k + 2 segments pair with themselves (2k + 2)^2 times, above the
-        # limit: counting them refuses the mirror before the simple-arc
-        # test or the disjointness check takes a single pair.
+    @pytest.mark.parametrize("k, pairs", [(157, 101131), (200, 163223), (400, 646423)])
+    def test_zigzag_mirror_is_refused_before_any_contact_check(self, k, pairs):
+        # 2k + 2 segments pair with themselves (2k + 2)^2 times and with the
+        # other mirrors' 4 segments 4 * (2k + 2) times, and those 4 pair
+        # among themselves 11 times: above the limit, so counting them
+        # refuses the mirror before the simple-arc test or the
+        # disjointness check takes a single pair.
+        assert pairs == (2 * k + 2) ** 2 + 4 * (2 * k + 2) + 11
         text = _zigzag_main(k)
         start = time.perf_counter()
         with pytest.raises(ValidationError) as err:
             parse(text)
         assert time.perf_counter() - start < 0.05
         assert str(err.value) == (
-            f"mirror-extent: checking mirrors 3 and 3 for contact would compare "
-            f"{(2 * k + 2) ** 2} pairs of segments, above the limit of 100000"
+            f"mirror-extent: checking the mirrors for contact would compare "
+            f"{pairs} pairs of segments, above the limit of 100000"
+        )
+
+    @pytest.mark.parametrize("k, pairs", [(100, 123223), (157, 300835)])
+    def test_two_zigzag_mirrors_are_refused_by_their_sum(self, k, pairs):
+        # Mirrors 3 and 4 are each within the limit on their own pairs,
+        # but the pairs over all mirrors sum above it: refused before
+        # any contact check, where a limit on each pair of mirrors let
+        # them through to a second or more of contact checks.
+        text = _zigzag_main(k).replace(
+            "mirror 4 = (2,4) : (2,3)",
+            "mirror 4 = (2,4) : "
+            + " ".join(
+                f"({2 + Fraction((-1) ** i, 4)},{4 - Fraction(i, k + 1)})" for i in range(1, k + 1)
+            )
+            + " (2,3)",
+        )
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as err:
+            parse(text)
+        assert time.perf_counter() - start < 0.05
+        assert str(err.value) == (
+            f"mirror-extent: checking the mirrors for contact would compare "
+            f"{pairs} pairs of segments, above the limit of 100000"
         )
 
     def test_syntax_errors(self):
@@ -368,6 +394,47 @@ mirror 3 = (0,2) : degenerate
 mirror 4 = (2,2) : degenerate
 """
         assert is_euclidean(parse(text))
+
+
+def _euclidean_by_classes(pres):
+    """is_euclidean as it once worked the classes out: every h in L1, and
+    four distinct classes."""
+    if not all(pres.lambda1.contains(h) for h in pres.postcritical):
+        return False
+    return len({pres.context.table.key(h) for h in pres.postcritical}) == 4
+
+
+def _coset_table_by_classes(pres):
+    """preimage_coset_table as it once worked the classes out."""
+    table = pres.context.table
+    rows = []
+    hit_p1_keys = set()
+    for h in pres.postcritical:
+        if pres.lambda1.contains(h):
+            rows.append((h, "P1&P2"))
+            hit_p1_keys.add(table.key(h))
+    u, v = pres.lambda1.u, pres.lambda1.v
+    for rep in ((0, 0), u, v, (u[0] + v[0], u[1] + v[1])):
+        if table.key(rep) not in hit_p1_keys:
+            rows.append((rep, "P1-P2"))
+    for h in pres.postcritical:
+        if not pres.lambda1.contains(h):
+            rows.append((h, "P2-P1"))
+            rows.append(((-h[0], -h[1]), "P2-P1"))
+    return rows
+
+
+def test_marked_class_readers_match_the_class_formulas(main_pres, double_pres, euclidean_pres):
+    from test_pullback import random_presentation
+
+    presentations = [main_pres, double_pres, euclidean_pres]
+    presentations += [random_presentation(seed) for seed in range(40)]
+    verdicts = set()
+    for pres in presentations:
+        assert preimage_coset_table(pres) == _coset_table_by_classes(pres)
+        verdicts.add(is_euclidean(pres))
+        assert is_euclidean(pres) == _euclidean_by_classes(pres)
+    assert verdicts == {True, False}
 
 
 class TestMirrorDisjointness:

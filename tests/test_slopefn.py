@@ -617,6 +617,32 @@ def test_orbit_survey_of_main_is_pinned():
     assert done.stdout == ORBIT_SURVEY_40
 
 
+@pytest.mark.parametrize("script, args, first_line", [
+    ("orbit_survey.py", ["--height", "3"], "16 slopes up to height 3"),
+    ("slope_graph.py", ["--qmax", "3", "--out", "graph.csv"], "wrote 15 rows to graph.csv"),
+])
+def test_scripts_read_presentation_files_as_utf8(tmp_path, script, args, first_line):
+    # Under the C locale with UTF-8 mode and locale coercion off, the
+    # locale's encoding is ASCII; a presentation file is UTF-8 whatever
+    # the locale, as netmap's own commands read it.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "src" / "netmap" / "data" / "main.net").read_text(encoding="utf-8")
+    path = tmp_path / "main.net"
+    path.write_text("# Teichmüller\n" + text, encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / script), "--presentation", str(path), *args],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[0] == first_line
+
+
 def test_enumeration_is_refused_before_it_builds(monkeypatch):
     import netmap.slope
 
