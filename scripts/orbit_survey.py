@@ -17,6 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from netmap import bundled_presentation, parse  # noqa: E402
+from netmap.cli import run_command  # noqa: E402
 from netmap.slope import INESSENTIAL, enumerate_slopes  # noqa: E402
 from netmap.slopefn import slope_orbit  # noqa: E402
 
@@ -26,8 +27,10 @@ def main() -> int:
     ap.add_argument("--presentation", help="presentation file (default: bundled main)")
     ap.add_argument("--height", type=int, default=30)
     ap.add_argument("--max-iter", type=int, default=200)
-    args = ap.parse_args()
+    return run_command(survey, ap.parse_args())
 
+
+def survey(args) -> int:
     pres = (
         parse(Path(args.presentation).read_text(encoding="utf-8"))
         if args.presentation

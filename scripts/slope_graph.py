@@ -17,6 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from netmap import bundled_presentation, parse  # noqa: E402
+from netmap.cli import run_command  # noqa: E402
 from netmap.render import slope_graph_csv  # noqa: E402
 from netmap.slopefn import slope_graph_rows  # noqa: E402
 
@@ -27,8 +28,10 @@ def main() -> int:
     ap.add_argument("--qmax", type=int, default=40)
     ap.add_argument("--out", default="sigma_graph.csv")
     ap.add_argument("--plot", help="also write a PNG scatter plot here")
-    args = ap.parse_args()
+    return run_command(write_graph, ap.parse_args())
 
+
+def write_graph(args) -> int:
     pres = (
         parse(Path(args.presentation).read_text(encoding="utf-8"))
         if args.presentation

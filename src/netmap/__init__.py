@@ -53,6 +53,7 @@ from .obstruction import (
     ObstructionReport,
     Status,
     certificate_for_slopes,
+    certify_slopes,
     check_certificate,
     enumerate_slopes,
     find_fixed_slopes,

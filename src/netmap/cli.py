@@ -99,34 +99,28 @@ def cmd_obstructions(args) -> int:
         raise ValueError("obstructions --slopes takes no --height or --budget")
     pres = _load(args.file)
     if args.slopes is not None:
-        slopes = [Slope.parse(tok) for tok in args.slopes.split(",")]
-        cert, obstruction = ob.certificate_for_slopes(pres, slopes)
-        if obstruction is None and cert is None:
-            print("INCONCLUSIVE (given half-spaces do not cover)")
-            return 0
-        if obstruction is None and not ob.check_certificate(pres, cert):
-            print("INCONCLUSIVE (certificate failed re-verification)")
-            return 0
+        report = ob.certify_slopes(pres, [Slope.parse(tok) for tok in args.slopes.split(",")])
     else:
         report = ob.obstruction_report(
             pres, height=20 if args.height is None else args.height,
             budget=12 if args.budget is None else args.budget)
-        if report.status is ob.Status.INCONCLUSIVE:
-            print(f"INCONCLUSIVE ({report.diagnostics})")
-            return 0
-        cert, obstruction = report.certificate, report.obstruction
-    if obstruction is not None:
-        s, mult = obstruction
+    if report.status is ob.Status.INCONCLUSIVE:
+        print(f"INCONCLUSIVE ({report.diagnostics})")
+        return 0
+    if report.obstruction is not None:
+        s, mult = report.obstruction
         print(f"OBSTRUCTED slope={s} delta={mult}")
         return 0
-    spaces = cert.halfspaces
+    spaces = report.certificate.halfspaces
+    # The file is written first, so a failed write prints no certificate.
+    if args.svg:
+        Path(args.svg).write_text(render.halfspaces_svg(list(spaces)), encoding="utf-8")
     print(f"UNOBSTRUCTED ({len(spaces)} half-spaces)")
     for h in spaces:
         print("  " + _render_halfspace(h))
-    for d in cert.dispositions:
+    for d in report.certificate.dispositions:
         print(f"  leftover {d.point}: {d.reason}")
-    if args.svg and spaces:
-        Path(args.svg).write_text(render.halfspaces_svg(list(spaces)), encoding="utf-8")
+    if args.svg:
         print(f"wrote {args.svg}")
     return 0
 
@@ -352,6 +346,23 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
     return argparse.Namespace(command=argv[0], **values, func=globals()[f"cmd_{argv[0]}"])
 
 
+def run_command(func, *args) -> int:
+    """``func(*args)``, an exit code, with each refusal as one stderr line.
+
+    A ``NetMapError`` prints ``label: message`` and returns its type's
+    exit code; an ``OSError`` or ``ValueError`` prints ``error:
+    message`` and returns 2.  The scripts run their work through it too.
+    """
+    try:
+        return func(*args)
+    except NetMapError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_plain(argv) or build_parser().parse_args(argv)
@@ -361,13 +372,7 @@ def main(argv=None) -> int:
     # copy the import's pages whenever a collection reached them.
     gc.freeze()
     try:
-        return args.func(args)
-    except NetMapError as exc:
-        print(f"{exc.label}: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return run_command(args.func, args)
     finally:
         gc.unfreeze()
 

@@ -179,38 +179,42 @@ def _reach(arc: BoundarySet, x: QuadExt | None) -> tuple[bool, QuadExt | None] |
     return tangent, arc.end
 
 
-INFINITY_POINT = "inf"
-
-
 class LeftoverPoint(NamedTuple):
     """A boundary point not interior to any set in a cover attempt."""
 
-    value: QuadExt | str    # a finite QuadExt or INFINITY_POINT
-    rational: bool          # rational points correspond to slopes
+    value: QuadExt | None   # ``None`` is infinity
+
+    @property
+    def rational(self) -> bool:
+        """Whether the point is that of a slope: infinity or a rational."""
+        return self.value is None or self.value.is_rational
 
     def __str__(self) -> str:
-        return str(self.value)
+        return "inf" if self.value is None else str(self.value)
 
 
 class CoverVerdict(NamedTuple):
-    covered: bool
     leftover_points: tuple[LeftoverPoint, ...]
     uncovered_intervals: tuple[tuple[str, str], ...]
 
     @property
+    def covered(self) -> bool:
+        """The union covers everything, leftover points included."""
+        return not self.leftover_points and not self.uncovered_intervals
+
+    @property
     def certifiable(self) -> bool:
         """Covered up to finitely many checkable points."""
-        return self.covered or not self.uncovered_intervals
+        return not self.uncovered_intervals
 
 
 def cover_certificate(spaces: list[HalfSpace]) -> CoverVerdict:
     """Decide whether the open boundary arcs cover the extended reals.
 
-    Returns ``covered`` when the union covers everything; otherwise
-    reports the finitely many leftover points (arc ends that no arc
-    contains, tagged rational or irrational) and every uncovered gap
-    as ``(end, next end)``, taken cyclically.  Uncovered gaps mean the
-    family cannot certify anything.
+    Reports the finitely many leftover points (arc ends that no arc
+    contains) and every uncovered gap as ``(end, next end)``, taken
+    cyclically; with neither, the union covers everything.  Uncovered
+    gaps mean the family cannot certify anything.
     """
     if not spaces:
         raise ValueError("cover_certificate needs at least one half-space")
@@ -221,20 +225,14 @@ def cover_certificate(spaces: list[HalfSpace]) -> CoverVerdict:
     if any(arc.start is None or arc.end is None for arc in arcs):
         ends.append(None)
 
-    points = [INFINITY_POINT if e is None else e for e in ends]
+    points = [LeftoverPoint(e) for e in ends]
     leftovers: list[LeftoverPoint] = []
     uncovered: list[tuple[str, str]] = []
     # No arc ends inside the gap after an end, so an arc covering any
     # point just after the end covers the whole gap.
-    for e, point, after in zip(ends, points, points[1:] + points[:1]):
-        if not any(arc.contains(e) for arc in arcs):
-            leftovers.append(LeftoverPoint(point, e is None or e.is_rational))
-        if all(_reach(arc, e) is None for arc in arcs):
+    for point, after in zip(points, points[1:] + points[:1]):
+        if not any(arc.contains(point.value) for arc in arcs):
+            leftovers.append(point)
+        if all(_reach(arc, point.value) is None for arc in arcs):
             uncovered.append((str(point), str(after)))
-
-    covered = not leftovers and not uncovered
-    return CoverVerdict(
-        covered=covered,
-        leftover_points=tuple(leftovers),
-        uncovered_intervals=tuple(uncovered),
-    )
+    return CoverVerdict(tuple(leftovers), tuple(uncovered))

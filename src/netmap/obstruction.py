@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .halfspace import (
-    INFINITY_POINT,
     CoverVerdict,
     HalfSpace,
     _reach,
@@ -64,11 +63,16 @@ class Status(enum.Enum):
 
 
 class ObstructionReport(NamedTuple):
-    status: Status
     obstruction: tuple[Slope, Fraction] | None = None
     certificate: Certificate | None = None
-    height: int = 0
     diagnostics: str = ""
+
+    @property
+    def status(self) -> Status:
+        """Read off the obstruction and the certificate."""
+        if self.obstruction is not None:
+            return Status.OBSTRUCTED
+        return Status.INCONCLUSIVE if self.certificate is None else Status.UNOBSTRUCTED
 
 
 def _dispose_leftovers(
@@ -82,7 +86,7 @@ def _dispose_leftovers(
             continue
         x = point.value
         s = boundary_point(
-            INFINITY if x == INFINITY_POINT else Slope.of(*x.as_fraction().as_integer_ratio())
+            INFINITY if x is None else Slope.of(*x.as_fraction().as_integer_ratio())
         )
         mult = _fixed_multiplier(pres, s)
         if mult is None:
@@ -132,6 +136,24 @@ def check_certificate(pres: NetMapPresentation, cert: Certificate) -> bool:
     except ValueError:
         return False
     return rebuilt == cert
+
+
+def certify_slopes(pres: NetMapPresentation, slopes: list[Slope]) -> ObstructionReport:
+    """Certify from an explicit slope list, re-verified on a fresh context.
+
+    Obstructed when a leftover point is an obstruction slope,
+    unobstructed with a certificate that ``check_certificate`` accepts,
+    and inconclusive otherwise.  A slope that yields no half-space
+    raises ValueError.
+    """
+    cert, obstruction = certificate_for_slopes(pres, slopes)
+    if obstruction is not None:
+        return ObstructionReport(obstruction)
+    if cert is None:
+        return ObstructionReport(diagnostics="given half-spaces do not cover")
+    if not check_certificate(pres, cert):
+        return ObstructionReport(diagnostics="certificate failed re-verification")
+    return ObstructionReport(certificate=cert)
 
 
 def _order(x: QuadExt | None, y: QuadExt | None) -> int:
@@ -217,45 +239,26 @@ def obstruction_report(
 
     Obstructed when some fixed slope (up to the height, or discovered
     as a leftover point) has multiplier >= 1.  Unobstructed only with a
-    re-verified cover certificate.  Inconclusive otherwise.  A budget
+    re-verified cover certificate: the slopes of the pruned greedy cover
+    go through ``certify_slopes``.  Inconclusive otherwise.  A budget
     below one is refused before any slope is computed.
     """
     if budget < 1:
         raise ValueError("budget must be a positive integer")
     for s, mult in find_fixed_slopes(pres, height):
         if mult >= 1:
-            return ObstructionReport(
-                Status.OBSTRUCTED, obstruction=(s, mult), height=height
-            )
+            return ObstructionReport((s, mult))
 
     spaces = (exclusion_halfspace(pres, s) for s in enumerate_slopes(height))
     candidates = [h for h in spaces if h is not None]
     if not candidates:
         return ObstructionReport(
-            Status.INCONCLUSIVE,
-            height=height,
-            diagnostics="no half-spaces available (every slope fixed or inessential)",
+            diagnostics="no half-spaces available (every slope fixed or inessential)"
         )
 
     selected = _greedy_cover(candidates, budget)
     if selected is None:
         return ObstructionReport(
-            Status.INCONCLUSIVE,
-            height=height,
-            diagnostics=(
-                f"no cover within budget {budget} from {len(candidates)} candidates"
-            ),
+            diagnostics=f"no cover within budget {budget} from {len(candidates)} candidates"
         )
-    slopes = _prune(pres, [h.slope for h in selected])
-    cert, obstruction = certificate_for_slopes(pres, slopes)
-    if obstruction is not None:
-        return ObstructionReport(
-            Status.OBSTRUCTED, obstruction=obstruction, height=height
-        )
-    if cert is None or not check_certificate(pres, cert):
-        return ObstructionReport(
-            Status.INCONCLUSIVE,
-            height=height,
-            diagnostics="greedy cover failed exact verification",
-        )
-    return ObstructionReport(Status.UNOBSTRUCTED, certificate=cert, height=height)
+    return certify_slopes(pres, _prune(pres, [h.slope for h in selected]))

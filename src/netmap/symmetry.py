@@ -51,10 +51,11 @@ class Mobius(NamedTuple):
         return not self.conjugating and self.b == 0 and self.c == 0 and self.a == self.d
 
     def compose(self, other: "Mobius") -> "Mobius":
-        if self.conjugating or other.conjugating:
-            raise NotImplementedError("composition implemented for the holomorphic part")
+        """``self`` after ``other``.  The matrices are real, so a map
+        commutes with conjugation: the product conjugates exactly when
+        one factor does."""
         m = mat_mul(self.matrix(), other.matrix())
-        return Mobius(m[0][0], m[0][1], m[1][0], m[1][1])
+        return Mobius(m[0][0], m[0][1], m[1][0], m[1][1], self.conjugating != other.conjugating)
 
     def power(self, n: int) -> "Mobius":
         """The n-th power by repeated squaring, O(log n) compositions; a
@@ -69,10 +70,8 @@ class Mobius(NamedTuple):
         return result
 
     def inverse(self) -> "Mobius":
-        if self.conjugating:
-            raise NotImplementedError("inverse implemented for the holomorphic part")
         det = self.det
-        return Mobius(self.d * det, -self.b * det, -self.c * det, self.a * det)
+        return Mobius(self.d * det, -self.b * det, -self.c * det, self.a * det, self.conjugating)
 
     def apply_to_boundary(self, x: Slope) -> Slope:
         """Action on the boundary of the upper half-plane.

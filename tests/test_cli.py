@@ -265,8 +265,15 @@ class TestObstructions:
         )
         assert code == 0
         assert out.startswith("UNOBSTRUCTED (8 half-spaces)")
+        assert out.splitlines()[9:] == [f"wrote {svg_path}"]
         svg = svg_path.read_text()
         assert svg.count("<circle") + svg.count("<line") == 8
+
+    def test_unwritable_svg_prints_no_certificate(self, capsys, main_path, tmp_path):
+        svg_path = tmp_path / "no" / "such" / "dir.svg"
+        code, out, err = run(capsys, "obstructions", main_path, "--svg", str(svg_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{svg_path}'\n"
 
     def test_slopes_that_do_not_cover(self, capsys, main_path):
         code, out, _ = run(capsys, "obstructions", main_path, "--slopes=1/2,1/3")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from netmap import bundled_presentation
 from netmap.cli import _render_halfspace
 from netmap.halfspace import (
-    INFINITY_POINT,
     HalfSpace,
     Kind,
     boundary_interval,
@@ -299,7 +298,7 @@ class TestCoverCertificate:
         assert not verdict.covered
         points = {str(p) for p in verdict.leftover_points}
         # The shared abscissa and the point at infinity both need checks.
-        assert points == {"-1/2", INFINITY_POINT}
+        assert points == {"-1/2", "inf"}
         assert not verdict.uncovered_intervals
 
 
@@ -344,7 +343,7 @@ def reference_cover(spaces: list[HalfSpace]):
         return any(_interior(h, x) for h in spaces)
 
     leftovers = [
-        (INFINITY_POINT if e is None else str(e), e is None or e.is_rational)
+        (e, "inf" if e is None else str(e), e is None or e.is_rational)
         for e in ends
         if not covered(e)
     ]
@@ -384,7 +383,7 @@ _families = st.lists(
 def test_cover_certificate_matches_per_kind_reference(spaces):
     verdict = cover_certificate(spaces)
     leftovers, gap_uncovered = reference_cover(spaces)
-    assert [(str(p), p.rational) for p in verdict.leftover_points] == leftovers
+    assert [(p.value, str(p), p.rational) for p in verdict.leftover_points] == leftovers
     assert bool(verdict.uncovered_intervals) == gap_uncovered
     assert verdict.covered == (not leftovers and not gap_uncovered)
     assert verdict.certifiable == (not gap_uncovered)

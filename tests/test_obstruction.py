@@ -6,14 +6,16 @@ import pytest
 
 from netmap import bundled_presentation
 from netmap.cli import _render_halfspace
-from netmap.halfspace import INFINITY_POINT, CoverVerdict, HalfSpace, Kind, LeftoverPoint
+from netmap.halfspace import CoverVerdict, HalfSpace, Kind, LeftoverPoint, halfspace_from_data
 from netmap.obstruction import (
     Certificate,
     Disposition,
+    ObstructionReport,
     Status,
     _dispose_leftovers,
     _greedy_cover,
     certificate_for_slopes,
+    certify_slopes,
     check_certificate,
     enumerate_slopes,
     find_fixed_slopes,
@@ -137,14 +139,14 @@ class TestCertificates:
         assert not check_certificate(pres, cert._replace(dispositions=relabelled))
 
     def test_certificate_without_halfspaces_rejected(self, main_pres):
-        verdict = CoverVerdict(False, (), (("inf", "inf"),))
+        verdict = CoverVerdict((), (("inf", "inf"),))
         assert not check_certificate(main_pres, Certificate((), verdict, ()))
 
 
 class TestLeftoverDispositions:
     @staticmethod
-    def dispose(pres, value, rational=True):
-        return _dispose_leftovers(pres, CoverVerdict(False, (LeftoverPoint(value, rational),), ()))
+    def dispose(pres, value):
+        return _dispose_leftovers(pres, CoverVerdict((LeftoverPoint(value),), ()))
 
     def test_fixed_slope_with_small_multiplier(self, main_pres):
         # The boundary point 0 is that of infinity, fixed with multiplier 2/5.
@@ -152,12 +154,55 @@ class TestLeftoverDispositions:
             (Disposition("0", "multiplier-below-one", Slope(1, 0), Fraction(2, 5)),), None)
 
     def test_irrational_point(self, main_pres):
-        assert self.dispose(main_pres, QuadExt.sqrt(2), rational=False) == (
+        assert self.dispose(main_pres, QuadExt.sqrt(2)) == (
             (Disposition("sqrt(2)", "irrational"),), None)
 
     def test_fixed_slope_with_multiplier_two_is_an_obstruction(self, euclidean_pres):
         # Infinity is the boundary point of slope 0.
-        assert self.dispose(euclidean_pres, INFINITY_POINT) == ((), (Slope(0, 1), Fraction(2)))
+        assert self.dispose(euclidean_pres, None) == ((), (Slope(0, 1), Fraction(2)))
+
+
+class TestCertifySlopes:
+    @pytest.mark.parametrize("height", [8, 20, 40])
+    def test_search_certifies_through_certify_slopes(self, height):
+        # The search ends in certify_slopes of its own certificate's slopes,
+        # so a fresh context asked for those slopes gives the same report.
+        report = obstruction_report(bundled_presentation("main"), height=height)
+        assert report.status is Status.UNOBSTRUCTED
+        assert (report.obstruction, report.diagnostics) == (None, "")
+        slopes = [h.slope for h in report.certificate.halfspaces]
+        assert certify_slopes(bundled_presentation("main"), slopes) == report
+
+    def test_no_cover_is_inconclusive(self, main_pres):
+        report = certify_slopes(main_pres, [Slope(1, 2), Slope(1, 3)])
+        assert report == ObstructionReport(diagnostics="given half-spaces do not cover")
+        assert report.status is Status.INCONCLUSIVE
+
+    def test_failed_reverification_is_inconclusive(self, main_pres, monkeypatch):
+        import netmap.obstruction as ob
+
+        monkeypatch.setattr(ob, "check_certificate", lambda pres, cert: False)
+        report = certify_slopes(main_pres, [Slope.parse(s) for s in SIX_SLOPES])
+        assert report == ObstructionReport(diagnostics="certificate failed re-verification")
+        assert report.status is Status.INCONCLUSIVE
+
+    def test_obstruction_at_a_leftover_point(self, euclidean_pres, monkeypatch):
+        # Two vertical half-spaces leave -1/2 and infinity, the boundary
+        # point of slope 0, which the map fixes with multiplier 2.
+        import netmap.obstruction as ob
+
+        spaces = {
+            Slope(1, 1): halfspace_from_data(Slope(1, 1), Slope(1, 0), Fraction(1)),
+            Slope(1, 0): halfspace_from_data(Slope(1, 0), Slope(1, 1), Fraction(1)),
+        }
+        monkeypatch.setattr(ob, "exclusion_halfspace", lambda pres, s: spaces[s])
+        report = certify_slopes(euclidean_pres, list(spaces))
+        assert report == ObstructionReport((Slope(0, 1), Fraction(2)))
+        assert report.status is Status.OBSTRUCTED
+
+    def test_slope_without_halfspace_is_refused(self, main_pres):
+        with pytest.raises(ValueError, match="slope 0 yields no half-space"):
+            certify_slopes(main_pres, [Slope(0, 1)])
 
 
 class TestObstructionReport:

@@ -643,6 +643,32 @@ def test_scripts_read_presentation_files_as_utf8(tmp_path, script, args, first_l
     assert done.stdout.splitlines()[0] == first_line
 
 
+_MISSING = "error: [Errno 2] No such file or directory: "
+_MALFORMED = "error: missing fields: lambda1, postcritical, correspondence, mirror 1..4"
+
+
+@pytest.mark.parametrize("script, args, line", [
+    ("orbit_survey.py", ["--presentation", "missing.net"], _MISSING + "'missing.net'"),
+    ("slope_graph.py", ["--presentation", "missing.net"], _MISSING + "'missing.net'"),
+    ("orbit_survey.py", ["--presentation", "name.net"], _MALFORMED),
+    ("slope_graph.py", ["--presentation", "name.net"], _MALFORMED),
+    ("orbit_survey.py", ["--height", "0"], "error: height must be a positive integer"),
+    ("slope_graph.py", ["--qmax", "0"], "error: height must be a positive integer"),
+    ("slope_graph.py", ["--qmax", "3", "--out", "no/graph.csv"], _MISSING + "'no/graph.csv'"),
+])
+def test_scripts_refuse_like_netmap(tmp_path, script, args, line):
+    # One stderr line and exit 2, as netmap itself refuses, not a traceback.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    (tmp_path / "name.net").write_text("name = x\n", encoding="utf-8")
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, str(root / "scripts" / script), *args],
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", line + "\n")
+
+
 def test_enumeration_is_refused_before_it_builds(monkeypatch):
     import netmap.slope
 

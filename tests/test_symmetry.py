@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -123,11 +124,34 @@ class TestMobius:
                 assert m.power(a + b) == m.power(a).compose(m.power(b))
 
     def test_conjugating_powers(self):
+        # z -> -conj(z) is an involution, and the flag is the parity.
         m = Mobius(1, 0, 0, -1, conjugating=True)
         assert m.power(0) == IDENTITY_MOBIUS
-        for n in (-1, 1, 2):
-            with pytest.raises(NotImplementedError):
-                m.power(n)
+        assert m.power(1) == m.power(-1) == m.inverse() == m
+        assert m.power(2) == IDENTITY_MOBIUS
+        assert m.power(3) == m
+
+    def test_conjugating_maps_compose_pointwise(self):
+        # Exact Gaussian rationals x + iy as pairs: compose and inverse
+        # agree with applying the maps one after the other.
+        def apply(m, z):
+            x, y = z[0], -z[1] if m.conjugating else z[1]
+            num = (m.a * x + m.b, m.a * y)
+            den = (m.c * x + m.d, m.c * y)
+            norm = den[0] ** 2 + den[1] ** 2
+            return ((num[0] * den[0] + num[1] * den[1]) / norm,
+                    (num[1] * den[0] - num[0] * den[1]) / norm)
+
+        rng = random.Random(5)
+        z = (Fraction(1, 3), Fraction(2, 7))
+        for _ in range(200):
+            m, n = (Mobius(*(rng.randint(-5, 5) for _ in range(4)), rng.random() < 0.5)
+                    for _ in range(2))
+            if m.det == 0 or n.det == 0:
+                continue
+            assert apply(m.compose(n), z) == apply(m, apply(n, z))
+            assert apply(m.inverse(), apply(m, z)) == z
+            assert m.compose(n).conjugating == (m.conjugating != n.conjugating)
 
     def test_group_structure(self, main_pres):
         for linear in (SHEAR, ((2, 1), (1, 1))):
