@@ -36,17 +36,12 @@ one lookup there: a marked point's mirror midpoint is the point plus
 its class's offset, and a point is a degenerate mirror point when its
 class names a mirror with offset zero.  A mirror midpoint m lies in
 L1, so a segment through a translate of m meets a lattice point of
-class m mod 2*L1.  One scan of the segment's lattice points, stepping
-the class key linearly and looking each up in ``marks``, settles every
-marked point on it before any edge is looked at: a degenerate mirror
-point raises DegenerateIncidenceError, and otherwise a translate of a
-midpoint raises NonTransverseError, so the edge loop never meets a
-midpoint.  A marked segment of the slope map skips the scan
-(``walked=True``, passed by ``slopefn.mirror_crossings`` for exactly
-those segments): the class walk that found it has looked up every
-lattice point of its open segment in ``marks``, which holds every +-h
-class and all four classes of L1, and found none marked.  Every other
-segment is scanned.
+class m mod 2*L1.  Every segment's lattice points are scanned, each
+looked up in ``marks``, before any edge is looked at: a degenerate
+mirror point raises DegenerateIncidenceError, and otherwise a translate
+of a midpoint raises NonTransverseError, so the edge loop never meets a
+midpoint.  ``marked_points`` is the one stepper of a class key along a
+lattice line; the scan and the slope map's class walk both read it.
 
 Every other question about 2*L1 translates goes through one
 enumerator, ``_parallelogram_candidates``: which translates of a
@@ -237,9 +232,7 @@ def _line_hit(p: Vec, q: Vec, a: Vec, b: Vec) -> None:
     return None
 
 
-def interior_crossings(
-    pres: NetMapPresentation, v: Vec, w: Vec, *, walked: bool = False
-) -> list[Vec]:
+def interior_crossings(pres: NetMapPresentation, v: Vec, w: Vec) -> list[Vec]:
     """Midpoints of the mirror translates that the open segment (v, w)
     between lattice points v and w crosses transversely, in order along
     the segment and in unscaled coordinates.
@@ -247,19 +240,14 @@ def interior_crossings(
     Raises DegenerateIncidenceError when the open segment meets a
     degenerate mirror point, and otherwise NonTransverseError when it
     passes through a mirror midpoint; the lattice scan decides both
-    before any edge.  Then NonTransverseError for any other
-    non-transverse incidence, the first along the edge list winning.
-
-    ``walked`` says that every lattice point of the open segment lies
-    outside the marked classes (those of +-h and of L1 mod 2*L1), as for
-    the marked segments of the slope map.  Such a segment meets no
-    degenerate point and no midpoint, so the lattice scan is skipped.
+    before any edge, on every segment.  Then NonTransverseError for any
+    other non-transverse incidence, the first along the edge list
+    winning.
     """
     ctx = pres.context
     s, u2, v2, edges = ctx.scale, ctx.u2, ctx.v2, ctx.edges
     p, q = (v[0] * s, v[1] * s), (w[0] * s, w[1] * s)
-    if not walked:
-        _check_degenerate_incidence(ctx, v, w)
+    _check_degenerate_incidence(ctx, v, w)
 
     (px, py), (qx, qy) = p, q
     dx, dy = qx - px, qy - py
@@ -369,23 +357,32 @@ def interior_crossings(
     return [mid for _, mid in hits]
 
 
+def marked_points(ctx: PresentationContext, start: Vec, step: Vec, count: int):
+    """(i, entry) for each point start + i*step, i = 1..count, whose class
+    mod 2*L1 is marked, in order of i, with entry the class's ``marks``
+    entry.  The class key of the point steps linearly with i."""
+    m, marks = ctx.table.modulus, ctx.marks
+    (k1, k2), (s1, s2) = ctx.table.key(start), ctx.table.key(step)
+    for i in range(1, count + 1):
+        entry = marks.get(((k1 + i * s1) % m, (k2 + i * s2) % m))
+        if entry is not None:
+            yield i, entry
+
+
 def _check_degenerate_incidence(ctx: PresentationContext, v: Vec, w: Vec) -> None:
     """Scan the lattice points of the open segment (v, w) between lattice
     points v and w, from v to w.
 
     Raises DegenerateIncidenceError at the first degenerate mirror point.
     With none on the segment, raises NonTransverseError if the scan met a
-    mirror midpoint.  The class key steps linearly from point to point.
+    mirror midpoint.
     """
     met = False
     g = gcd(w[0] - v[0], w[1] - v[1])
     step = ((w[0] - v[0]) // g, (w[1] - v[1]) // g)
-    m, marks = ctx.table.modulus, ctx.marks
-    (k1, k2), (s1, s2) = ctx.table.key(v), ctx.table.key(step)
-    for i in range(1, g):
-        entry = marks.get(((k1 + i * s1) % m, (k2 + i * s2) % m))
-        if entry is not None and entry[1] == (0, 0):
-            if entry[0] is not None:
+    for i, (k, offset) in marked_points(ctx, v, step, g - 1):
+        if offset == (0, 0):
+            if k is not None:
                 pt = (v[0] + i * step[0], v[1] + i * step[1])
                 raise DegenerateIncidenceError(
                     f"open segment passes through degenerate mirror point {pt}"
@@ -512,7 +509,7 @@ def check_mirror_contact(pres: NetMapPresentation) -> None:
     pair of segments of one mirror or of two, so mirrors with more than
     ``_MAX_TRANSLATE_LINES`` such pairs, summed over the ten pairs of
     mirrors (a mirror with itself included), are refused before either
-    runs.  Then, before any translate is walked, mirrors whose walk would
+    runs.  Then, before any translate is visited, mirrors whose walk would
     take more than ``_MAX_TRANSLATE_LINES`` lines of translates, summed
     the same way, are refused: the walk grows with a mirror's extent.
     """

@@ -192,7 +192,7 @@ def separating_pair(
     """The first cyclic pair whose sorted coset numbers have c2 != c3.
 
     Returns None when there is none.  ``elements`` is passed on to
-    ``cyclic_pairs``.  The set walk costs about |A|^2 for the walked
+    ``cyclic_pairs``.  The set walk costs about |A|^2 for the visited
     set A (the whole group, or the given elements), so a walk over more
     than ``_WALK_LIMIT`` elements is refused with BudgetExceededError
     before any element is listed.

@@ -23,7 +23,7 @@ taken for one of two reasons:
   by step, scanning at most ``_DESCENT_CENTRES`` (5,000) centres in all
   before BudgetExceededError.
 - the lower slope and the centre of the step both have memoised
-  images.  A batch walked in the order of ``enumerate_slopes`` (the
+  images.  A batch taken in the order of ``enumerate_slopes`` (the
   graph, the fixed-slope scan) finds such a step for most slopes, at
   the cost of one twist.
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 from contextlib import suppress
 from fractions import Fraction
 from itertools import product
-from math import ceil, gcd, lcm
+from math import ceil, lcm
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -51,6 +51,7 @@ from .errors import (
 from .geometry import (
     affine_preserves_mirrors,
     interior_crossings,
+    marked_points,
     mirror_midpoint_at,
     point_on_any_mirror,
 )
@@ -88,14 +89,10 @@ def _walk_to_marked(pres: NetMapPresentation, start: Vec, step: Vec, max_t: int)
     Returns its t if its class in the context's ``marks`` names a
     mirror, that is, if it lies in a postcritical coset, and None if the
     first marked point is in another class of L1 or no point up to
-    max_t is marked.  The class key of the point steps linearly with t.
+    max_t is marked.
     """
-    table, marks, m = pres.context.table, pres.context.marks, pres.context.table.modulus
-    (k1, k2), (s1, s2) = table.key(start), table.key(step)
-    for t in range(1, max_t + 1):
-        entry = marks.get(((k1 + t * s1) % m, (k2 + t * s2) % m))
-        if entry is not None:
-            return t if entry[0] is not None else None
+    for t, (k, _) in marked_points(pres.context, start, step, max_t):
+        return t if k is not None else None
     return None
 
 
@@ -111,8 +108,7 @@ def _marked_segments(pres: NetMapPresentation, slope: Slope) -> tuple[tuple[Vec,
     the point keeps its class key mod 2*L1 and the walk stops at the
     same t with the same outcome.  The walk has looked up every lattice
     point strictly between h and h + t*(q, p) and found it unmarked, so
-    ``mirror_crossings`` skips the kernel's lattice scan for exactly
-    these segments.
+    the kernel's lattice scan of these segments never raises.
     """
     m = pres.context.table.modulus
     key = (slope.q % m, slope.p % m)
@@ -155,27 +151,12 @@ def mirror_crossings(pres: NetMapPresentation, v: Vec, w: Vec) -> list[Vec]:
     The list starts with the midpoint of the mirror containing v and
     ends with that of the mirror containing w; the entries between are
     ``interior_crossings``', the midpoints of the transversely crossed
-    mirror translates.  A marked segment (``_marked_segments``) skips the
-    kernel's lattice scan, since the walk that found it has looked up
-    every lattice point between v and w and found none marked; on every
-    other segment the scan refuses a degenerate mirror point or a mirror
-    midpoint.
+    mirror translates.  The kernel's lattice scan runs on every segment;
+    on a marked segment (``_marked_segments``) it never raises.
     """
     first = mirror_midpoint_at(pres, v)
     last = mirror_midpoint_at(pres, w)
-    walked = _is_marked_segment(pres, v, w)
-    return [first, *interior_crossings(pres, v, w, walked=walked), last]
-
-
-def _is_marked_segment(pres: NetMapPresentation, v: Vec, w: Vec) -> bool:
-    """Whether (v, w) is (h, h + t*(q, p)) for a marked segment (h, t)
-    that ``_marked_segments`` has stored for the class of p/q."""
-    dx, dy = w[0] - v[0], w[1] - v[1]
-    if dx == dy == 0:
-        return False
-    t = gcd(dx, dy) if dx > 0 or (dx == 0 and dy > 0) else -gcd(dx, dy)
-    m = pres.context.table.modulus
-    return (v, t) in pres.context.segments.get((dx // t % m, dy // t % m), ())
+    return [first, *interior_crossings(pres, v, w), last]
 
 
 _X, _Y = itemgetter(0), itemgetter(1)
@@ -214,8 +195,8 @@ def zigzag_trace(pres: NetMapPresentation, slope: Slope) -> ZigzagTrace | None:
     A segment expected to cross more than ``_ZIGZAG_CROSSINGS`` mirrors
     is refused with BudgetExceededError before any crossing is found.
     A segment that meets a mirror non-transversely gives way to the
-    next.  Every segment is a marked one, which skips the lattice scan,
-    so no DegenerateIncidenceError arises here.
+    next.  Every segment is a marked one, whose lattice scan finds no
+    marked point, so no DegenerateIncidenceError arises here.
     """
     if analyze_slope(pres, slope).essential == 0:
         return None
@@ -294,7 +275,7 @@ def _twist_step(pres: NetMapPresentation, x: Slope, convergents: list[tuple[int,
     essential components: sigma(T_c^(d*j) y) = T_sigma(c)^(e*j) sigma(y),
     and n = e*j, applied by ``_twisted``.  The centres are the given
     convergents of x other than x (``_convergents``) from the
-    penultimate outward, then 0 and infinity, all lower than x; walked
+    penultimate outward, then 0 and infinity, all lower than x; taken
     in the order of ``enumerate_slopes``, the early ones are the
     likeliest to be memoised.  The first centre that lowers x gives the
     step: y = (a + m*p)/(b + m*q) = T_c^(-d*j) x with m = 2*d*k*j.
@@ -335,7 +316,7 @@ def pullback_slope(pres: NetMapPresentation, slope: Slope) -> SlopeOrInessential
       budget of ``_DESCENT_CENTRES`` for the whole call, and a scan that
       would pass it is refused with BudgetExceededError.
     - sigma(y) and sigma(c) are both memoised.  Then x is answered by one
-      twist.  A batch walked in the order of ``enumerate_slopes`` finds
+      twist.  A batch taken in the order of ``enumerate_slopes`` finds
       such a step for most slopes.
 
     The zigzag answers the slope where the steps end.  Back up the steps,
@@ -404,8 +385,11 @@ def slope_orbit(
     The trajectory starts at the given slope and, when a value repeats,
     includes the repeated occurrence; the cycle is reported as
     (start index, length).  The inessential symbol terminates the
-    trajectory with no cycle.
+    trajectory with no cycle.  A ``max_iter`` below 1 is refused with
+    ValueError before any work.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be a positive integer")
     trajectory: list[SlopeOrInessential] = [slope]
     seen = {slope: 0}
     for _ in range(max_iter):

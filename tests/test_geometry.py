@@ -10,6 +10,7 @@ rational ends; the kernel takes lattice points, so a rational segment
 (v, w) reaches it as (k*v, k*w) on the presentation scaled by k.
 """
 from fractions import Fraction
+from functools import cache
 from math import ceil, floor, gcd, lcm
 
 import pytest
@@ -18,12 +19,17 @@ from hypothesis import strategies as st
 
 from netmap import bundled_presentation
 from netmap.errors import DegenerateIncidenceError, NonEssentialError, NonTransverseError
-from netmap.geometry import _check_degenerate_incidence, interior_crossings, mirror_midpoint_at
+from netmap.geometry import (
+    _check_degenerate_incidence,
+    interior_crossings,
+    marked_points,
+    mirror_midpoint_at,
+)
 from netmap.lattice import Basis2
 from netmap.presentation import parse, scaled, serialize, validate
 from netmap.slope import Slope, enumerate_slopes
 from netmap.slopefn import mirror_crossings, segment_candidates
-from test_pullback import _in_double_l1
+from test_pullback import _in_double_l1, random_presentation
 
 PRESENTATIONS = {name: bundled_presentation(name) for name in ("main", "double", "euclidean")}
 # main with mirror 3 bent: (2, -2) (3/2, -3/2) (2, -1) (5/2, -1/2) (2, 0).
@@ -488,9 +494,8 @@ def _presentations_with_random_draws():
 
 def test_plan_segments_meet_no_marked_lattice_point():
     # The walk that makes a plan segment has already checked every lattice
-    # point of its open segment, so the kernel's lattice scan is skipped
-    # for it; the scan must indeed find nothing there, and the kernel
-    # must give the same answer with and without it.
+    # point of its open segment, so the kernel's lattice scan finds
+    # nothing there.
     checked = 0
     for name, pres in _presentations_with_random_draws():
         for v, w in _zigzag_segments(pres, 8):
@@ -499,15 +504,27 @@ def test_plan_segments_meet_no_marked_lattice_point():
             for i in range(1, g):
                 assert not _marked(pres, (v[0] + i * step[0], v[1] + i * step[1])), (name, v, w)
             assert _check_degenerate_incidence(pres.context, v, w) is None
-            assert _outcome(interior_crossings, pres, v, w) == _outcome(
-                _walked_midpoints, pres, v, w
-            )
             checked += 1
     assert checked > 3000
 
 
-def _walked_midpoints(pres, v, w):
-    return interior_crossings(pres, v, w, walked=True)
+_random_draw = cache(random_presentation)
+
+
+@given(
+    st.sampled_from([*sorted(PRESENTATIONS), *range(40)]),
+    integer_points,
+    integer_points.filter(lambda p: p != (0, 0)),
+    st.integers(min_value=0, max_value=60),
+)
+def test_marked_points_match_brute_force(which, start, step, count):
+    # Every point start + i*step, i = 1..count, in a marked class (L1 or
+    # some +-h + 2*L1), in order, each with its class's marks entry.
+    pres = PRESENTATIONS[which] if isinstance(which, str) else _random_draw(which)
+    ctx = pres.context
+    points = [(i, (start[0] + i * step[0], start[1] + i * step[1])) for i in range(1, count + 1)]
+    expected = [(i, ctx.marks[ctx.table.key(pt)]) for i, pt in points if _marked(pres, pt)]
+    assert list(marked_points(ctx, start, step, count)) == expected
 
 
 @pytest.mark.parametrize(
@@ -523,9 +540,8 @@ def _walked_midpoints(pres, v, w):
 )
 def test_segments_that_are_not_walked_keep_the_scan(v, w, error):
     # Segments of slope -1/2 between marked points of main that pass
-    # through a marked point: only the lattice scan sees it.  They are
-    # not plan segments, so they keep the scan even once the plan of
-    # their class holds its marked segments.
+    # through a marked point: only the lattice scan sees it, also once
+    # the plan of their class holds its marked segments.
     pres = PRESENTATIONS["main"]
     assert list(segment_candidates(pres, Slope(-1, 2)))
     with pytest.raises(error):
@@ -534,35 +550,33 @@ def test_segments_that_are_not_walked_keep_the_scan(v, w, error):
         mirror_crossings(pres, v, w)
 
 
-def test_only_plan_segments_skip_the_scan(monkeypatch):
-    # The zigzag's segments come from plans and are never scanned; the
-    # same segments moved off their plan's start point are.
+def test_every_zigzag_segment_is_scanned(monkeypatch):
+    # The zigzag's segments take the kernel's lattice scan like any
+    # other, once each, and the scan raises nothing on them.
     import netmap.geometry
 
-    scanned = []
+    scanned, raised = [], []
     scan = netmap.geometry._check_degenerate_incidence
-    monkeypatch.setattr(
-        netmap.geometry, "_check_degenerate_incidence",
-        lambda ctx, v, w: scanned.append((v, w)) or scan(ctx, v, w),
-    )
-    moved_checks = 0
+
+    def record(ctx, v, w):
+        scanned.append((v, w))
+        try:
+            return scan(ctx, v, w)
+        except (NonTransverseError, DegenerateIncidenceError) as exc:
+            raised.append((v, w, exc))
+            raise
+
+    monkeypatch.setattr(netmap.geometry, "_check_degenerate_incidence", record)
+    total = 0
     for name, pres in PRESENTATIONS.items():
         segments = _zigzag_segments(pres, 6)
         for v, w in segments:
             try:
                 mirror_crossings(pres, v, w)
-            except (NonTransverseError, DegenerateIncidenceError):
+            except NonTransverseError:
                 pass
-        assert scanned == [], name
-        if not segments:  # double: no slope of height <= 6 is essential
-            continue
-        (ux, uy), (v, w) = pres.lambda1.u, segments[0]
-        moved = ((v[0] + 2 * ux, v[1] + 2 * uy), (w[0] + 2 * ux, w[1] + 2 * uy))
-        try:
-            mirror_crossings(pres, *moved)
-        except (NonTransverseError, DegenerateIncidenceError):
-            pass
-        assert scanned == [moved], name
+        assert scanned == segments, name
+        assert raised == [], name
+        total += len(segments)
         scanned.clear()
-        moved_checks += 1
-    assert moved_checks == 4
+    assert total > 1000

@@ -257,6 +257,12 @@ class TestSlopeOrbit:
         traj, cycle = slope_orbit(main_pres, Slope(1, 4), max_iter=1)
         assert len(traj) == 2 and cycle is None
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_is_refused_before_any_work(self, main_pres, max_iter, monkeypatch):
+        monkeypatch.setattr(slopefn, "pullback_slope", None)
+        with pytest.raises(ValueError, match="^max_iter must be a positive integer$"):
+            slope_orbit(main_pres, Slope(1, 4), max_iter=max_iter)
+
 
 def _on_mirror(pres, point):
     """point_on_any_mirror at a rational point: k times it on the
@@ -655,6 +661,8 @@ _MALFORMED = "error: missing fields: lambda1, postcritical, correspondence, mirr
     ("orbit_survey.py", ["--height", "0"], "error: height must be a positive integer"),
     ("slope_graph.py", ["--qmax", "0"], "error: height must be a positive integer"),
     ("slope_graph.py", ["--qmax", "3", "--out", "no/graph.csv"], _MISSING + "'no/graph.csv'"),
+    ("orbit_survey.py", ["--height", "3", "--max-iter", "0"],
+     "error: max_iter must be a positive integer"),
 ])
 def test_scripts_refuse_like_netmap(tmp_path, script, args, line):
     # One stderr line and exit 2, as netmap itself refuses, not a traceback.
