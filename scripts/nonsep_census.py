@@ -15,6 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from netmap.cli import run_command  # noqa: E402
 from netmap.errors import BudgetExceededError  # noqa: E402
 from netmap.nonsep import FinAbGroup, search_nonseparating  # noqa: E402
 
@@ -23,8 +24,14 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-order", type=int, default=72)
     ap.add_argument("--budget", type=int, default=200_000)
-    args = ap.parse_args()
+    return run_command(census, ap.parse_args())
 
+
+def census(args) -> int:
+    if args.max_order < 1:
+        raise ValueError("max-order must be a positive integer")
+    if args.budget < 1:
+        raise ValueError("budget must be a positive integer")
     print(f"{'group':>12} {'order':>6} {'4d?':>5} {'subsets':>8}")
     for n in range(1, args.max_order + 1):
         for m in range(1, n + 1):

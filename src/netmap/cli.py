@@ -37,8 +37,10 @@ MAIN_TABLE_SLOPES = ["1/1", "2/1", "1/3", "1/4", "-1/2", "3/4", "7/6", "1/8"]
 
 
 def _load(path: str) -> NetMapPresentation:
-    with open(path, encoding="utf-8") as file:
-        return parse(file.read())
+    # Unbuffered bytes, decoded once: no buffer or text layer.  parse
+    # splits lines with splitlines(), so LF, CRLF and CR files read alike.
+    with open(path, "rb", buffering=0) as file:
+        return parse(file.read().decode("utf-8"))
 
 
 def cmd_analyze(args) -> int:
@@ -289,6 +291,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_spec(arguments) -> tuple:
+    """A subcommand's table for ``_parse_plain``: its options and
+    positionals by name, its positional names, how many of them are
+    required, and every argument's default."""
+    spec = dict(arguments)
+    names = [flag for flag in spec if not flag.startswith("-")]
+    defaults = {flag.lstrip("-"): kwargs.get("default", False if "action" in kwargs else None)
+                for flag, kwargs in arguments}
+    return spec, names, sum("nargs" not in spec[flag] for flag in names), defaults
+
+
+_PLAIN = {name: _plain_spec(arguments) for name, (_, arguments) in _COMMANDS.items()}
+
+
 def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
     """What ``build_parser().parse_args(argv)`` returns, for a command
     line of a subcommand, exact option names each with its value, and
@@ -302,14 +318,11 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
     ``netmap slope FILE P/Q``, so a plain command line does not build
     the parser.
     """
-    command = _COMMANDS.get(argv[0]) if argv else None
+    command = _PLAIN.get(argv[0]) if argv else None
     if command is None:
         return None
-    _, arguments = command
-    spec = dict(arguments)
-    names = [flag for flag in spec if not flag.startswith("-")]
-    values = {flag.lstrip("-"): kwargs.get("default", False if "action" in kwargs else None)
-              for flag, kwargs in arguments}
+    spec, names, required, defaults = command
+    values = dict(defaults)
     positional: list[str] = []
     run = dashed = None  # run: None before the positional run, True in it, False after
     tokens = iter(argv[1:])
@@ -339,7 +352,6 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
         if value not in kwargs.get("choices", (value,)):
             return None
         values[token[2:]] = value
-    required = sum(1 for flag in names if "nargs" not in spec[flag])
     if not required <= len(positional) <= len(names):
         return None
     values.update(zip(names, positional))

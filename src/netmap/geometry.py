@@ -60,7 +60,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DegenerateIncidenceError, NonTransverseError, ValidationError
+from .errors import DegenerateIncidenceError, NonTransverseError, ValidationError, ZeroVectorError
 from .lattice import Mat2, Vec, cross, mat_vec, vadd, vscale, vsub
 
 if TYPE_CHECKING:
@@ -114,11 +114,13 @@ def build_context(pres: NetMapPresentation, table: ClassTable) -> PresentationCo
     # Validation puts the ends of mirror k in the classes of h_k and -h_k
     # (a degenerate mirror, with h_k in L1, is its own end), and keeps the
     # ends of distinct mirrors in distinct classes and off the midpoints,
-    # so the ends, written last, name their mirror.
-    for k, (mirror, poly) in enumerate(zip(pres.mirrors, polys)):
-        for x, y in (poly[0], poly[-1]):
+    # so the ends, written last, name their mirror.  They are written from
+    # the last mirror to the first, so where ends of two mirrors share a
+    # class the first mirror names it: validate reads these names.
+    for k in (3, 2, 1, 0):
+        for x, y in (polys[k][0], polys[k][-1]):
             end = (int(x), int(y))
-            marks[table.key(end)] = (k, vsub(mirror.midpoint, end))
+            marks[table.key(end)] = (k, vsub(pres.mirrors[k].midpoint, end))
     # A chain is symmetric about its midpoint, so the edges on either
     # side of it are collinear: they become one edge, and the lattice
     # scan of interior_crossings finds a segment through the midpoint.
@@ -151,13 +153,15 @@ def _parallelogram_candidates(u2: Vec, v2: Vec, ab: tuple[Vec, Vec], cd: tuple[V
     come in lexicographic order of (alpha, beta); a slight superset may
     be yielded, so callers re-verify every candidate exactly.
     """
-    (a, b), (c, e) = ab, cd
-    quad = (vsub(a, c), vsub(b, c), vsub(b, e), vsub(a, e))
-    det = cross(u2, v2)
-    sgn = 1 if det > 0 else -1
-    d = abs(det)
-    avals = [sgn * cross(w, v2) for w in quad]
-    bvals = [sgn * cross(u2, w) for w in quad]
+    (ux, uy), (vx, vy) = u2, v2
+    det = ux * vy - uy * vx
+    sgn, d = (1, det) if det > 0 else (-1, -det)
+    # The corners a-c, b-c, b-e and a-e, each as sgn * (cross(w, v2),
+    # cross(u2, w)): differences of the same for a, b, c and e.
+    (pa, qa), (pb, qb), (pc, qc), (pe, qe) = (
+        (sgn * (x * vy - y * vx), sgn * (ux * y - uy * x)) for x, y in (*ab, *cd))
+    avals = (pa - pc, pb - pc, pb - pe, pa - pe)
+    bvals = (qa - qc, qb - qc, qb - qe, qa - qe)
     amin, amax = min(avals), max(avals)
     for alpha in range(-((-amin) // d), amax // d + 1):
         x = alpha * d
@@ -185,12 +189,11 @@ def _parallelogram_candidates(u2: Vec, v2: Vec, ab: tuple[Vec, Vec], cd: tuple[V
             yield alpha, beta
 
 
-def _alpha_lines(u2: Vec, v2: Vec, ab: tuple[Vec, Vec], cd: tuple[Vec, Vec]) -> int:
-    """How many lines of alpha ``_parallelogram_candidates`` walks for ab
-    and cd: its alpha range, from the spans of the two segments."""
-    d = abs(det := cross(u2, v2))
-    (lo1, hi1), (lo2, hi2) = (sorted(cross(p, v2) * det // d for p in s) for s in (ab, cd))
-    return (hi1 - lo2) // d + (hi2 - lo1) // d + 1
+def _alpha_lines(d: int, s: tuple, o: tuple) -> int:
+    """How many lines of alpha ``_parallelogram_candidates`` walks for two
+    segments (a, b, lo, hi) of ``check_mirror_contact``, from their spans
+    lo..hi, with d = |det|."""
+    return (s[3] - o[2]) // d + (o[3] - s[2]) // d + 1
 
 
 def mirror_midpoint_at(pres: NetMapPresentation, point: Vec) -> Vec:
@@ -242,8 +245,10 @@ def interior_crossings(pres: NetMapPresentation, v: Vec, w: Vec) -> list[Vec]:
     passes through a mirror midpoint; the lattice scan decides both
     before any edge, on every segment.  Then NonTransverseError for any
     other non-transverse incidence, the first along the edge list
-    winning.
+    winning.  A segment of length zero raises ZeroVectorError first.
     """
+    if v == w:
+        raise ZeroVectorError(f"the segment from {v} to {w} has length zero")
     ctx = pres.context
     s, u2, v2, edges = ctx.scale, ctx.u2, ctx.v2, ctx.edges
     p, q = (v[0] * s, v[1] * s), (w[0] * s, w[1] * s)
@@ -515,7 +520,13 @@ def check_mirror_contact(pres: NetMapPresentation) -> None:
     """
     ctx = pres.context
     u2, v2 = ctx.u2, ctx.v2
-    segments = [list(zip(chain, chain[1:])) or [(chain[0], chain[0])] for chain in ctx.chains]
+    d = abs(det := cross(u2, v2))
+    # Each segment (a, b) of a mirror as (a, b, lo, hi), with lo and hi the
+    # least and greatest of sign(det) * cross(p, v2) over p = a, b; a
+    # degenerate mirror is the one segment (m, m).
+    segments = [[(a, b, *sorted((cross(a, v2) * det // d, cross(b, v2) * det // d)))
+                 for a, b in zip(chain, chain[1:] or chain)]
+                for chain in ctx.chains]
     pairs = [(i, j) for i in range(4) for j in range(i, 4)]
     compared = sum(len(segments[i]) * len(segments[j]) for i, j in pairs)
     if compared > _MAX_TRANSLATE_LINES:
@@ -529,23 +540,24 @@ def check_mirror_contact(pres: NetMapPresentation) -> None:
             raise ValidationError("mirror-simple", f"mirror {k} has repeated consecutive points")
         if _polyline_self_intersects(chain):
             raise ValidationError("mirror-simple", f"mirror {k} is not a simple arc")
-    lines = sum(_alpha_lines(u2, v2, ab, cd)
-                for i, j in pairs for ab in segments[i] for cd in segments[j])
+    lines = sum(_alpha_lines(d, s, o) for i, j in pairs for s in segments[i] for o in segments[j])
     if lines > _MAX_TRANSLATE_LINES:
         raise ValidationError("mirror-extent", f"checking the mirrors for contact would walk "
                               f"{lines} lines of 2*lambda1 translates, above the limit of "
                               f"{_MAX_TRANSLATE_LINES}")
     for i, j in pairs:
         least = None
-        for a, b in segments[i]:
-            for c, d in segments[j]:
-                for cand in _parallelogram_candidates(u2, v2, (a, b), (c, d)):
+        for s in segments[i]:
+            for o in segments[j]:
+                if not _alpha_lines(d, s, o):
+                    continue
+                for cand in _parallelogram_candidates(u2, v2, s[:2], o[:2]):
                     if least is not None and cand >= least:
                         break
                     if i == j and cand == (0, 0):
                         continue
                     t_vec = vadd(vscale(cand[0], u2), vscale(cand[1], v2))
-                    if segments_touch(a, b, vadd(c, t_vec), vadd(d, t_vec)):
+                    if segments_touch(s[0], s[1], vadd(o[0], t_vec), vadd(o[1], t_vec)):
                         least = cand
                         break
         if least is not None:

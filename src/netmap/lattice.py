@@ -103,9 +103,9 @@ class Basis2(_Basis2):
         return (cross(w, self.v), cross(self.u, w))
 
     def contains(self, w: Vec) -> bool:
-        d = self.det
-        n1, n2 = self.adjugate_coords(w)
-        return n1 % d == 0 and n2 % d == 0
+        (ux, uy), (vx, vy) = self  # det and the adjugate coordinates of w
+        d = ux * vy - uy * vx
+        return (w[0] * vy - w[1] * vx) % d == 0 and (ux * w[1] - uy * w[0]) % d == 0
 
     def integer_coords(self, w: Vec) -> Vec | None:
         """Coordinates of w in this basis if integral, else None."""

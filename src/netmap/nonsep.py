@@ -33,6 +33,10 @@ El = tuple[int, int]
 
 # separating_pair refuses a set walk over more elements than this.
 _WALK_LIMIT = 1024
+# constant_teich_check refuses a group of more elements than this: its
+# characters number about the order times a divisor count, and at this
+# order they took about 0.1 s on a 2-CPU host.
+_CHARACTER_LIMIT = 1 << 16
 
 
 class _FinAbGroup(NamedTuple):
@@ -371,9 +375,14 @@ def constant_teich_check(pres: NetMapPresentation) -> bool:
     twice the sublattice and tests the nonseparating property there on
     the characters ``search_nonseparating`` uses: c2 == c3 under every
     coset-number map.  Validation keeps the four inverse pairs disjoint.
+    A group of more than ``_CHARACTER_LIMIT`` elements is refused with
+    BudgetExceededError before any character is listed.
     """
     quotient = quotient_presentation(pres.lambda1, scale=2)
     group = FinAbGroup(quotient.m, quotient.n)
+    if group.order > _CHARACTER_LIMIT:
+        raise BudgetExceededError(f"a character search over {group.order} elements is above "
+                                  f"the limit of {_CHARACTER_LIMIT}")
     reps = [quotient.reduce(h) for h in pres.postcritical]
     return all(cs[1] == cs[2] for cs in map(sorted, _value_maps(group, reps)))
 

@@ -37,10 +37,12 @@ from .lattice import Basis2, Vec, vadd, vneg, vscale
 
 Point = tuple[int | Fraction, int | Fraction]
 
-_VEC_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
-# A denominator of zero does not match, so it is left over as junk.
-_POINT_RE = re.compile(r"\(\s*(-?\d+(?:/0*[1-9]\d*)?)\s*,\s*(-?\d+(?:/0*[1-9]\d*)?)\s*\)")
-_MIRROR_RE = re.compile(r"^mirror\s+([1-4])$")
+# A pair of coordinates, each an integer or r/s, or else one non-blank
+# character, which is junk.  A denominator of zero does not match, so it
+# is left over as junk.
+_PAIR_RE = re.compile(r"\(\s*(-?\d+(?:/0*[1-9]\d*)?)\s*,\s*(-?\d+(?:/0*[1-9]\d*)?)\s*\)|\S")
+# "mirror", blanks and a digit 1 to 4, with the blanks as one space.
+_MIRROR_KEYS = {f"mirror {k}": k for k in range(1, 5)}
 # The vector-list fields of the format, each with its vector count.
 _VECTOR_FIELDS = {"lambda1": 2, "postcritical": 4, "correspondence": 2}
 
@@ -134,8 +136,8 @@ class ClassTable(NamedTuple):
     modulus: int
 
     def key(self, w: Vec) -> Vec:
-        n1, n2 = self.basis.adjugate_coords(w)
-        return (n1 % self.modulus, n2 % self.modulus)
+        (ux, uy), (vx, vy) = self.basis  # the adjugate coordinates of w
+        return ((w[0] * vy - w[1] * vx) % self.modulus, (ux * w[1] - uy * w[0]) % self.modulus)
 
 
 def is_euclidean(pres: NetMapPresentation) -> bool:
@@ -169,25 +171,24 @@ def preimage_coset_table(pres: NetMapPresentation) -> list[tuple[Vec, str]]:
 # Parsing
 
 
-def _parse_vec(tok: str) -> Vec:
-    m = _VEC_RE.fullmatch(tok.strip())
-    if not m:
-        raise PresentationSyntaxError(f"expected an integer vector, got {tok!r}")
-    return (int(m.group(1)), int(m.group(2)))
-
-
 def _coord(tok: str) -> int | Fraction:
     """An integer token as an int, an r/s token as a Fraction."""
     return Fraction(tok) if "/" in tok else int(tok)
 
 
-def _parse_list(text: str, pattern: re.Pattern, kind: str, coord) -> list:
-    """Every ``pattern`` match in text as a pair of ``coord`` values;
-    anything else in text is a syntax error naming the ``kind`` of list."""
-    stripped = pattern.sub("", text).strip()
-    if stripped:
-        raise PresentationSyntaxError(f"trailing junk in {kind} list: {stripped!r}")
-    return [(coord(a), coord(b)) for a, b in pattern.findall(text)]
+def _parse_list(text: str, kind: str) -> list:
+    """Every pair in text as a pair of ``_coord`` values: integer vectors
+    for the ``kind`` "vector", points for "point".  Anything else in text
+    is a syntax error naming the kind of list."""
+    pairs = []
+    for a, b in _PAIR_RE.findall(text):
+        if not a or kind == "vector" and "/" in a + b:
+            # The text less every pair the list accepts, for the message.
+            junk = _PAIR_RE.sub(
+                lambda m: "" if m[1] and (kind == "point" or "/" not in m[0]) else m[0], text)
+            raise PresentationSyntaxError(f"trailing junk in {kind} list: {junk.strip()!r}")
+        pairs.append((_coord(a), _coord(b)))
+    return pairs
 
 
 def parse(text: str) -> NetMapPresentation:
@@ -201,29 +202,32 @@ def parse(text: str) -> NetMapPresentation:
             continue
         if "=" not in line:
             raise PresentationSyntaxError(f"line {lineno}: missing '='")
-        key, value = (part.strip() for part in line.split("=", 1))
-        m = _MIRROR_RE.fullmatch(key)
+        key, value = map(str.strip, line.split("=", 1))
+        k = _MIRROR_KEYS.get(" ".join(key.split()))
         try:
-            if int(m.group(1)) in mirrors if m else key in fields:
+            if k in mirrors if k else key in fields:
                 raise PresentationSyntaxError(f"duplicate key {key!r}")
             if key == "name":
                 fields[key] = value
             elif key in _VECTOR_FIELDS:
-                vecs = _parse_list(value, _VEC_RE, "vector", int)
+                vecs = _parse_list(value, "vector")
                 if len(vecs) != _VECTOR_FIELDS[key]:
                     count = {2: "two", 4: "four"}[_VECTOR_FIELDS[key]]
                     raise PresentationSyntaxError(f"{key} needs {count} vectors")
                 fields[key] = vecs
-            elif m:
-                k = int(m.group(1))
+            elif k:
                 if ":" not in value:
                     raise PresentationSyntaxError("mirror line needs ':'")
-                mid_text, path_text = (part.strip() for part in value.split(":", 1))
-                midpoint = _parse_vec(mid_text)
+                mid_text, path_text = map(str.strip, value.split(":", 1))
+                try:
+                    midpoint, = _parse_list(mid_text, "vector")
+                except (PresentationSyntaxError, ValueError):
+                    raise PresentationSyntaxError(
+                        f"expected an integer vector, got {mid_text!r}") from None
                 if path_text == "degenerate":
                     mirrors[k] = MirrorArc(midpoint)
                 else:
-                    pts = _parse_list(path_text, _POINT_RE, "point", _coord)
+                    pts = _parse_list(path_text, "point")
                     if not pts:
                         raise PresentationSyntaxError("empty mirror path")
                     mirrors[k] = MirrorArc(midpoint, tuple(pts))
@@ -258,14 +262,9 @@ def parse(text: str) -> NetMapPresentation:
 def serialize(pres: NetMapPresentation) -> str:
     """Inverse of :func:`parse` up to comments and whitespace."""
 
-    def vec(v: Vec) -> str:
+    def vec(v: Point) -> str:
+        # str of an int, or of a Fraction: "r/s", or "r" when s is 1.
         return f"({v[0]},{v[1]})"
-
-    def point(p: Point) -> str:
-        def coord(c: int | Fraction) -> str:
-            return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-        return f"({coord(p[0])},{coord(p[1])})"
 
     lines = [
         f"name = {pres.name}",
@@ -277,7 +276,7 @@ def serialize(pres: NetMapPresentation) -> str:
         if mirror.degenerate:
             lines.append(f"mirror {k} = {vec(mirror.midpoint)} : degenerate")
         else:
-            path = " ".join(point(p) for p in mirror.half_path)
+            path = " ".join(vec(p) for p in mirror.half_path)
             lines.append(f"mirror {k} = {vec(mirror.midpoint)} : {path}")
     return "\n".join(lines) + "\n"
 
@@ -290,10 +289,8 @@ def validate(pres: NetMapPresentation) -> None:
     if pres.lambda1.index < 2:
         raise ValidationError("degree", f"|det lambda1| = {pres.lambda1.index} < 2")
 
-    table = pres.context.table
-    pair_keys = []
-    for h in pres.postcritical:
-        pair_keys.append(frozenset({table.key(h), table.key(vneg(h))}))
+    key, marks = pres.context.table.key, pres.context.marks
+    pair_keys = [{key(h), key(vneg(h))} for h in pres.postcritical]
     for i in range(4):
         for j in range(i + 1, 4):
             if pair_keys[i] & pair_keys[j]:
@@ -313,18 +310,23 @@ def validate(pres: NetMapPresentation) -> None:
             "correspondence", "correspondence vectors do not form a basis of lambda1"
         )
 
+    # The context's marks name, in each class of a mirror end, the first
+    # mirror with an end there.  With the pairs disjoint, a class of +-h_k
+    # names mirror k exactly when mirror k's ends lie in those classes, as
+    # long as every mirror before k passed: so the first failure is found.
     for k, (mirror, h) in enumerate(zip(pres.mirrors, pres.postcritical), start=1):
         if not pres.lambda1.contains(mirror.midpoint):
             raise ValidationError(
                 "mirror-midpoint", f"mirror {k} midpoint {mirror.midpoint} not in lambda1"
             )
+        ends_in_class = any(marks.get(c, (None,))[0] == k - 1 for c in pair_keys[k - 1])
         if mirror.degenerate:
             if not pres.lambda1.contains(h):
                 raise ValidationError(
                     "mirror-degenerate",
                     f"mirror {k} is degenerate but h{k} = {h} is not in lambda1",
                 )
-            if table.key(mirror.midpoint) not in (table.key(h), table.key(vneg(h))):
+            if not ends_in_class:
                 raise ValidationError(
                     "mirror-degenerate",
                     f"mirror {k} midpoint is not in the class of h{k}",
@@ -336,10 +338,10 @@ def validate(pres: NetMapPresentation) -> None:
                 "mirror-terminal",
                 f"mirror {k} terminal ({terminal[0]}, {terminal[1]}) is not a lattice point",
             )
-        term = (int(terminal[0]), int(terminal[1]))
-        if table.key(term) not in (table.key(h), table.key(vneg(h))):
+        if not ends_in_class:
             raise ValidationError(
-                "mirror-terminal", f"mirror {k} terminal {term} is not in the class of +-h{k}"
+                "mirror-terminal",
+                f"mirror {k} terminal {tuple(map(int, terminal))} is not in the class of +-h{k}",
             )
 
     check_mirror_contact(pres)

@@ -46,6 +46,7 @@ from .errors import (
     NetMapError,
     NonEssentialError,
     NonTransverseError,
+    ZeroVectorError,
     ZigzagError,
 )
 from .geometry import (
@@ -152,8 +153,11 @@ def mirror_crossings(pres: NetMapPresentation, v: Vec, w: Vec) -> list[Vec]:
     ends with that of the mirror containing w; the entries between are
     ``interior_crossings``', the midpoints of the transversely crossed
     mirror translates.  The kernel's lattice scan runs on every segment;
-    on a marked segment (``_marked_segments``) it never raises.
+    on a marked segment (``_marked_segments``) it never raises.  A
+    segment of length zero raises ZeroVectorError before either lookup.
     """
+    if v == w:
+        raise ZeroVectorError(f"the segment from {v} to {w} has length zero")
     first = mirror_midpoint_at(pres, v)
     last = mirror_midpoint_at(pres, w)
     return [first, *interior_crossings(pres, v, w), last]

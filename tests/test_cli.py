@@ -12,7 +12,7 @@ import netmap.cli as cli
 import netmap.errors as errors
 import netmap.slopefn as slopefn
 from netmap.errors import NonTransverseError
-from netmap.presentation import NetMapPresentation
+from netmap.presentation import NetMapPresentation, parse
 from netmap.slope import Slope
 
 
@@ -116,6 +116,26 @@ class TestUnreadableInput:
         code, out, err = run(capsys, "slope", str(bad), "1/2")
         assert (code, out) == (2, "")
         assert err == "error: line 14: duplicate key 'lambda1'\n"
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_crlf_and_cr_files_read_like_lf(self, capsys, tmp_path, main_path, main_pres, newline):
+        data = open(main_path, "rb").read()
+        assert data.count(b"\n") > 10 and b"\r" not in data
+        path = tmp_path / "main.net"
+        path.write_bytes(data.replace(b"\n", newline))
+        assert parse(path.read_bytes().decode("utf-8")) == main_pres
+        assert cli._load(str(path)) == main_pres
+        assert run(capsys, "slope", str(path), "1/4") == (0, "1/2\n", "")
+
+    def test_invalid_utf8_exits_2_with_one_line(self, capsys, tmp_path, main_path):
+        data = open(main_path, "rb").read().replace(b"name = main", b"name = m\xe4in")
+        bad = tmp_path / "latin1.net"
+        bad.write_bytes(data)
+        at = data.index(b"\xe4")
+        code, out, err = run(capsys, "slope", str(bad), "1/4")
+        assert (code, out) == (2, "")
+        assert err == (f"error: 'utf-8' codec can't decode byte 0xe4 in position {at}: "
+                       "invalid continuation byte\n")
 
     def test_directory_exits_2_with_one_line(self, capsys, tmp_path):
         code, out, err = run(capsys, "slope", str(tmp_path), "1/2")

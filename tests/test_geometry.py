@@ -18,7 +18,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from netmap import bundled_presentation
-from netmap.errors import DegenerateIncidenceError, NonEssentialError, NonTransverseError
+from netmap.errors import (
+    DegenerateIncidenceError,
+    NonEssentialError,
+    NonTransverseError,
+    ZeroVectorError,
+)
 from netmap.geometry import (
     _check_degenerate_incidence,
     interior_crossings,
@@ -580,3 +585,26 @@ def test_every_zigzag_segment_is_scanned(monkeypatch):
         total += len(segments)
         scanned.clear()
     assert total > 1000
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_zero_length_segment_is_refused_before_any_work(name, monkeypatch):
+    # A marked point, a mirror midpoint and an unmarked point, each as a
+    # segment from itself to itself: a typed error, before the lattice
+    # scan or either end lookup runs.
+    import netmap.geometry
+    import netmap.slopefn
+
+    def called(*args):
+        pytest.fail("work ran on a segment of length zero")
+
+    for module, attr in ((netmap.geometry, "_check_degenerate_incidence"),
+                         (netmap.slopefn, "mirror_midpoint_at"),
+                         (netmap.slopefn, "interior_crossings")):
+        monkeypatch.setattr(module, attr, called)
+    pres = PRESENTATIONS[name]
+    for v in (pres.postcritical[2], pres.mirrors[2].midpoint, (1, 1)):
+        with pytest.raises(ZeroVectorError, match="has length zero$"):
+            interior_crossings(pres, v, v)
+        with pytest.raises(ZeroVectorError, match="has length zero$"):
+            mirror_crossings(pres, v, v)

@@ -30,7 +30,7 @@ from netmap.nonsep import (
     translate_by_involution,
     verify_nonexistence,
 )
-from netmap.presentation import MirrorArc, NetMapPresentation, validate
+from netmap.presentation import MirrorArc, NetMapPresentation, scaled, validate
 from netmap.pullback import analyze_slope
 from netmap.slope import Slope
 
@@ -476,6 +476,25 @@ class TestConstantTeichmueller:
         with pytest.raises(BudgetExceededError):
             self.set_walk(pres)
         assert constant_teich_check(pres) is False
+
+    def test_large_group_is_refused_before_the_characters(self, main_pres, monkeypatch):
+        # main scaled by 41: Z^2/2L1 has 40 * 41^2 = 67,240 elements, and
+        # lcm(m, n) of them would be walked; refused before the walk.
+        def called(*args):
+            pytest.fail("_value_maps ran above the limit")
+
+        monkeypatch.setattr(nonsep, "_value_maps", called)
+        with pytest.raises(BudgetExceededError, match="^a character search over 67240 "
+                                                      "elements is above the limit of 65536$"):
+            constant_teich_check(scaled(main_pres, 41))
+
+    def test_character_limit_admits_its_own_order(self, main_pres, monkeypatch):
+        assert constant_teich_check(scaled(main_pres, 40)) is False  # 64,000 elements
+        monkeypatch.setattr(nonsep, "_CHARACTER_LIMIT", 40)
+        assert constant_teich_check(main_pres) is False  # 40 elements
+        monkeypatch.setattr(nonsep, "_CHARACTER_LIMIT", 39)
+        with pytest.raises(BudgetExceededError):
+            constant_teich_check(main_pres)
 
     def test_pinned_on_random_presentations(self):
         # The invariant factors, both coordinate transforms and the

@@ -663,6 +663,11 @@ _MALFORMED = "error: missing fields: lambda1, postcritical, correspondence, mirr
     ("slope_graph.py", ["--qmax", "3", "--out", "no/graph.csv"], _MISSING + "'no/graph.csv'"),
     ("orbit_survey.py", ["--height", "3", "--max-iter", "0"],
      "error: max_iter must be a positive integer"),
+    ("nonsep_census.py", ["--max-order", "0"], "error: max-order must be a positive integer"),
+    ("nonsep_census.py", ["--max-order", "-4"], "error: max-order must be a positive integer"),
+    ("nonsep_census.py", ["--budget", "0"], "error: budget must be a positive integer"),
+    ("nonsep_census.py", ["--max-order", "12", "--budget", "-1"],
+     "error: budget must be a positive integer"),
 ])
 def test_scripts_refuse_like_netmap(tmp_path, script, args, line):
     # One stderr line and exit 2, as netmap itself refuses, not a traceback.
